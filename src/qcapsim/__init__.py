@@ -44,7 +44,6 @@ from .errors import (
     NonPositiveTemperature,
     NonPositiveThickness,
     PerturbativeRegimeExceeded,
-    QuadratureFailure,
     SingularSystem,
 )
 from .multimode import (

@@ -3,7 +3,7 @@
 Implements the finite-temperature differential capacitance per unit area,
 its zero-temperature limit, the series combination with the parallel-plate
 (geometric) capacitance, the low-voltage series expansions used for field
-quantization, a quadrature oracle for the charge, and the dielectric
+quantization, the closed-form charge integral, and the dielectric
 thickness design rules.  All quantities are SI and per unit area unless
 noted; engineering units (fF/um^2) appear only at the emission boundary.
 """
@@ -14,16 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._accel import USE_NUMBA, njit_or_plain
 from .constants import CONSTANTS, f_per_m2_to_ff_per_um2
-from .errors import (
-    NonPositiveArea,
-    NonPositiveTemperature,
-    NonPositiveThickness,
-    QuadratureFailure,
-)
+from .errors import NonPositiveArea, NonPositiveTemperature, NonPositiveThickness
 
 # dielectric thickness window: thick enough to block tunneling, thin enough
 # that the quantum capacitance stays an order of magnitude below C_G
@@ -84,7 +78,7 @@ class DesignReport:
 
 
 def _require_positive_temperature(T: float) -> None:
-    if T <= 0.0:
+    if not T > 0.0:  # also rejects NaN
         raise NonPositiveTemperature(f"temperature must be > 0 K, got {T}")
 
 
@@ -237,28 +231,58 @@ def energy_series(design: CapacitorDesign, T: float, n_density: float) -> float:
     return (math.pi * hv**2 / (2.0 * kT)) * (quadratic - quartic)
 
 
-def charge_numeric(design: CapacitorDesign, op: OperatingPoint) -> float:
-    """Charge density Q(V) = integral of C_Q from 0 to V (C/m^2) by adaptive
-    Gauss-Kronrod quadrature; the independent oracle for the series forms.
+# --- charge: closed-form integral of the capacitance ---------------------------
+#
+# With x = e v / 2 k_B T and X = e|V| / 2 k_B T,
+#     Q(V) = sign(V) * prefactor * (2 k_B T / e) * I(X),
+#     I(X) = int_0^X ln(2 + 2 cosh x) dx = X^2/2 + 2 [Li2(-e^-X) + pi^2/12],
+# because d/dx Li2(-e^-x) = ln(1 + e^-x) and ln(2 + 2 cosh x) = x + 2 ln(1 + e^-x).
+# Li2 on [-1, 0) goes through the Landen map Li2(z) = -Li2(w) - ln^2(1 - z)/2,
+# w = z/(z - 1) in (0, 1/2], where the power series in w converges at least
+# like 2^-k.  Below _CHARGE_TAYLOR_MAX_X the bracket cancels against the
+# linear term, so I takes its Taylor series 2 ln2 X + X^3/12 - X^5/480
+# (= X^2/2 + 2 [X ln2 - X^2/4 + X^3/24 - X^5/960]); the first dropped term,
+# X^7/10080, is 7e-17 relative at the seam and the closed form loses < 1e-13
+# there to the cancellation.
 
-    Raises :class:`QuadratureFailure` if the 1e-10 relative error contract
-    is not met.
+_CHARGE_TAYLOR_MAX_X = 1e-2
+
+
+def _li2_series(w: float) -> float:
+    """sum_k w^k / k^2 for 0 <= w <= 1/2, to double precision."""
+    total, power = 0.0, w
+    for k in range(1, 64):  # bounded so a NaN cannot loop forever
+        term = power / (k * k)
+        total += term
+        if term <= 1e-17 * total:
+            break
+        power *= w
+    return total
+
+
+def _charge_integral(X: float) -> float:
+    """I(X) = int_0^X ln(2 + 2 cosh x) dx for X >= 0."""
+    if X < _CHARGE_TAYLOR_MAX_X:
+        X2 = X * X
+        return X * (2.0 * math.log(2.0) + X2 * (1.0 / 12.0 - X2 / 480.0))
+    q = math.exp(-X)  # -z; underflows to 0 harmlessly for X > ~745
+    ln_1mz = math.log1p(q)
+    li2_tail = math.pi**2 / 12.0 - _li2_series(q / (1.0 + q)) - 0.5 * ln_1mz**2
+    return 0.5 * X * X + 2.0 * li2_tail
+
+
+def charge_numeric(design: CapacitorDesign, op: OperatingPoint) -> float:
+    """Charge density Q(V) = integral of C_Q from 0 to V (C/m^2).
+
+    Evaluates the closed form of the integral to double precision at every
+    voltage and temperature; odd in V.  The oracle for the series forms.
     """
     _require_positive_temperature(op.temperature_T)
-    V = op.voltage_V
-    if V == 0.0:
-        return 0.0
-    T, v_F = op.temperature_T, design.v_F
-
-    def integrand(v):
-        return _cq_areal(T, v, v_F)
-
-    result, abserr = quad(integrand, 0.0, V, epsabs=0.0, epsrel=1e-12, limit=200)
-    if abs(result) == 0.0 or abserr > 1e-10 * abs(result):
-        raise QuadratureFailure(
-            f"charge quadrature error {abserr:.3e} exceeds 1e-10 relative at V={V}"
-        )
-    return result
+    T, V = op.temperature_T, op.voltage_V
+    kT = CONSTANTS.k_B * T
+    X = CONSTANTS.e * abs(V) / (2.0 * kT)
+    q = _cq_prefactor(T, design.v_F) * (2.0 * kT / CONSTANTS.e) * _charge_integral(X)
+    return math.copysign(q, V)
 
 
 # --- design rules and sweeps -------------------------------------------------

@@ -51,7 +51,7 @@ from .constants import (
     pi_units_to_rad,
     um2_to_m2,
 )
-from .errors import ConfigError, CutoffNotConverged, QuadratureFailure, SingularSystem
+from .errors import ConfigError, CutoffNotConverged, SingularSystem
 from .multimode import PumpSpec, classify_interaction, single_photon_rate_engineering
 from .oscillator import (
     OscillatorSpec,
@@ -104,9 +104,23 @@ def _load_config(name_or_path: str, allowed: set[str], required: set[str]) -> di
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"expected a comma-separated number list, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"expected finite numbers, got {text!r}")
+    return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse ``type`` for numeric options: rejects nan and +-inf (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 # --- output emission ----------------------------------------------------------
@@ -376,26 +390,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-capacitance", help="differential capacitance over a (T, V) grid")
     p.add_argument("--config", default=None, help="JSON config (bundled name or path)")
     p.add_argument("--T", default="0,0.25,1,4", help="comma-separated temperatures in K (0 = T->0 branch)")
-    p.add_argument("--vmax", type=float, default=0.05, help="voltage range bound in V")
+    p.add_argument("--vmax", type=_finite_float, default=0.05, help="voltage range bound in V")
     p.add_argument("--points", type=int, default=201, help="voltage grid points")
-    p.add_argument("--thickness-nm", type=float, default=7.0, help="dielectric thickness in nm")
-    p.add_argument("--epsr", type=float, default=4.0, help="dielectric relative permittivity")
-    p.add_argument("--S", type=float, default=100.0, help="capacitor area in um^2")
+    p.add_argument("--thickness-nm", type=_finite_float, default=7.0, help="dielectric thickness in nm")
+    p.add_argument("--epsr", type=_finite_float, default=4.0, help="dielectric relative permittivity")
+    p.add_argument("--S", type=_finite_float, default=100.0, help="capacitor area in um^2")
     _add_common_output_flags(p)
     p.set_defaults(func=_cmd_sweep_capacitance)
 
     p = sub.add_parser("design-check", help="dielectric thickness window and dominance rules")
-    p.add_argument("--thickness-nm", type=float, default=7.0)
-    p.add_argument("--epsr", type=float, default=4.0)
-    p.add_argument("--T", type=float, default=1.0, help="temperature in K")
-    p.add_argument("--S", type=float, default=100.0, help="capacitor area in um^2")
+    p.add_argument("--thickness-nm", type=_finite_float, default=7.0)
+    p.add_argument("--epsr", type=_finite_float, default=4.0)
+    p.add_argument("--T", type=_finite_float, default=1.0, help="temperature in K")
+    p.add_argument("--S", type=_finite_float, default=100.0, help="capacitor area in um^2")
     _add_common_output_flags(p)
     p.set_defaults(func=_cmd_design_check)
 
     p = sub.add_parser("qubit", help="single-mode quantization summary")
-    p.add_argument("--T", type=float, default=1.0, help="temperature in K")
-    p.add_argument("--f", type=float, default=4.0, help="mode frequency in GHz")
-    p.add_argument("--S", type=float, default=100.0, help="capacitor area in um^2")
+    p.add_argument("--T", type=_finite_float, default=1.0, help="temperature in K")
+    p.add_argument("--f", type=_finite_float, default=4.0, help="mode frequency in GHz")
+    p.add_argument("--S", type=_finite_float, default=100.0, help="capacitor area in um^2")
     p.add_argument(
         "--cutoff",
         type=int,
@@ -407,27 +421,27 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit the Fock-basis spectrum (engineering outputs only)",
     )
-    p.add_argument("--thickness-nm", type=float, default=7.0)
-    p.add_argument("--epsr", type=float, default=4.0)
+    p.add_argument("--thickness-nm", type=_finite_float, default=7.0)
+    p.add_argument("--epsr", type=_finite_float, default=4.0)
     _add_common_output_flags(p)
     p.set_defaults(func=_cmd_qubit)
 
     p = sub.add_parser("coupling", help="pump-selected interaction classification and rate")
-    p.add_argument("--T", type=float, default=1.0, help="temperature in K")
-    p.add_argument("--f", type=float, default=4.0, help="pump frequency in GHz")
-    p.add_argument("--f1", type=float, default=2.0, help="mode-1 frequency in GHz")
-    p.add_argument("--f2", type=float, default=10.0, help="mode-2 frequency in GHz")
-    p.add_argument("--S", type=float, default=100.0, help="capacitor area in um^2")
-    p.add_argument("--pump-photons", type=float, default=1.0, help="pump photon number |a|^2")
-    p.add_argument("--theta-over-pi", type=float, default=0.0, help="pump phase in units of pi")
-    p.add_argument("--tolerance-mhz", type=float, default=1.0, help="resonance tolerance in MHz")
+    p.add_argument("--T", type=_finite_float, default=1.0, help="temperature in K")
+    p.add_argument("--f", type=_finite_float, default=4.0, help="pump frequency in GHz")
+    p.add_argument("--f1", type=_finite_float, default=2.0, help="mode-1 frequency in GHz")
+    p.add_argument("--f2", type=_finite_float, default=10.0, help="mode-2 frequency in GHz")
+    p.add_argument("--S", type=_finite_float, default=100.0, help="capacitor area in um^2")
+    p.add_argument("--pump-photons", type=_finite_float, default=1.0, help="pump photon number |a|^2")
+    p.add_argument("--theta-over-pi", type=_finite_float, default=0.0, help="pump phase in units of pi")
+    p.add_argument("--tolerance-mhz", type=_finite_float, default=1.0, help="resonance tolerance in MHz")
     _add_common_output_flags(p)
     p.set_defaults(func=_cmd_coupling)
 
     p = sub.add_parser("circulator", help="three-mode circulator scattering sweep")
     p.add_argument("--config", required=True, help="JSON config (bundled name or path)")
-    p.add_argument("--delta-min", type=float, default=None, help="override sweep start in GHz")
-    p.add_argument("--delta-max", type=float, default=None, help="override sweep end in GHz")
+    p.add_argument("--delta-min", type=_finite_float, default=None, help="override sweep start in GHz")
+    p.add_argument("--delta-max", type=_finite_float, default=None, help="override sweep end in GHz")
     p.add_argument("--points", type=int, default=None, help="override grid points")
     _add_common_output_flags(p)
     p.set_defaults(func=_cmd_circulator)
@@ -451,7 +465,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CutoffNotConverged, QuadratureFailure, SingularSystem) as exc:
+    except (CutoffNotConverged, SingularSystem) as exc:
         print(f"numerical contract failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -13,10 +13,6 @@ class NonPositiveArea(ValueError):
     """Capacitor area must be strictly positive (square meters)."""
 
 
-class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature did not reach the requested relative tolerance."""
-
-
 class CutoffNotConverged(RuntimeError):
     """Fock-basis truncation check failed: eigenvalues still move with cutoff."""
 

@@ -191,7 +191,7 @@ def test_criterion_6_series_expansion_oracle():
     ok = series_ok and limit_ok and elapsed < 1.0
     assert _report(
         6,
-        f"series vs quadrature worst {worst:.2e} <= 1e-4; T->0 limit at k_BT=e|V|/200 within 1%",
+        f"series vs closed-form charge worst {worst:.2e} <= 1e-4; T->0 limit at k_BT=e|V|/200 within 1%",
         ok,
     )
 

@@ -84,6 +84,11 @@ def test_quantum_capacitance_rejects_nonpositive_temperature():
         quantum_capacitance(DESIGN, OperatingPoint(0.0, 0.0))
 
 
+def test_quantum_capacitance_rejects_nan_temperature():
+    with pytest.raises(NonPositiveTemperature):
+        quantum_capacitance(DESIGN, OperatingPoint(math.nan, 0.0))
+
+
 def test_quantum_capacitance_T0_zero_and_parity():
     assert quantum_capacitance_T0(DESIGN, 0.0) == 0.0
     rng = np.random.default_rng(31)
@@ -255,6 +260,62 @@ def test_cubic_coefficient_by_richardson_extrapolation():
 
     est = (4.0 * cubic_estimate(v / 2) - cubic_estimate(v)) / 3.0
     assert est == pytest.approx(charge_series_cubic_coefficient(DESIGN, T), rel=1e-3)
+
+
+# --- closed-form charge vs an independent Gauss-Legendre integral ----------------
+
+def _charge_scale(T):
+    """prefactor * 2 k_B T / e: Q = scale * int_0^X ln(2 + 2 cosh x) dx."""
+    return 2.0 * E**2 * KB * T / (math.pi * (HBAR * VF) ** 2) * (2.0 * KB * T / E)
+
+
+def _gauss_legendre_charge_integral(X):
+    """int_0^X ln(2 + 2 cosh x) dx by 20-point Gauss-Legendre on panels of
+    width 0.5 up to min(X, 60); beyond 60 the integrand is x to 1e-26."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    top = min(X, 60.0)
+    edges = np.append(np.arange(0.0, top, 0.5), top)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    panels = 0.5 * (hi - lo)[:, 0] * (np.log(2.0 + 2.0 * np.cosh(x)) @ weights)
+    return float(np.sum(panels)) + (0.5 * (X * X - 3600.0) if X > 60.0 else 0.0)
+
+
+@pytest.mark.parametrize(
+    "X",
+    [1e-9, 1e-6, 1e-4, 1e-3, 9.999e-3, 1e-2, 1.0001e-2, 0.03, 0.07, 0.5, 1.0, 3.7,
+     10.0, 37.3, 59.9, 60.0, 60.1, 100.0, 700.0, 800.0, 1e3, 1e4, 1e5],
+)
+def test_charge_numeric_matches_gauss_legendre(X):
+    # spans the small-X Taylor branch, its seam near X = 1e-2, the Li2 branch
+    # and the range where e^-X underflows
+    T = 1.0
+    v = 2.0 * KB * T * X / E
+    expected = _charge_scale(T) * _gauss_legendre_charge_integral(X)
+    got = charge_numeric(DESIGN, OperatingPoint(T, v))
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "T,v", [(0.05, 0.05), (0.05, -0.05), (1e-3, 1e-3), (1e-3, 5e-3)]
+)
+def test_charge_numeric_low_temperature_large_bias(T, v):
+    # e|V| >> k_B T: an adaptive quadrature that misses the kink at V = 0
+    # lands 9.8e-8 (first three) and 3.9e-9 (last) low here
+    X = E * abs(v) / (2.0 * KB * T)
+    expected = math.copysign(_charge_scale(T) * _gauss_legendre_charge_integral(X), v)
+    got = charge_numeric(DESIGN, OperatingPoint(T, v))
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_charge_numeric_large_x_exact():
+    # X ~ 5.8e3: Li2(-e^-X) is 0 in double precision, so the integral is
+    # exactly X^2/2 + pi^2/6
+    T, v = 0.05, 0.05
+    X = E * v / (2.0 * KB * T)
+    expected = _charge_scale(T) * (0.5 * X * X + math.pi**2 / 6.0)
+    got = charge_numeric(DESIGN, OperatingPoint(T, v))
+    assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_linear_capacitance_published_values():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from qcapsim.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +22,12 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def _src_env():
+    """Environment for a fresh interpreter that imports qcapsim from src/."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(SRC_DIR) + (os.pathsep + path if path else ""))
 
 
 # --- verify-paper ----------------------------------------------------------------
@@ -163,6 +171,28 @@ def test_missing_config_rejected(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("design-check", "--T", "nan"),
+        ("coupling", "--S", "nan"),
+        ("qubit", "--S", "inf"),
+        ("sweep-capacitance", "--T", "1,-inf"),
+    ],
+)
+def test_non_finite_option_rejected(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "qcapsim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "finite" in result.stderr
+
+
 # --- determinism and file output ------------------------------------------------------
 
 def test_output_file_and_sidecar(tmp_path, capsys):
@@ -242,3 +272,17 @@ def test_console_script_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)[0]["status"] == "PASS"
+
+
+def test_cli_import_does_not_load_scipy():
+    # the cold-start cost of `qcap-sim` is dominated by imports, and
+    # importing scipy would add ~0.7 s to every invocation
+    probe = (
+        "import sys, qcapsim.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
