@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit_or_plain
 from .constants import CONSTANTS, f_per_m2_to_ff_per_um2
 from .errors import NonPositiveArea, NonPositiveTemperature, NonPositiveThickness
 
@@ -88,32 +87,14 @@ def _require_positive_temperature(T: float) -> None:
 # is |x| + 2 log1p(e^-|x|): exact for all x and immune to cosh overflow
 # (the naive form dies near |x| ~ 710).
 
-def _ln_2_plus_2cosh_loops_impl(x, out):
-    for i in range(x.shape[0]):
-        ax = abs(x[i])
-        out[i] = ax + 2.0 * math.log1p(math.exp(-ax))
-
-
-_ln_2_plus_2cosh_loops = njit_or_plain(_ln_2_plus_2cosh_loops_impl)
-
-
-def _ln_2_plus_2cosh_numpy(x):
-    ax = np.abs(x)
-    return ax + 2.0 * np.log1p(np.exp(-ax))
-
-
 def ln_2_plus_2cosh(x):
     """Stable elementwise ln[2(1 + cosh x)]; scalar in, scalar out."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 0:
         ax = abs(float(arr))
         return ax + 2.0 * math.log1p(math.exp(-ax))
-    if USE_NUMBA:
-        flat = np.ascontiguousarray(arr).ravel()
-        out = np.empty_like(flat)
-        _ln_2_plus_2cosh_loops(flat, out)
-        return out.reshape(arr.shape)
-    return _ln_2_plus_2cosh_numpy(arr)
+    ax = np.abs(arr)
+    return ax + 2.0 * np.log1p(np.exp(-ax))
 
 
 # --- capacitances -----------------------------------------------------------
@@ -348,11 +329,6 @@ class CapacitanceSweep:
                 f_per_m2_to_ff_per_um2(float(cq)),
                 f_per_m2_to_ff_per_um2(float(cs)),
             )
-
-    def json_records(self):
-        return [
-            dict(zip(SWEEP_CSV_HEADER, row)) for row in self.engineering_rows()
-        ]
 
 
 def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSweep:

@@ -18,6 +18,10 @@ a_out = a_in - sqrt(kappa) a, giving S = I - K (-i delta I - M)^(-1) K.
 Reported scalar amplitudes use path naming: S13 is the 1 -> 3 conversion
 amplitude, i.e. entry (3,1) of the matrix S in the a_out = S a_in
 convention, and S31 is entry (1,3).
+
+A detuning sweep builds the (n, 3, 3) stack -i delta I - M and solves it
+with one call of :func:`qcapsim.linalg.solve_complex`, which enforces the
+1e-10 relative-residual contract on every point.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit_or_plain
 from .constants import ghz_to_rad_per_s, pi_units_to_rad
-from .errors import ConfigError, SingularSystem
-from .linalg import lu_solve_loops, lu_solve_numpy, solve_complex
+from .errors import ConfigError
+from .linalg import solve_complex
 
 SOLVE_RESIDUAL_TOL = 1e-10
 
@@ -74,11 +77,11 @@ class CirculatorConfig:
         for name in ("omega", "kappa", "g", "phi", "detuning"):
             if len(getattr(self, name)) != 3:
                 raise ValueError(f"{name} must have exactly 3 entries")
-        if any(w <= 0.0 for w in self.omega):
+        if not all(w > 0.0 for w in self.omega):  # also rejects NaN
             raise ValueError("mode frequencies must be positive")
-        if any(k <= 0.0 for k in self.kappa):
+        if not all(k > 0.0 for k in self.kappa):
             raise ValueError("decay rates must be positive for well-posed scattering")
-        if any(gi < 0.0 for gi in self.g):
+        if not all(gi >= 0.0 for gi in self.g):
             raise ValueError("coupling strengths must be non-negative")
 
     @property
@@ -113,7 +116,10 @@ def config_from_engineering_dict(doc: dict) -> CirculatorConfig:
         values = doc[name] if name in doc else [0.0, 0.0, 0.0]
         if not isinstance(values, (list, tuple)) or len(values) != 3:
             raise ConfigError(f"config key '{name}' must be a list of 3 numbers")
-        return tuple(convert(float(v)) for v in values)
+        numbers = tuple(float(v) for v in values)
+        if not all(math.isfinite(v) for v in numbers):
+            raise ConfigError(f"config key '{name}' must hold finite numbers, got {list(values)}")
+        return tuple(convert(v) for v in numbers)
 
     frame_name = str(doc.get("frame", "rotating")).lower()
     try:
@@ -189,71 +195,6 @@ def scattering_matrix(config: CirculatorConfig, delta: float) -> np.ndarray:
 
 # --- detuning sweep ----------------------------------------------------------
 
-def _sweep_lu_kernel_impl(m, sqrt_kappa, deltas, s_out, resid_out):
-    """Per-point scattering over the detuning grid; hot loop of the sweep.
-
-    Writes S(delta) into s_out (n,3,3) and the worst per-column relative
-    solve residual into resid_out (n,).
-    """
-    n = deltas.shape[0]
-    for ip in range(n):
-        a = np.zeros((3, 3), dtype=np.complex128)
-        b = np.zeros((3, 3), dtype=np.complex128)
-        for i in range(3):
-            for j in range(3):
-                a[i, j] = -m[i, j]
-            a[i, i] -= 1j * deltas[ip]
-            b[i, i] = sqrt_kappa[i]
-        a_fac = a.copy()
-        x = b.copy()
-        singular = lu_solve_loops(a_fac, x)
-        if singular:
-            resid_out[ip] = np.inf
-            continue
-        worst = 0.0
-        for j in range(3):
-            num = 0.0
-            den = 0.0
-            for i in range(3):
-                acc = -b[i, j]
-                for kk in range(3):
-                    acc += a[i, kk] * x[kk, j]
-                num += abs(acc) ** 2
-                den += abs(b[i, j]) ** 2
-            rel = math.sqrt(num) / math.sqrt(den)
-            if rel > worst:
-                worst = rel
-        resid_out[ip] = worst
-        for i in range(3):
-            for j in range(3):
-                s = -sqrt_kappa[i] * x[i, j]
-                if i == j:
-                    s += 1.0
-                s_out[ip, i, j] = s
-
-
-_sweep_lu_kernel = njit_or_plain(_sweep_lu_kernel_impl)
-
-
-def _sweep_scattering_numpy(m, sqrt_kappa, deltas):
-    n = deltas.shape[0]
-    s_out = np.empty((n, 3, 3), dtype=np.complex128)
-    resid_out = np.empty(n)
-    k = np.diag(sqrt_kappa).astype(np.complex128)
-    eye = np.eye(3)
-    for ip in range(n):
-        a = -1j * deltas[ip] * eye - m
-        x = k.copy()
-        singular = lu_solve_numpy(a.copy(), x)
-        if singular:
-            resid_out[ip] = np.inf
-            continue
-        resid = np.linalg.norm(a @ x - k, axis=0) / np.linalg.norm(k, axis=0)
-        resid_out[ip] = float(np.max(resid))
-        s_out[ip] = eye - np.diag(sqrt_kappa) @ x
-    return s_out, resid_out
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Scattering over a detuning grid plus the derived circulator figures.
@@ -290,35 +231,26 @@ class SweepResult:
                 float(s31.imag),
             )
 
-    def json_records(self):
-        return [dict(zip(SWEEP_CSV_HEADER, row)) for row in self.csv_rows()]
-
 
 def sweep(
     config: CirculatorConfig, delta_min: float, delta_max: float, n_points: int
 ) -> SweepResult:
     """Scattering over a uniform detuning grid (rad/s).
 
-    Enforces the per-point solve residual contract and returns the full
-    complex matrices along with the 1 -> 3 / 3 -> 1 asymmetry ratio and the
-    insertion loss of the forward path.
+    All points are solved as one stack; :class:`SingularSystem` is raised
+    when any point hits a zero pivot or a relative solve residual above
+    ``SOLVE_RESIDUAL_TOL``.  Returns the full complex matrices along with
+    the 1 -> 3 / 3 -> 1 asymmetry ratio and the insertion loss of the
+    forward path.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     deltas = np.linspace(delta_min, delta_max, n_points)
     m = langevin_matrix(config)
-    sqrt_kappa = np.sqrt(np.asarray(config.kappa, dtype=np.float64))
-    if USE_NUMBA:
-        s_out = np.empty((n_points, 3, 3), dtype=np.complex128)
-        resid_out = np.empty(n_points)
-        _sweep_lu_kernel(m, sqrt_kappa, deltas, s_out, resid_out)
-    else:
-        s_out, resid_out = _sweep_scattering_numpy(m, sqrt_kappa, deltas)
-    worst = float(np.max(resid_out))
-    if not np.isfinite(worst) or worst > SOLVE_RESIDUAL_TOL:
-        raise SingularSystem(
-            f"sweep solve residual {worst:.3e} exceeds {SOLVE_RESIDUAL_TOL:.1e}"
-        )
+    k = np.diag(np.sqrt(np.asarray(config.kappa, dtype=np.float64)))
+    a = -1j * deltas[:, None, None] * np.eye(3) - m
+    x = complex_solve(a, np.broadcast_to(k.astype(np.complex128), a.shape))
+    s_out = np.eye(3) - k @ x
     s13 = np.abs(s_out[:, 2, 0])
     s31 = np.abs(s_out[:, 0, 2])
     with np.errstate(divide="ignore"):

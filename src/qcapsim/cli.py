@@ -140,11 +140,11 @@ def _emit(args, text: str, metadata: dict) -> None:
     Path(str(out) + ".meta.json").write_text(json.dumps(metadata, indent=2) + "\n")
 
 
-def _emit_table(args, header, rows, records) -> None:
+def _emit_table(args, header, rows) -> None:
     if args.format == "csv":
         text = csv_text(header, rows)
     else:
-        text = json_text(records)
+        text = json_text([dict(zip(header, row)) for row in rows])
     _emit(args, text, {"command": args.command})
 
 
@@ -184,7 +184,7 @@ def _cmd_sweep_capacitance(args) -> int:
     )
     grid = np.linspace(-vmax, vmax, n_points)
     result = capacitance_sweep(design, temperatures, grid)
-    _emit_table(args, CAP_SWEEP_HEADER, result.engineering_rows(), result.json_records())
+    _emit_table(args, CAP_SWEEP_HEADER, result.engineering_rows())
     return 0
 
 
@@ -285,16 +285,23 @@ def _cmd_circulator(args) -> int:
     if not isinstance(doc["circulator"], dict):
         raise ConfigError("config key 'circulator' must be an object")
     config = config_from_engineering_dict(doc["circulator"])
-    delta_min = args.delta_min if args.delta_min is not None else float(doc.get("delta_min_GHz", -4.0))
-    delta_max = args.delta_max if args.delta_max is not None else float(doc.get("delta_max_GHz", 4.0))
-    n_points = args.points if args.points is not None else int(doc.get("n_points", 1001))
+
+    def file_number(key, default):
+        value = float(doc.get(key, default))
+        if not math.isfinite(value):
+            raise ConfigError(f"config key '{key}' must be a finite number, got {value}")
+        return value
+
+    delta_min = args.delta_min if args.delta_min is not None else file_number("delta_min_GHz", -4.0)
+    delta_max = args.delta_max if args.delta_max is not None else file_number("delta_max_GHz", 4.0)
+    n_points = args.points if args.points is not None else int(file_number("n_points", 1001))
     result = sweep(
         config,
         ghz_to_rad_per_s(delta_min),
         ghz_to_rad_per_s(delta_max),
         n_points,
     )
-    _emit_table(args, CIRC_SWEEP_HEADER, result.csv_rows(), result.json_records())
+    _emit_table(args, CIRC_SWEEP_HEADER, result.csv_rows())
     return 0
 
 
@@ -332,7 +339,6 @@ def _cmd_verify_paper(args) -> int:
     doc = _load_config(args.config, {"checks"}, {"checks"})
     computed_values = _verify_computed_values()
     rows = []
-    records = []
     any_fail = False
     for check in doc["checks"]:
         cid = check["id"]
@@ -355,18 +361,7 @@ def _cmd_verify_paper(args) -> int:
         rows.append(
             (cid, check["description"], printed, computed, rel_dev, status, note)
         )
-        records.append(
-            {
-                "id": cid,
-                "description": check["description"],
-                "printed": printed,
-                "computed": computed,
-                "rel_dev_vs_printed": rel_dev,
-                "status": status,
-                "note": note,
-            }
-        )
-    _emit_table(args, VERIFY_HEADER, rows, records)
+    _emit_table(args, VERIFY_HEADER, rows)
     return 1 if any_fail else 0
 
 

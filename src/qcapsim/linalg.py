@@ -6,11 +6,10 @@ Two routines back the physics modules:
   Householder tridiagonalization followed by implicit-shift QL iteration.
   Matrix sizes here stay <= a few hundred (Fock truncations), so a dense
   textbook solver is both adequate and fully auditable.
-* :func:`solve_complex` - partial-pivoted Gaussian elimination for complex
-  systems, with an enforced relative-residual contract.
-
-Each hot kernel has a loop form (numba-compiled when enabled) and a
-vectorized numpy form; see :mod:`qcapsim._accel`.
+* :func:`solve_complex` - partial-pivoted Gaussian elimination for a stack
+  of complex systems, with an enforced relative-residual contract per
+  system and column.  The elimination loops over the matrix order and
+  works on the whole stack at once, so a detuning sweep is one call.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import math
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit_or_plain
 from .errors import SingularSystem
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -27,60 +25,13 @@ _EPS = float(np.finfo(np.float64).eps)
 
 # --- Householder tridiagonalization ---------------------------------------
 
-def _tridiagonalize_loops_impl(a):
-    """Reduce a full symmetric matrix to tridiagonal form, loop version.
+def tridiagonalize(a):
+    """Reduce a full symmetric matrix to tridiagonal form in place.
 
     ``a`` (float64, both triangles filled) is destroyed.  Returns (d, e)
     with d the diagonal and e[i] the coupling between rows i-1 and i
     (e[0] = 0).
     """
-    n = a.shape[0]
-    d = np.zeros(n)
-    e = np.zeros(n)
-    u = np.zeros(n)
-    p = np.zeros(n)
-    for i in range(n - 1, 1, -1):
-        scale = 0.0
-        for k in range(i):
-            scale += abs(a[i, k])
-        if scale == 0.0:
-            e[i] = a[i, i - 1]
-            continue
-        h = 0.0
-        for k in range(i):
-            u[k] = a[i, k] / scale
-            h += u[k] * u[k]
-        f = u[i - 1]
-        g = -math.sqrt(h) if f >= 0.0 else math.sqrt(h)
-        e[i] = scale * g
-        h -= f * g
-        u[i - 1] = f - g
-        for j in range(i):
-            s = 0.0
-            for k in range(i):
-                s += a[j, k] * u[k]
-            p[j] = s / h
-        kk = 0.0
-        for j in range(i):
-            kk += u[j] * p[j]
-        kk /= 2.0 * h
-        for j in range(i):
-            p[j] -= kk * u[j]
-        for j in range(i):
-            for k in range(i):
-                a[j, k] -= p[j] * u[k] + u[j] * p[k]
-    if n > 1:
-        e[1] = a[1, 0]
-    for i in range(n):
-        d[i] = a[i, i]
-    return d, e
-
-
-tridiagonalize_loops = njit_or_plain(_tridiagonalize_loops_impl)
-
-
-def tridiagonalize_numpy(a):
-    """Vectorized numpy version of the Householder reduction."""
     n = a.shape[0]
     d = np.zeros(n)
     e = np.zeros(n)
@@ -109,7 +60,7 @@ def tridiagonalize_numpy(a):
 
 # --- implicit-shift QL iteration -------------------------------------------
 
-def _ql_eigenvalues_impl(d, e):
+def ql_eigenvalues(d, e):
     """Implicit-shift QL on a tridiagonal (d, e); eigenvalues land in d.
 
     ``e`` holds the subdiagonal as e[i] = coupling (i, i+1), with
@@ -164,8 +115,6 @@ def _ql_eigenvalues_impl(d, e):
     return 0
 
 
-ql_eigenvalues = njit_or_plain(_ql_eigenvalues_impl)
-
 
 def symmetric_eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, ascending.
@@ -181,10 +130,7 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
         return np.empty(0)
     if n == 1:
         return a[0, :1].copy()
-    if USE_NUMBA:
-        d, e = tridiagonalize_loops(a)
-    else:
-        d, e = tridiagonalize_numpy(a)
+    d, e = tridiagonalize(a)
     # shift the subdiagonal into e[i] = coupling (i, i+1)
     e[:-1] = e[1:]
     e[-1] = 0.0
@@ -196,94 +142,64 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
 
 # --- complex Gaussian elimination with partial pivoting --------------------
 
-def _lu_solve_loops_impl(a, b):
-    """Solve a X = b in place (b gets X); returns True on a zero pivot."""
-    n = a.shape[0]
-    m = b.shape[1]
+def _eliminate(a, b) -> None:
+    """Solve each system a[i] X = b[i] in place (b[i] gets X).
+
+    ``a`` is (k, n, n) and ``b`` is (k, n, m), both complex128 and
+    C-contiguous.  Raises :class:`SingularSystem` at the first zero pivot
+    anywhere in the stack.
+    """
+    n = a.shape[1]
+    rows = np.arange(a.shape[0])
     for k in range(n):
-        piv = k
-        best = abs(a[k, k])
-        for i in range(k + 1, n):
-            v = abs(a[i, k])
-            if v > best:
-                best = v
-                piv = i
-        if best == 0.0:
-            return True
-        if piv != k:
-            for j in range(n):
-                tmp = a[k, j]
-                a[k, j] = a[piv, j]
-                a[piv, j] = tmp
-            for j in range(m):
-                tmp = b[k, j]
-                b[k, j] = b[piv, j]
-                b[piv, j] = tmp
-        for i in range(k + 1, n):
-            lam = a[i, k] / a[k, k]
-            if lam != 0.0:
-                for j in range(k + 1, n):
-                    a[i, j] -= lam * a[k, j]
-                for j in range(m):
-                    b[i, j] -= lam * b[k, j]
+        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        if np.any(np.abs(a[rows, piv, k]) == 0.0):
+            raise SingularSystem("zero pivot in complex elimination")
+        if np.any(piv != k):
+            for arr in (a, b):
+                row_k = arr[:, k].copy()
+                arr[:, k] = arr[rows, piv]
+                arr[rows, piv] = row_k
+        lam = a[:, k + 1:, k] / a[:, k, k, None]
+        a[:, k + 1:, k + 1:] -= lam[:, :, None] * a[:, k, None, k + 1:]
+        b[:, k + 1:] -= lam[:, :, None] * b[:, k, None, :]
     for k in range(n - 1, -1, -1):
-        for j in range(m):
-            acc = b[k, j]
-            for col in range(k + 1, n):
-                acc -= a[k, col] * b[col, j]
-            b[k, j] = acc / a[k, k]
-    return False
-
-
-lu_solve_loops = njit_or_plain(_lu_solve_loops_impl)
-
-
-def lu_solve_numpy(a, b):
-    """Vectorized numpy version of the pivoted elimination."""
-    n = a.shape[0]
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) == 0.0:
-            return True
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        lam = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(lam, a[k, k + 1:])
-        b[k + 1:] -= np.outer(lam, b[k])
-    for k in range(n - 1, -1, -1):
-        b[k] = (b[k] - a[k, k + 1:] @ b[k + 1:]) / a[k, k]
-    return False
+        if k < n - 1:
+            b[:, k] -= np.matmul(a[:, k, None, k + 1:], b[:, k + 1:])[:, 0]
+        b[:, k] /= a[:, k, k, None]
 
 
 def solve_complex(matrix, rhs, residual_tol: float | None = 1e-10) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by partial-pivoted elimination.
 
-    ``rhs`` may be a vector or a matrix of stacked right-hand sides.
-    Raises :class:`SingularSystem` on a zero pivot or when any column's
-    relative residual exceeds ``residual_tol`` (pass None to skip the
-    residual check).
+    ``matrix`` is one square matrix (n, n) or a stack (..., n, n); ``rhs``
+    is (..., n) or (..., n, m) with the same leading axes, and the result
+    has the shape of ``rhs``.  Raises :class:`SingularSystem` on a zero
+    pivot or when any system's column has a relative residual
+    ||A x - b|| / ||b|| above ``residual_tol`` or not finite (pass None to
+    skip the residual check).
     """
     a0 = np.asarray(matrix, dtype=np.complex128)
     b0 = np.asarray(rhs, dtype=np.complex128)
-    if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
-        raise ValueError("expected a square 2-d matrix")
-    vector_rhs = b0.ndim == 1
-    b2 = b0.reshape(-1, 1) if vector_rhs else b0
-    if b2.shape[0] != a0.shape[0]:
+    if a0.ndim < 2 or a0.shape[-1] != a0.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    vector_rhs = b0.ndim == a0.ndim - 1
+    b1 = b0[..., None] if vector_rhs else b0
+    if b1.ndim != a0.ndim or b1.shape[:-1] != a0.shape[:-1]:
         raise ValueError("rhs shape does not match matrix")
-    a = np.array(a0, order="C", copy=True)
-    b = np.array(b2, order="C", copy=True)
-    singular = lu_solve_loops(a, b) if USE_NUMBA else lu_solve_numpy(a, b)
-    if singular:
-        raise SingularSystem("zero pivot in complex elimination")
+    n, m = b1.shape[-2:]
+    a2 = a0.reshape(-1, n, n)
+    b2 = b1.reshape(-1, n, m)
+    a = np.array(a2, order="C", copy=True)
+    x = np.array(b2, order="C", copy=True)
+    _eliminate(a, x)
     if residual_tol is not None:
-        resid = np.linalg.norm(a0 @ b - b2, axis=0)
-        scale = np.linalg.norm(b2, axis=0)
-        bad = resid > residual_tol * np.where(scale > 0.0, scale, 1.0)
-        if np.any(bad):
+        resid = np.linalg.norm(a2 @ x - b2, axis=1)
+        scale = np.linalg.norm(b2, axis=1)
+        rel = resid / np.where(scale > 0.0, scale, 1.0)
+        if not np.all(rel <= residual_tol):
             raise SingularSystem(
-                f"solve residual {float(np.max(resid / np.where(scale > 0, scale, 1.0))):.3e} "
-                f"exceeds {residual_tol:.1e}"
+                f"solve residual {float(np.max(rel)):.3e} exceeds {residual_tol:.1e}"
             )
-    return b[:, 0] if vector_rhs else b
+    x = x.reshape(b1.shape)
+    return x[..., 0] if vector_rhs else x

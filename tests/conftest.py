@@ -1,10 +1,5 @@
 import sys
 
-import numpy as np
-import pytest
-
-from qcapsim import capacitance, circulator, linalg
-
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     module = sys.modules.get("test_acceptance")
@@ -13,19 +8,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger numba compilation once so timed tests measure steady state."""
-    a = np.eye(12) + 0.01 * np.ones((12, 12))
-    linalg.symmetric_eigenvalues(a)
-    linalg.solve_complex(np.eye(3, dtype=np.complex128), np.ones(3, dtype=np.complex128))
-    capacitance.ln_2_plus_2cosh(np.linspace(-1.0, 1.0, 8))
-    config = circulator.CirculatorConfig(
-        omega=(1e9, 1e9, 2e9),
-        kappa=(1e9, 1e9, 1e9),
-        g=(1e8, 1e8, 1e8),
-        phi=(0.0, 0.0, 0.0),
-    )
-    circulator.sweep(config, -1e9, 1e9, 8)

@@ -208,7 +208,7 @@ def test_charge_series_matches_quadrature(T, frac):
     v = frac * KB * T / E
     series = charge_series(DESIGN, OperatingPoint(T, v))
     oracle = charge_numeric(DESIGN, OperatingPoint(T, v))
-    assert series == pytest.approx(oracle, rel=1e-4)
+    assert series == pytest.approx(oracle, rel=1e-4, abs=0.0)
 
 
 def test_charge_series_zero():
@@ -223,7 +223,7 @@ def test_charge_numeric_negative_voltage_odd():
     v = 2e-5
     qp = charge_numeric(DESIGN, OperatingPoint(1.0, v))
     qm = charge_numeric(DESIGN, OperatingPoint(1.0, -v))
-    assert qm == pytest.approx(-qp, rel=1e-10)
+    assert qm == pytest.approx(-qp, rel=1e-10, abs=0.0)
 
 
 def test_charge_numeric_millikelvin_matches_T0_charge():
@@ -414,8 +414,6 @@ def test_sweep_header_and_engineering_rows():
     rows = list(result.engineering_rows())
     assert rows[0][0] == 1.0 and rows[0][1] == 0.0
     assert rows[0][2] == pytest.approx(0.028163617138, rel=1e-9)
-    records = result.json_records()
-    assert set(records[0]) == set(SWEEP_CSV_HEADER)
 
 
 def test_sweep_rejects_negative_temperature():

@@ -127,6 +127,30 @@ def test_circulator_bundled_config(capsys):
     assert min(ils) < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("circulator", "--config", "paper_fig4.json", "--points", "21"),
+        ("sweep-capacitance", "--T", "0,1", "--points", "11"),
+        ("verify-paper",),
+    ],
+)
+def test_json_records_are_the_csv_rows(argv, capsys):
+    code, csv_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = parse_csv(csv_out)
+    records = json.loads(json_out)
+    assert [list(r) for r in records] == [list(row) for row in rows]
+    for record, row in zip(records, rows):
+        for key, value in record.items():
+            if isinstance(value, str):
+                assert value == row[key]
+            else:
+                assert float(row[key]) == value
+
+
 # --- error paths --------------------------------------------------------------------
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -193,6 +217,28 @@ def test_non_finite_option_rejected(argv):
     assert "finite" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("delta_min_GHz", float("nan")), ("kappa", [2.0, float("nan"), 2.0])],
+)
+def test_non_finite_circulator_config_rejected(key, value, tmp_path):
+    doc = {"circulator": {"omega": [2, 4, 6], "kappa": [2, 2, 2], "g": [1, 1, 1],
+                          "phi": [0, 0.5, 0]}}
+    (doc if key == "delta_min_GHz" else doc["circulator"])[key] = value
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "qcapsim.cli", "circulator", "--config", str(config)],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "finite" in result.stderr and "Warning" not in result.stderr
+
+
 # --- determinism and file output ------------------------------------------------------
 
 def test_output_file_and_sidecar(tmp_path, capsys):
@@ -235,12 +281,6 @@ GOLDEN_CASES = [
 
 @pytest.mark.parametrize("golden,argv", GOLDEN_CASES)
 def test_golden_files_byte_identical(golden, argv, capsys):
-    # goldens are pinned on the default (numba) path; the numpy fallback
-    # matches numerically but can flip last-ulp digits, checked below
-    from qcapsim._accel import USE_NUMBA
-
-    if not USE_NUMBA:
-        pytest.skip("byte-identical goldens are pinned on the numba path")
     expected = (GOLDEN_DIR / golden).read_text()
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -84,3 +84,45 @@ def test_solve_rank_deficient_raises():
     a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]], dtype=np.complex128)
     with pytest.raises(SingularSystem):
         solve_complex(a, np.ones(3, dtype=np.complex128))
+
+
+def _random_stack(rng, k, n):
+    return rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_solve_stack_equals_each_member(n):
+    rng = np.random.default_rng(105 + n)
+    a = _random_stack(rng, 40, n)
+    b = rng.normal(size=(40, n, 2)) + 1j * rng.normal(size=(40, n, 2))
+    x = solve_complex(a, b)
+    for i in range(40):
+        assert np.array_equal(x[i], solve_complex(a[i], b[i]))
+
+
+def test_solve_stack_keeps_rhs_shapes():
+    rng = np.random.default_rng(106)
+    a = _random_stack(rng, 6, 4).reshape(2, 3, 4, 4)
+    vec = rng.normal(size=(2, 3, 4)) + 0j
+    mat = rng.normal(size=(2, 3, 4, 5)) + 0j
+    assert solve_complex(a, vec).shape == (2, 3, 4)
+    assert solve_complex(a, mat).shape == (2, 3, 4, 5)
+    x = solve_complex(a, vec)
+    assert np.linalg.norm(np.einsum("...ij,...j->...i", a, x) - vec) <= 1e-12 * np.linalg.norm(vec)
+    with pytest.raises(ValueError):
+        solve_complex(a, vec[:, :2])
+
+
+def test_solve_stack_with_one_singular_member_raises():
+    rng = np.random.default_rng(107)
+    a = _random_stack(rng, 9, 3)
+    a[4] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(SingularSystem, match="zero pivot"):
+        solve_complex(a, np.ones((9, 3), dtype=np.complex128))
+
+
+def test_solve_non_finite_residual_raises():
+    a = np.eye(3, dtype=np.complex128)
+    a[1, 2] = np.nan
+    with pytest.raises(SingularSystem, match="residual"), np.errstate(invalid="ignore"):
+        solve_complex(np.stack([np.eye(3), a]), np.ones((2, 3), dtype=np.complex128))
