@@ -37,18 +37,17 @@ class CapacitorDesign:
     v_F: float = CONSTANTS.v_F_default  # m/s
 
     def __post_init__(self):
-        if self.area_S <= 0.0:
-            raise NonPositiveArea(f"area_S must be > 0, got {self.area_S}")
-        if self.dielectric_thickness_t <= 0.0:
-            raise NonPositiveThickness(
-                f"dielectric_thickness_t must be > 0, got {self.dielectric_thickness_t}"
-            )
-        if self.relative_permittivity < 1.0:
-            raise ValueError(
-                f"relative_permittivity must be >= 1, got {self.relative_permittivity}"
-            )
-        if self.v_F <= 0.0:
-            raise ValueError(f"v_F must be > 0, got {self.v_F}")
+        # `not x > 0.0` also rejects NaN; isfinite rejects +inf
+        if not (self.area_S > 0.0 and math.isfinite(self.area_S)):
+            raise NonPositiveArea(f"area_S must be finite and > 0, got {self.area_S}")
+        t = self.dielectric_thickness_t
+        if not (t > 0.0 and math.isfinite(t)):
+            raise NonPositiveThickness(f"dielectric_thickness_t must be finite and > 0, got {t}")
+        epsr = self.relative_permittivity
+        if not (epsr >= 1.0 and math.isfinite(epsr)):
+            raise ValueError(f"relative_permittivity must be finite and >= 1, got {epsr}")
+        if not (self.v_F > 0.0 and math.isfinite(self.v_F)):
+            raise ValueError(f"v_F must be finite and > 0, got {self.v_F}")
 
 
 @dataclass(frozen=True)

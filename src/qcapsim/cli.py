@@ -112,6 +112,14 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
+def _config_float(key: str, value) -> float:
+    """A config-file number as a float; nan and +-inf raise ConfigError (exit 2)."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"config key '{key}' must be a finite number, got {value}")
+    return number
+
+
 def _finite_float(text: str) -> float:
     """argparse ``type`` for numeric options: rejects nan and +-inf (exit 2)."""
     try:
@@ -166,11 +174,11 @@ FIG2_KEYS = {"thickness_nm", "relative_permittivity", "temperatures_K", "vmax_V"
 def _cmd_sweep_capacitance(args) -> int:
     if args.config is not None:
         doc = _load_config(args.config, FIG2_KEYS, FIG2_KEYS)
-        thickness_nm = float(doc["thickness_nm"])
-        epsr = float(doc["relative_permittivity"])
-        temperatures = [float(t) for t in doc["temperatures_K"]]
-        vmax = float(doc["vmax_V"])
-        n_points = int(doc["n_points"])
+        thickness_nm = _config_float("thickness_nm", doc["thickness_nm"])
+        epsr = _config_float("relative_permittivity", doc["relative_permittivity"])
+        temperatures = [_config_float("temperatures_K", t) for t in doc["temperatures_K"]]
+        vmax = _config_float("vmax_V", doc["vmax_V"])
+        n_points = int(_config_float("n_points", doc["n_points"]))
     else:
         thickness_nm = args.thickness_nm
         epsr = args.epsr
@@ -287,10 +295,7 @@ def _cmd_circulator(args) -> int:
     config = config_from_engineering_dict(doc["circulator"])
 
     def file_number(key, default):
-        value = float(doc.get(key, default))
-        if not math.isfinite(value):
-            raise ConfigError(f"config key '{key}' must be a finite number, got {value}")
-        return value
+        return _config_float(key, doc.get(key, default))
 
     delta_min = args.delta_min if args.delta_min is not None else file_number("delta_min_GHz", -4.0)
     delta_max = args.delta_max if args.delta_max is not None else file_number("delta_max_GHz", 4.0)

@@ -64,10 +64,13 @@ def ql_eigenvalues(d, e):
     """Implicit-shift QL on a tridiagonal (d, e); eigenvalues land in d.
 
     ``e`` holds the subdiagonal as e[i] = coupling (i, i+1), with
-    e[n-1] = 0; both arrays are destroyed.  Returns 0 on success or the
+    e[n-1] = 0.  The scalar loop runs on Python-float copies (the same IEEE
+    arithmetic, without per-element numpy indexing); on success the
+    eigenvalues are written back into ``d``.  Returns 0 on success or the
     1-based index of the eigenvalue whose iteration count overflowed.
     """
-    n = d.shape[0]
+    n = len(d)
+    out, d, e = d, d.tolist(), e.tolist()
     for l in range(n):
         iters = 0
         while True:
@@ -112,6 +115,7 @@ def ql_eigenvalues(d, e):
             d[l] -= pshift
             e[l] = g
             e[m] = 0.0
+    out[:] = d
     return 0
 
 

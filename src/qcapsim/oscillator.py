@@ -48,15 +48,16 @@ class OscillatorSpec:
     fock_cutoff: int = 120
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if self.tau < 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if self.area_S <= 0.0:
-            raise NonPositiveArea(f"area_S must be > 0, got {self.area_S}")
-        if self.temperature_T <= 0.0:
+        # `not x > 0.0` also rejects NaN; isfinite rejects +inf
+        if not (self.omega > 0.0 and math.isfinite(self.omega)):
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
+        if not (self.tau >= 0.0 and math.isfinite(self.tau)):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        if not (self.area_S > 0.0 and math.isfinite(self.area_S)):
+            raise NonPositiveArea(f"area_S must be finite and > 0, got {self.area_S}")
+        if not (self.temperature_T > 0.0 and math.isfinite(self.temperature_T)):
             raise NonPositiveTemperature(
-                f"temperature_T must be > 0, got {self.temperature_T}"
+                f"temperature_T must be finite and > 0, got {self.temperature_T}"
             )
         if self.fock_cutoff < 10:
             raise ValueError(f"fock_cutoff must be >= 10, got {self.fock_cutoff}")
@@ -215,12 +216,23 @@ def suggested_fock_cutoff(tau_omega: float, cap: int = 80) -> int:
     return max(10, min(cap, safe))
 
 
+def _parity_block_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``h`` from its even and odd Fock blocks.
+
+    (a + a^dag)^4 only couples number states of equal parity, so the
+    off-parity entries of :func:`hamiltonian_matrix` are exactly 0.0 and
+    each block is diagonalized on its own.
+    """
+    blocks = [linalg.symmetric_eigenvalues(h[p::2, p::2]) for p in (0, 1)]
+    return np.sort(np.concatenate(blocks))
+
+
 def fock_diagonalize(spec: OscillatorSpec) -> SpectrumResult:
     """Exact spectrum of the truncated quartic Hamiltonian.
 
-    Diagonalizes at the requested cutoff and again at cutoff + 20; the three
-    lowest levels must agree to 1e-9 relative or
-    :class:`CutoffNotConverged` is raised.  Only meaningful in the
+    Diagonalizes the even and odd parity blocks at the requested cutoff
+    and again at cutoff + 20; the three lowest levels must agree to 1e-9
+    relative or :class:`CutoffNotConverged` is raised.  Only meaningful in the
     perturbative window: the untruncated quartic Hamiltonian is unbounded
     below, so large tau*omega makes the low spectrum collapse with cutoff
     (that situation is reported as a convergence failure, and a
@@ -234,8 +246,8 @@ def fock_diagonalize(spec: OscillatorSpec) -> SpectrumResult:
             PerturbativeRegimeExceeded,
             stacklevel=2,
         )
-    evals = linalg.symmetric_eigenvalues(hamiltonian_matrix(spec))
-    evals_check = linalg.symmetric_eigenvalues(
+    evals = _parity_block_eigenvalues(hamiltonian_matrix(spec))
+    evals_check = _parity_block_eigenvalues(
         hamiltonian_matrix(spec, cutoff=spec.fock_cutoff + CONVERGENCE_CUTOFF_STEP)
     )
     for k in range(3):

@@ -22,7 +22,7 @@ from qcapsim.capacitance import (
     series_capacitance,
 )
 from qcapsim.constants import CONSTANTS, f_per_m2_to_ff_per_um2
-from qcapsim.errors import NonPositiveTemperature, NonPositiveThickness
+from qcapsim.errors import NonPositiveArea, NonPositiveTemperature, NonPositiveThickness
 
 E, KB, HBAR, VF = CONSTANTS.e, CONSTANTS.k_B, CONSTANTS.hbar, CONSTANTS.v_F_default
 
@@ -130,6 +130,23 @@ def test_geometric_capacitance_vacuum_reference():
 def test_nonpositive_thickness_rejected():
     with pytest.raises(NonPositiveThickness):
         CapacitorDesign(area_S=1e-10, dielectric_thickness_t=0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field,error",
+    [
+        ("area_S", NonPositiveArea),
+        ("dielectric_thickness_t", NonPositiveThickness),
+        ("relative_permittivity", ValueError),
+        ("v_F", ValueError),
+    ],
+)
+def test_non_finite_design_rejected(field, error, value):
+    fields = {"area_S": 1e-10, "dielectric_thickness_t": 7e-9,
+              "relative_permittivity": 4.0, "v_F": VF, field: value}
+    with pytest.raises(error):
+        CapacitorDesign(**fields)
 
 
 def test_series_capacitance_below_both_components():
@@ -337,16 +354,21 @@ def test_energy_series_zero():
 
 
 def test_energy_series_curvature_is_inverse_linear_capacitance():
-    # d^2U/dN^2 at N = 0 equals pi (hbar v_F)^2 / (k_B T ln 16) = 2 e^2 / C_0
+    # d^2U/dN^2 at N = 0 equals pi (hbar v_F)^2 / (k_B T ln 16) = 2 e^2 / C_0;
+    # the central difference with step h also carries the quartic term
+    # U4 = -(pi (hbar v_F)^2 / 2 k_B T)(pi^2/4)(hbar v_F / ln16 k_B T)^4 N^4,
+    # which contributes exactly 2 U4(h) / h^2 (about -4 % at this h)
     T = 1.0
-    h = 1e10  # 1/m^2, deep inside the quadratic region
+    h = 1e10  # 1/m^2
     d2 = (
         energy_series(DESIGN, T, h) - 2.0 * energy_series(DESIGN, T, 0.0)
         + energy_series(DESIGN, T, -h)
     ) / h**2
-    analytic = math.pi * (HBAR * VF) ** 2 / (KB * T * math.log(16.0))
-    assert d2 == pytest.approx(analytic, rel=1e-6)
-    assert d2 == pytest.approx(2.0 * E**2 / linear_capacitance_C0(DESIGN, T), rel=1e-6)
+    kT, hv, ln16 = KB * T, HBAR * VF, math.log(16.0)
+    leading = math.pi * hv**2 / (kT * ln16)
+    quartic = (math.pi * hv**2 / (2.0 * kT)) * (math.pi**2 / 4.0) * (hv / (ln16 * kT)) ** 4
+    assert d2 == pytest.approx(leading - quartic * 2.0 * h**2, rel=1e-6, abs=0.0)
+    assert leading == pytest.approx(2.0 * E**2 / linear_capacitance_C0(DESIGN, T), rel=1e-6, abs=0.0)
 
 
 # --- design rules ----------------------------------------------------------------

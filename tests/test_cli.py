@@ -239,6 +239,35 @@ def test_non_finite_circulator_config_rejected(key, value, tmp_path):
     assert "finite" in result.stderr and "Warning" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("n_points", float("inf")),
+        ("vmax_V", float("nan")),
+        ("vmax_V", float("inf")),
+        ("thickness_nm", float("nan")),
+        ("relative_permittivity", float("-inf")),
+        ("temperatures_K", [1.0, float("nan")]),
+    ],
+)
+def test_non_finite_capacitance_config_rejected(key, value, tmp_path):
+    doc = {"thickness_nm": 7.0, "relative_permittivity": 4.0,
+           "temperatures_K": [0.0, 0.25, 1.0, 4.0], "vmax_V": 0.05, "n_points": 201}
+    doc[key] = value
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "qcapsim.cli", "sweep-capacitance", "--config", str(config)],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "finite" in result.stderr and "Warning" not in result.stderr
+
+
 # --- determinism and file output ------------------------------------------------------
 
 def test_output_file_and_sidecar(tmp_path, capsys):

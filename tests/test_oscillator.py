@@ -139,6 +139,27 @@ def test_quartic_diagonal_from_operator_algebra():
 
 # --- Fock diagonalization oracles ----------------------------------------------------
 
+@pytest.mark.parametrize("cutoff", [10, 21, 40, 99, 100])
+def test_hamiltonian_off_parity_entries_exactly_zero(cutoff):
+    # (a + a^dag)^4 only couples number states of equal parity, which is what
+    # lets fock_diagonalize solve the even and odd blocks separately
+    h = hamiltonian_matrix(_spec(1e-3, cutoff=cutoff))
+    off_parity = np.add.outer(np.arange(cutoff), np.arange(cutoff)) % 2 == 1
+    assert np.all(h[off_parity] == 0.0)
+
+
+@pytest.mark.parametrize("cutoff", [21, 40, 99, 100])
+@pytest.mark.parametrize("tau_omega", [0.0, 1e-6, 1e-4, None])
+def test_parity_blocked_spectrum_matches_eigvalsh(cutoff, tau_omega):
+    # None: tau*omega*(cutoff + 20)^2 = 10, near the edge of the convergent window
+    tau_omega = 10.0 / (cutoff + 20) ** 2 if tau_omega is None else tau_omega
+    spec = _spec(tau_omega, cutoff=cutoff)
+    got = fock_diagonalize(spec).eigenvalues
+    ref = np.linalg.eigvalsh(hamiltonian_matrix(spec))
+    assert got.shape == (cutoff,)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_harmonic_limit_exact_spectrum():
     spec = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
     result = fock_diagonalize(spec)
@@ -157,7 +178,7 @@ def test_first_order_perturbation_energies(tau_omega):
         first_order = HBAR * OMEGA * (n + 0.5) - (HBAR * tau_omega * OMEGA / 4.0) * (
             6 * n**2 + 6 * n + 3
         )
-        assert result.eigenvalues[n] == pytest.approx(first_order, rel=1e-6)
+        assert result.eigenvalues[n] == pytest.approx(first_order, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("tau_omega", [1e-5, 1e-4, 1e-3])
@@ -230,7 +251,7 @@ def test_suggested_fock_cutoff():
     result = fock_diagonalize(
         OscillatorSpec(omega=OMEGA, tau=tau, area_S=AREA, temperature_T=1.0, fock_cutoff=cutoff)
     )
-    assert result.eigenvalues[0] == pytest.approx(0.49562463 * HBAR * OMEGA, rel=1e-6)
+    assert result.eigenvalues[0] == pytest.approx(0.49562463 * HBAR * OMEGA, rel=1e-6, abs=0.0)
 
 
 def test_spectrum_json_shape():
@@ -258,6 +279,15 @@ def test_spec_validation():
         OscillatorSpec(omega=OMEGA, tau=-1e-15, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
     with pytest.raises(NonPositiveTemperature):
         OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=0.0, fock_cutoff=40)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            OscillatorSpec(omega=bad, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
+        with pytest.raises(ValueError):
+            OscillatorSpec(omega=OMEGA, tau=bad, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
+        with pytest.raises(NonPositiveArea):
+            OscillatorSpec(omega=OMEGA, tau=0.0, area_S=bad, temperature_T=1.0, fock_cutoff=40)
+        with pytest.raises(NonPositiveTemperature):
+            OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=bad, fock_cutoff=40)
 
 
 # --- engineering estimates ------------------------------------------------------------
