@@ -56,11 +56,19 @@ class OperatingPoint:
 
     Finite-temperature operations require T > 0 and raise
     :class:`NonPositiveTemperature` otherwise; the voltage is unrestricted
-    in sign.
+    in sign.  Both must be finite, and T must be >= 0.
     """
 
     temperature_T: float  # K
     voltage_V: float      # V
+
+    def __post_init__(self):
+        # `not x >= 0.0` also rejects NaN; isfinite rejects +inf
+        T = self.temperature_T
+        if not (T >= 0.0 and math.isfinite(T)):
+            raise NonPositiveTemperature(f"temperature_T must be finite and >= 0, got {T}")
+        if not math.isfinite(self.voltage_V):
+            raise ValueError(f"voltage_V must be finite, got {self.voltage_V}")
 
 
 @dataclass(frozen=True)
@@ -319,15 +327,14 @@ class CapacitanceSweep:
     CQ_areal: np.ndarray     # F/m^2
     Cseries_areal: np.ndarray  # F/m^2
 
-    def engineering_rows(self):
-        """Rows in the CSV emission units (K, V, fF/um^2, fF/um^2)."""
-        for t, v, cq, cs in zip(self.T_K, self.V_volt, self.CQ_areal, self.Cseries_areal):
-            yield (
-                float(t),
-                float(v),
-                f_per_m2_to_ff_per_um2(float(cq)),
-                f_per_m2_to_ff_per_um2(float(cs)),
-            )
+    def columns(self) -> np.ndarray:
+        """The emitted (n, 4) table in K, V, fF/um^2, fF/um^2."""
+        return np.column_stack((
+            self.T_K,
+            self.V_volt,
+            f_per_m2_to_ff_per_um2(self.CQ_areal),
+            f_per_m2_to_ff_per_um2(self.Cseries_areal),
+        ))
 
 
 def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSweep:

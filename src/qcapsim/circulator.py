@@ -217,19 +217,13 @@ class SweepResult:
     def s31(self) -> np.ndarray:
         return self.smatrices[:, 0, 2]
 
-    def csv_rows(self):
-        for i, delta in enumerate(self.detuning_grid):
-            s13 = self.smatrices[i, 2, 0]
-            s31 = self.smatrices[i, 0, 2]
-            yield (
-                float(delta),
-                float(self.ratio_13_31[i]),
-                float(self.insertion_loss_dB[i]),
-                float(s13.real),
-                float(s13.imag),
-                float(s31.real),
-                float(s31.imag),
-            )
+    def columns(self) -> np.ndarray:
+        """The emitted table as an (n, 7) float array, ``SWEEP_CSV_HEADER`` order."""
+        s13, s31 = self.s13, self.s31
+        return np.column_stack((
+            self.detuning_grid, self.ratio_13_31, self.insertion_loss_dB,
+            s13.real, s13.imag, s31.real, s31.imag,
+        ))
 
 
 def sweep(

@@ -64,7 +64,7 @@ from .oscillator import (
     resonant_inductance,
     suggested_fock_cutoff,
 )
-from .tables import csv_text, json_text
+from .tables import csv_text, json_text, table_csv, table_json
 
 import numpy as np
 
@@ -156,6 +156,11 @@ def _emit_table(args, header, rows) -> None:
     _emit(args, text, {"command": args.command})
 
 
+def _emit_columns(args, header, values) -> None:
+    text = table_csv(header, values) if args.format == "csv" else table_json(header, values)
+    _emit(args, text, {"command": args.command})
+
+
 def _emit_record(args, record: dict) -> None:
     if args.format == "csv":
         keys = [k for k, v in record.items() if not isinstance(v, (dict, list, tuple))]
@@ -176,6 +181,8 @@ def _cmd_sweep_capacitance(args) -> int:
         doc = _load_config(args.config, FIG2_KEYS, FIG2_KEYS)
         thickness_nm = _config_float("thickness_nm", doc["thickness_nm"])
         epsr = _config_float("relative_permittivity", doc["relative_permittivity"])
+        if not isinstance(doc["temperatures_K"], list):
+            raise ConfigError("config key 'temperatures_K' must be a list of numbers")
         temperatures = [_config_float("temperatures_K", t) for t in doc["temperatures_K"]]
         vmax = _config_float("vmax_V", doc["vmax_V"])
         n_points = int(_config_float("n_points", doc["n_points"]))
@@ -185,6 +192,10 @@ def _cmd_sweep_capacitance(args) -> int:
         temperatures = _parse_float_list(args.T)
         vmax = args.vmax
         n_points = args.points
+    if not temperatures:
+        raise ConfigError("at least one temperature is required")
+    if n_points < 2:
+        raise ConfigError(f"n_points must be >= 2, got {n_points}")
     design = CapacitorDesign(
         area_S=um2_to_m2(args.S),
         dielectric_thickness_t=nm_to_m(thickness_nm),
@@ -192,7 +203,7 @@ def _cmd_sweep_capacitance(args) -> int:
     )
     grid = np.linspace(-vmax, vmax, n_points)
     result = capacitance_sweep(design, temperatures, grid)
-    _emit_table(args, CAP_SWEEP_HEADER, result.engineering_rows())
+    _emit_columns(args, CAP_SWEEP_HEADER, result.columns())
     return 0
 
 
@@ -306,7 +317,7 @@ def _cmd_circulator(args) -> int:
         ghz_to_rad_per_s(delta_max),
         n_points,
     )
-    _emit_table(args, CIRC_SWEEP_HEADER, result.csv_rows())
+    _emit_columns(args, CIRC_SWEEP_HEADER, result.columns())
     return 0
 
 

@@ -37,8 +37,9 @@ class ModeSet:
     def __post_init__(self):
         if len(self.frequencies) != len(self.labels):
             raise ValueError("frequencies and labels must have equal length")
-        if any(f <= 0.0 for f in self.frequencies):
-            raise ValueError("all mode frequencies must be positive")
+        # `not f > 0.0` also rejects NaN; isfinite rejects +inf
+        if not all(f > 0.0 and math.isfinite(f) for f in self.frequencies):
+            raise ValueError(f"mode frequencies must be finite and > 0, got {self.frequencies}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("mode labels must be unique")
 
@@ -57,10 +58,12 @@ class PumpSpec:
     phase_theta: float     # rad
 
     def __post_init__(self):
-        if self.Omega <= 0.0:
-            raise ValueError(f"Omega must be > 0, got {self.Omega}")
-        if self.amplitude_abs < 0.0:
-            raise ValueError(f"amplitude_abs must be >= 0, got {self.amplitude_abs}")
+        if not (self.Omega > 0.0 and math.isfinite(self.Omega)):
+            raise ValueError(f"Omega must be finite and > 0, got {self.Omega}")
+        if not (self.amplitude_abs >= 0.0 and math.isfinite(self.amplitude_abs)):
+            raise ValueError(f"amplitude_abs must be finite and >= 0, got {self.amplitude_abs}")
+        if not math.isfinite(self.phase_theta):
+            raise ValueError(f"phase_theta must be finite, got {self.phase_theta}")
 
 
 class InteractionKind(enum.Enum):

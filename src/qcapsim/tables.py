@@ -3,6 +3,8 @@
 Numbers are serialized with 12 significant digits so that golden-file
 comparisons are byte-stable across runs; data files never carry
 timestamps (run metadata goes to a sidecar written by the CLI).
+``table_csv`` / ``table_json`` give the bytes of ``csv_text`` / ``json_text``
+for an all-float (n, k) array in one pass, through ndarray methods alone.
 """
 
 from __future__ import annotations
@@ -52,3 +54,27 @@ def _walk_round(obj):
 def json_text(payload) -> str:
     """Render JSON with floats rounded to 12 significant digits."""
     return json.dumps(_walk_round(payload), indent=2) + "\n"
+
+
+# json.dumps spellings of the non-finite floats
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def table_csv(header: Sequence[str], values) -> str:
+    """``csv_text(header, values.tolist())`` for an (n, k) float array."""
+    n, k = values.shape
+    row = ",".join(["%.12g"] * k) + "\n"
+    return csv_text(header, ()) + (row * n) % tuple(values.ravel().tolist())
+
+
+def table_json(header: Sequence[str], values) -> str:
+    """``json_text`` of one ``dict(zip(header, row))`` record per array row."""
+    if len(values) == 0:
+        return "[]\n"
+    flat = values.ravel().tolist()
+    texts = ("%.12g\n" * len(flat)) % tuple(flat)
+    reprs = list(map(repr, map(float, texts.split())))
+    if "n" in texts:  # only nan, inf and -inf spell an "n"
+        reprs = list(map(_JSON_NON_FINITE.get, reprs, reprs))
+    record = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in header) + "\n  }"
+    return "[\n" + ",\n".join([record] * len(values)) % tuple(reprs) + "\n]\n"

@@ -149,6 +149,23 @@ def test_non_finite_design_rejected(field, error, value):
         CapacitorDesign(**fields)
 
 
+@pytest.mark.parametrize(
+    "T,V,error",
+    [
+        (math.nan, 0.0, NonPositiveTemperature),
+        (math.inf, 0.0, NonPositiveTemperature),
+        (-1.0, 0.0, NonPositiveTemperature),
+        (1.0, math.nan, ValueError),
+        (1.0, math.inf, ValueError),
+        (1.0, -math.inf, ValueError),
+    ],
+)
+def test_operating_point_validation(T, V, error):
+    OperatingPoint(0.0, -0.05)
+    with pytest.raises(error):
+        OperatingPoint(T, V)
+
+
 def test_series_capacitance_below_both_components():
     op = OperatingPoint(1.0, 0.01)
     cs = series_capacitance(DESIGN, op)
@@ -433,7 +450,8 @@ def test_sweep_monotonic_in_absolute_voltage():
 def test_sweep_header_and_engineering_rows():
     assert SWEEP_CSV_HEADER == ("T_K", "V_volt", "CQ_fF_per_um2", "Cseries_fF_per_um2")
     result = capacitance_sweep(DESIGN, [1.0], np.array([0.0]))
-    rows = list(result.engineering_rows())
+    rows = result.columns()
+    assert rows.shape == (1, len(SWEEP_CSV_HEADER)) and rows.dtype == np.float64
     assert rows[0][0] == 1.0 and rows[0][1] == 0.0
     assert rows[0][2] == pytest.approx(0.028163617138, rel=1e-9)
 

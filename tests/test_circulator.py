@@ -283,8 +283,8 @@ def test_lab_frame_resonances():
 def test_sweep_output_shapes_and_rows():
     result = sweep(paper_config(math.pi / 2), -1 * GHZ, 1 * GHZ, 11)
     assert result.smatrices.shape == (11, 3, 3)
-    rows = list(result.csv_rows())
-    assert len(rows) == 11 and len(rows[0]) == len(SWEEP_CSV_HEADER)
+    rows = result.columns()
+    assert rows.shape == (11, len(SWEEP_CSV_HEADER)) and rows.dtype == np.float64
     assert rows[0][0] == pytest.approx(-1 * GHZ, rel=1e-12)
     il = -10.0 * math.log10(rows[0][3] ** 2 + rows[0][4] ** 2)
     assert il == pytest.approx(rows[0][2], rel=1e-9)

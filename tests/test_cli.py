@@ -268,6 +268,40 @@ def test_non_finite_capacitance_config_rejected(key, value, tmp_path):
     assert "finite" in result.stderr and "Warning" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "key,value,flags",
+    [
+        ("temperatures_K", 1.0, ()),
+        ("temperatures_K", [], ()),
+        ("temperatures_K", "1,4", ()),
+        ("n_points", 0, ()),
+        ("n_points", 1, ()),
+        (None, None, ("--points", "1")),
+        (None, None, ("--points", "0")),
+        (None, None, ("--T", "")),
+    ],
+)
+def test_capacitance_grid_shape_rejected(key, value, flags, tmp_path):
+    argv = ["sweep-capacitance", *flags]
+    if key is not None:
+        doc = {"thickness_nm": 7.0, "relative_permittivity": 4.0,
+               "temperatures_K": [0.0, 0.25, 1.0, 4.0], "vmax_V": 0.05, "n_points": 201}
+        doc[key] = value
+        config = tmp_path / "shape.json"
+        config.write_text(json.dumps(doc))
+        argv += ["--config", str(config)]
+    result = subprocess.run(
+        [sys.executable, "-m", "qcapsim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "config error" in result.stderr
+
+
 # --- determinism and file output ------------------------------------------------------
 
 def test_output_file_and_sidecar(tmp_path, capsys):

@@ -227,6 +227,9 @@ def test_mode_set_validation():
         ModeSet(frequencies=(0.0,), labels=("a",))
     with pytest.raises(ValueError):
         ModeSet(frequencies=(_ghz(1.0),), labels=("a", "b"))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ModeSet(frequencies=(_ghz(1.0), bad), labels=("a", "b"))
 
 
 def test_pump_spec_validation():
@@ -234,3 +237,10 @@ def test_pump_spec_validation():
         PumpSpec(Omega=0.0, amplitude_abs=1.0, phase_theta=0.0)
     with pytest.raises(ValueError):
         PumpSpec(Omega=_ghz(1.0), amplitude_abs=-1.0, phase_theta=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            PumpSpec(Omega=bad, amplitude_abs=1.0, phase_theta=0.0)
+        with pytest.raises(ValueError):
+            PumpSpec(Omega=_ghz(1.0), amplitude_abs=bad, phase_theta=0.0)
+        with pytest.raises(ValueError):
+            PumpSpec(Omega=_ghz(1.0), amplitude_abs=1.0, phase_theta=bad)
