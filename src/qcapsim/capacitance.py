@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, f_per_m2_to_ff_per_um2
+from .constants import (
+    CONSTANTS,
+    f_per_m2_to_ff_per_um2,
+    require_positive,
+    require_positive_temperature,
+)
 from .errors import NonPositiveArea, NonPositiveTemperature, NonPositiveThickness
 
 # dielectric thickness window: thick enough to block tunneling, thin enough
@@ -37,17 +42,12 @@ class CapacitorDesign:
     v_F: float = CONSTANTS.v_F_default  # m/s
 
     def __post_init__(self):
-        # `not x > 0.0` also rejects NaN; isfinite rejects +inf
-        if not (self.area_S > 0.0 and math.isfinite(self.area_S)):
-            raise NonPositiveArea(f"area_S must be finite and > 0, got {self.area_S}")
-        t = self.dielectric_thickness_t
-        if not (t > 0.0 and math.isfinite(t)):
-            raise NonPositiveThickness(f"dielectric_thickness_t must be finite and > 0, got {t}")
+        require_positive(self.area_S, "area_S", NonPositiveArea)
+        require_positive(self.dielectric_thickness_t, "dielectric_thickness_t", NonPositiveThickness)
         epsr = self.relative_permittivity
-        if not (epsr >= 1.0 and math.isfinite(epsr)):
+        if not (epsr >= 1.0 and math.isfinite(epsr)):  # also rejects NaN
             raise ValueError(f"relative_permittivity must be finite and >= 1, got {epsr}")
-        if not (self.v_F > 0.0 and math.isfinite(self.v_F)):
-            raise ValueError(f"v_F must be finite and > 0, got {self.v_F}")
+        require_positive(self.v_F, "v_F")
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,6 @@ class DesignReport:
     thickness_ok: bool
     dominance_ok: bool
     messages: tuple[str, ...]
-
-
-def _require_positive_temperature(T: float) -> None:
-    if not T > 0.0:  # also rejects NaN
-        raise NonPositiveTemperature(f"temperature must be > 0 K, got {T}")
 
 
 # --- numerically stable ln[2(1 + cosh x)] ----------------------------------
@@ -126,7 +121,7 @@ def quantum_capacitance(design: CapacitorDesign, op: OperatingPoint) -> float:
     Even in the voltage; strictly positive; grows linearly with T at zero
     bias and linearly with |V| at large bias.
     """
-    _require_positive_temperature(op.temperature_T)
+    require_positive_temperature(op.temperature_T)
     return float(_cq_areal(op.temperature_T, op.voltage_V, design.v_F))
 
 
@@ -147,7 +142,7 @@ def geometric_capacitance(design: CapacitorDesign) -> float:
 
 def series_capacitance(design: CapacitorDesign, op: OperatingPoint) -> float:
     """Series combination C_G*C_Q/(C_G + C_Q) per unit area (F/m^2)."""
-    _require_positive_temperature(op.temperature_T)
+    require_positive_temperature(op.temperature_T)
     cg = geometric_capacitance(design)
     cq = quantum_capacitance(design, op)
     return cg * cq / (cg + cq)
@@ -156,7 +151,7 @@ def series_capacitance(design: CapacitorDesign, op: OperatingPoint) -> float:
 def linear_capacitance_C0(design: CapacitorDesign, T: float) -> float:
     """Low-voltage linear capacitance 2 e^2 k_B T ln(16) / pi (hbar v_F)^2
     per unit area (F/m^2); linear in T."""
-    _require_positive_temperature(T)
+    require_positive_temperature(T)
     return _cq_prefactor(T, design.v_F) * math.log(16.0)
 
 
@@ -185,7 +180,7 @@ def charge_series(design: CapacitorDesign, op: OperatingPoint) -> float:
     Accurate to better than 0.01% of the integrated capacitance for
     e|V| <= 0.2 k_B T; see :func:`charge_numeric` for the oracle.
     """
-    _require_positive_temperature(op.temperature_T)
+    require_positive_temperature(op.temperature_T)
     kT = CONSTANTS.k_B * op.temperature_T
     V = op.voltage_V
     pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * design.v_F) ** 2)
@@ -195,7 +190,7 @@ def charge_series(design: CapacitorDesign, op: OperatingPoint) -> float:
 
 def charge_series_cubic_coefficient(design: CapacitorDesign, T: float) -> float:
     """d^3N/dV^3 / 6 of the expansion behind :func:`charge_series` (1/(m^2 V^3))."""
-    _require_positive_temperature(T)
+    require_positive_temperature(T)
     kT = CONSTANTS.k_B * T
     pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * design.v_F) ** 2)
     return pref * CONSTANTS.e**2 / (96.0 * kT**2)
@@ -210,7 +205,7 @@ def energy_series(design: CapacitorDesign, T: float, n_density: float) -> float:
     The leading term carries the linear capacitance: d^2U/dN^2 at N = 0
     equals 2 e^2 / C_0.
     """
-    _require_positive_temperature(T)
+    require_positive_temperature(T)
     kT = CONSTANTS.k_B * T
     hv = CONSTANTS.hbar * design.v_F
     ln16 = math.log(16.0)
@@ -265,7 +260,7 @@ def charge_numeric(design: CapacitorDesign, op: OperatingPoint) -> float:
     Evaluates the closed form of the integral to double precision at every
     voltage and temperature; odd in V.  The oracle for the series forms.
     """
-    _require_positive_temperature(op.temperature_T)
+    require_positive_temperature(op.temperature_T)
     T, V = op.temperature_T, op.voltage_V
     kT = CONSTANTS.k_B * T
     X = CONSTANTS.e * abs(V) / (2.0 * kT)
@@ -282,7 +277,7 @@ def design_check(design: CapacitorDesign, T: float) -> DesignReport:
     C_0/C_G <= 0.1 so the quantum capacitance controls the series
     combination by an order of magnitude.
     """
-    _require_positive_temperature(T)
+    require_positive_temperature(T)
     cg = geometric_capacitance(design)
     c0 = linear_capacitance_C0(design, T)
     ratio = c0 / cg
@@ -350,7 +345,7 @@ def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSwe
         if T == 0.0:
             cq = np.asarray(quantum_capacitance_T0(design, V))
         else:
-            _require_positive_temperature(T)
+            require_positive_temperature(T)
             cq = np.asarray(_cq_areal(T, V, design.v_F))
         cs = cg * cq / (cg + cq)
         t_col.append(np.full_like(V, float(T)))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ghz_to_rad_per_s, pi_units_to_rad
+from .constants import ghz_to_rad_per_s, pi_units_to_rad, require_positive
 from .errors import ConfigError
 from .linalg import solve_complex
 
@@ -77,12 +77,14 @@ class CirculatorConfig:
         for name in ("omega", "kappa", "g", "phi", "detuning"):
             if len(getattr(self, name)) != 3:
                 raise ValueError(f"{name} must have exactly 3 entries")
-        if not all(w > 0.0 for w in self.omega):  # also rejects NaN
-            raise ValueError("mode frequencies must be positive")
-        if not all(k > 0.0 for k in self.kappa):
-            raise ValueError("decay rates must be positive for well-posed scattering")
-        if not all(gi >= 0.0 for gi in self.g):
-            raise ValueError("coupling strengths must be non-negative")
+        for w in self.omega:
+            require_positive(w, "mode frequency (rad/s)")
+        for k in self.kappa:
+            require_positive(k, "decay rate (rad/s)")
+        if not all(gi >= 0.0 and math.isfinite(gi) for gi in self.g):  # also rejects NaN
+            raise ValueError(f"coupling strengths must be finite and >= 0, got {self.g}")
+        if not all(math.isfinite(v) for v in (*self.phi, *self.detuning)):
+            raise ValueError(f"phases and detunings must be finite, got {self.phi}, {self.detuning}")
 
     @property
     def gauge_flux(self) -> float:
@@ -179,17 +181,20 @@ def complex_solve(matrix, rhs) -> np.ndarray:
     return solve_complex(matrix, rhs, residual_tol=SOLVE_RESIDUAL_TOL)
 
 
-def scattering_matrix(config: CirculatorConfig, delta: float) -> np.ndarray:
+def scattering_matrix(config: CirculatorConfig, delta) -> np.ndarray:
     """Scattering matrix S(delta) = I - K (-i delta I - M)^(-1) K.
 
-    K = diag(sqrt(kappa)); each column comes from a residual-checked
-    pivoted solve (:class:`SingularSystem` on failure).  Matrix convention:
-    a_out = S a_in, so S[i, j] connects input j to output i.
+    ``delta`` is one detuning (result (3, 3)) or a 1-d array of n
+    detunings (result (n, 3, 3)), solved as one stack.  K = diag(sqrt(kappa));
+    every column comes from a residual-checked pivoted solve
+    (:class:`SingularSystem` on failure).  Matrix convention: a_out = S a_in,
+    so S[i, j] connects input j to output i.
     """
+    deltas = np.asarray(delta, dtype=np.float64)
     m = langevin_matrix(config)
     k = np.diag(np.sqrt(np.asarray(config.kappa, dtype=np.float64)))
-    a = -1j * delta * np.eye(3) - m
-    x = complex_solve(a, k.astype(np.complex128))
+    a = -1j * deltas[..., None, None] * np.eye(3) - m
+    x = complex_solve(a, np.broadcast_to(k.astype(np.complex128), a.shape))
     return np.eye(3) - k @ x
 
 
@@ -240,11 +245,7 @@ def sweep(
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     deltas = np.linspace(delta_min, delta_max, n_points)
-    m = langevin_matrix(config)
-    k = np.diag(np.sqrt(np.asarray(config.kappa, dtype=np.float64)))
-    a = -1j * deltas[:, None, None] * np.eye(3) - m
-    x = complex_solve(a, np.broadcast_to(k.astype(np.complex128), a.shape))
-    s_out = np.eye(3) - k @ x
+    s_out = scattering_matrix(config, deltas)
     s13 = np.abs(s_out[:, 2, 0])
     s31 = np.abs(s_out[:, 0, 2])
     with np.errstate(divide="ignore"):

@@ -115,6 +115,22 @@ def rad_to_pi_units(phi_rad):
     return phi_rad / math.pi
 
 
+# --- input checks ---------------------------------------------------------
+
+def require_positive(value: float, name: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is finite and > 0.
+
+    ``not value > 0.0`` also rejects NaN; ``math.isfinite`` rejects +inf.
+    """
+    if not (value > 0.0 and math.isfinite(value)):
+        raise error(f"{name} must be finite and > 0, got {value}")
+
+
+def require_positive_temperature(T: float) -> None:
+    """Raise :class:`NonPositiveTemperature` unless T is finite and > 0 K."""
+    require_positive(T, "temperature (K)", NonPositiveTemperature)
+
+
 # --- elementary energy scales ---------------------------------------------
 
 def fermi_energy(voltage: float) -> float:
@@ -128,8 +144,7 @@ def fermi_energy(voltage: float) -> float:
 def thermal_energy(temperature: float) -> float:
     """Thermal energy k_B*T in joules.
 
-    Raises :class:`NonPositiveTemperature` for T <= 0.
+    Raises :class:`NonPositiveTemperature` unless T is finite and > 0.
     """
-    if temperature <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be > 0 K, got {temperature}")
+    require_positive_temperature(temperature)
     return CONSTANTS.k_B * temperature

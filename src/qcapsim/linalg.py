@@ -1,11 +1,9 @@
-"""Small dense linear algebra implemented in-repo.
+"""Small dense linear algebra for the physics modules.
 
-Two routines back the physics modules:
+Two routines:
 
-* :func:`symmetric_eigenvalues` - eigenvalues of a real symmetric matrix by
-  Householder tridiagonalization followed by implicit-shift QL iteration.
-  Matrix sizes here stay <= a few hundred (Fock truncations), so a dense
-  textbook solver is both adequate and fully auditable.
+* :func:`symmetric_eigenvalues` - ascending eigenvalues of one real
+  symmetric matrix, from LAPACK through ``numpy.linalg.eigvalsh``.
 * :func:`solve_complex` - partial-pivoted Gaussian elimination for a stack
   of complex systems, with an enforced relative-residual contract per
   system and column.  The elimination loops over the matrix order and
@@ -14,134 +12,22 @@ Two routines back the physics modules:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import SingularSystem
-
-_EPS = float(np.finfo(np.float64).eps)
-
-
-# --- Householder tridiagonalization ---------------------------------------
-
-def tridiagonalize(a):
-    """Reduce a full symmetric matrix to tridiagonal form in place.
-
-    ``a`` (float64, both triangles filled) is destroyed.  Returns (d, e)
-    with d the diagonal and e[i] the coupling between rows i-1 and i
-    (e[0] = 0).
-    """
-    n = a.shape[0]
-    d = np.zeros(n)
-    e = np.zeros(n)
-    for i in range(n - 1, 1, -1):
-        row = a[i, :i]
-        scale = np.sum(np.abs(row))
-        if scale == 0.0:
-            e[i] = a[i, i - 1]
-            continue
-        u = row / scale
-        h = float(u @ u)
-        f = u[i - 1]
-        g = -math.sqrt(h) if f >= 0.0 else math.sqrt(h)
-        e[i] = scale * g
-        h -= f * g
-        u = u.copy()
-        u[i - 1] = f - g
-        p = (a[:i, :i] @ u) / h
-        q = p - (float(u @ p) / (2.0 * h)) * u
-        a[:i, :i] -= np.outer(q, u) + np.outer(u, q)
-    if n > 1:
-        e[1] = a[1, 0]
-    d[:] = np.diagonal(a)
-    return d, e
-
-
-# --- implicit-shift QL iteration -------------------------------------------
-
-def ql_eigenvalues(d, e):
-    """Implicit-shift QL on a tridiagonal (d, e); eigenvalues land in d.
-
-    ``e`` holds the subdiagonal as e[i] = coupling (i, i+1), with
-    e[n-1] = 0.  The scalar loop runs on Python-float copies (the same IEEE
-    arithmetic, without per-element numpy indexing); on success the
-    eigenvalues are written back into ``d``.  Returns 0 on success or the
-    1-based index of the eigenvalue whose iteration count overflowed.
-    """
-    n = len(d)
-    out, d, e = d, d.tolist(), e.tolist()
-    for l in range(n):
-        iters = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            iters += 1
-            if iters > 64:
-                return l + 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            sg = r if g >= 0.0 else -r
-            g = d[m] - d[l] + e[l] / (g + sg)
-            s = 1.0
-            c = 1.0
-            pshift = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= pshift
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - pshift
-                r = (d[i] - g) * s + 2.0 * c * b
-                pshift = s * r
-                d[i + 1] = g + pshift
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= pshift
-            e[l] = g
-            e[m] = 0.0
-    out[:] = d
-    return 0
-
 
 
 def symmetric_eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, ascending.
 
-    The input is not modified; symmetry is assumed, only the lower/upper
-    consistency the caller guarantees is used.
+    Only the lower triangle is read.  Raises :class:`ValueError` unless the
+    input is one square 2-d matrix (``eigvalsh`` alone would batch over a
+    stack).
     """
-    a = np.array(matrix, dtype=np.float64, order="C", copy=True)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square 2-d matrix")
-    n = a.shape[0]
-    if n == 0:
-        return np.empty(0)
-    if n == 1:
-        return a[0, :1].copy()
-    d, e = tridiagonalize(a)
-    # shift the subdiagonal into e[i] = coupling (i, i+1)
-    e[:-1] = e[1:]
-    e[-1] = 0.0
-    status = ql_eigenvalues(d, e)
-    if status != 0:
-        raise RuntimeError(f"QL iteration failed to converge at index {status - 1}")
-    return np.sort(d)
+    return np.linalg.eigvalsh(a)
 
 
 # --- complex Gaussian elimination with partial pivoting --------------------

@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, require_positive
 from .errors import AmbiguousResonance, NonPositiveArea
 from .oscillator import nonlinear_time_constant
 
@@ -37,9 +37,8 @@ class ModeSet:
     def __post_init__(self):
         if len(self.frequencies) != len(self.labels):
             raise ValueError("frequencies and labels must have equal length")
-        # `not f > 0.0` also rejects NaN; isfinite rejects +inf
-        if not all(f > 0.0 and math.isfinite(f) for f in self.frequencies):
-            raise ValueError(f"mode frequencies must be finite and > 0, got {self.frequencies}")
+        for f in self.frequencies:
+            require_positive(f, "mode frequency")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("mode labels must be unique")
 
@@ -58,8 +57,7 @@ class PumpSpec:
     phase_theta: float     # rad
 
     def __post_init__(self):
-        if not (self.Omega > 0.0 and math.isfinite(self.Omega)):
-            raise ValueError(f"Omega must be finite and > 0, got {self.Omega}")
+        require_positive(self.Omega, "Omega")
         if not (self.amplitude_abs >= 0.0 and math.isfinite(self.amplitude_abs)):
             raise ValueError(f"amplitude_abs must be finite and >= 0, got {self.amplitude_abs}")
         if not math.isfinite(self.phase_theta):
@@ -95,8 +93,8 @@ def gamma_nml(tau: float, omega_n: float, omega_m: float, omega_l: float) -> flo
 
     Symmetric under exchange of m and l.
     """
-    if omega_n <= 0.0 or omega_m <= 0.0 or omega_l <= 0.0:
-        raise ValueError("mode frequencies must be positive")
+    for omega in (omega_n, omega_m, omega_l):
+        require_positive(omega, "mode frequency")
     return tau * omega_n * math.sqrt(omega_m * omega_l)
 
 
@@ -170,8 +168,8 @@ def single_photon_rate_engineering(
     exactly as published; ``g0_symbolic_rad_s`` is 3*gamma_012 with tau
     re-derived in SI.
     """
-    if T <= 0.0 or f <= 0.0 or f1 <= 0.0 or f2 <= 0.0 or S <= 0.0:
-        raise ValueError("all inputs must be positive")
+    for name, value in (("T", T), ("f", f), ("f1", f1), ("f2", f2), ("S", S)):
+        require_positive(value, name)
     printed = (
         2.0 * math.pi * SINGLE_PHOTON_RATE_COEFF_PRINTED
         * f * math.sqrt(f1 * f2) / (S * T**3) * 1e9
@@ -193,8 +191,7 @@ def quantum_rc_time(S: float, E_F: float, v_F: float = CONSTANTS.v_F_default) ->
     Equals S * C_Q(T -> 0) / sigma_Q with the quantum conductance
     sigma_Q = 2 e^2 / pi hbar; vanishes at zero bias.
     """
-    if S <= 0.0:
-        raise NonPositiveArea(f"area must be > 0, got {S}")
+    require_positive(S, "area (m^2)", NonPositiveArea)
     return S * abs(E_F) / (CONSTANTS.hbar * v_F**2)
 
 

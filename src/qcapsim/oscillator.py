@@ -22,7 +22,13 @@ import numpy as np
 
 from . import linalg
 from .capacitance import CapacitorDesign, linear_capacitance_C0
-from .constants import CONSTANTS, ghz_to_rad_per_s, um2_to_m2
+from .constants import (
+    CONSTANTS,
+    ghz_to_rad_per_s,
+    require_positive,
+    require_positive_temperature,
+    um2_to_m2,
+)
 from .errors import CutoffNotConverged, NonPositiveArea, NonPositiveTemperature, PerturbativeRegimeExceeded
 
 # printed engineering coefficients (T in K, f in GHz, S in um^2)
@@ -48,17 +54,11 @@ class OscillatorSpec:
     fock_cutoff: int = 120
 
     def __post_init__(self):
-        # `not x > 0.0` also rejects NaN; isfinite rejects +inf
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
-        if not (self.tau >= 0.0 and math.isfinite(self.tau)):
+        require_positive(self.omega, "omega")
+        if not (self.tau >= 0.0 and math.isfinite(self.tau)):  # also rejects NaN
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
-        if not (self.area_S > 0.0 and math.isfinite(self.area_S)):
-            raise NonPositiveArea(f"area_S must be finite and > 0, got {self.area_S}")
-        if not (self.temperature_T > 0.0 and math.isfinite(self.temperature_T)):
-            raise NonPositiveTemperature(
-                f"temperature_T must be finite and > 0, got {self.temperature_T}"
-            )
+        require_positive(self.area_S, "area_S", NonPositiveArea)
+        require_positive(self.temperature_T, "temperature_T", NonPositiveTemperature)
         if self.fock_cutoff < 10:
             raise ValueError(f"fock_cutoff must be >= 10, got {self.fock_cutoff}")
 
@@ -125,10 +125,8 @@ def nonlinear_time_constant(
     pi^3 S hbar^5 v_F^6 chi^4 / 2 ln^4(16) (k_B T)^5 and insists the two
     agree to 1e-10 relative, as a transcription guard.
     """
-    if area_S <= 0.0:
-        raise NonPositiveArea(f"area_S must be > 0, got {area_S}")
-    if temperature_T <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature_T}")
+    require_positive(area_S, "area_S", NonPositiveArea)
+    require_positive_temperature(temperature_T)
     kT = CONSTANTS.k_B * temperature_T
     ln16 = math.log(16.0)
     closed = math.pi * CONSTANTS.hbar**3 * v_F**2 / (8.0 * ln16**2 * area_S * kT**3)
@@ -153,8 +151,7 @@ def nonlinear_tau(spec: OscillatorSpec, v_F: float = CONSTANTS.v_F_default) -> f
 def resonant_inductance(design: CapacitorDesign, T: float, omega: float) -> float:
     """Tank inductance L = 1/(omega^2 S C_0) that resonates the linear
     capacitance at ``omega`` (henry)."""
-    if omega <= 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    require_positive(omega, "omega")
     c0_total = design.area_S * linear_capacitance_C0(design, T)
     return 1.0 / (omega**2 * c0_total)
 
@@ -277,10 +274,9 @@ def anharmonicity_engineering(T: float, f: float, S: float) -> AnharmonicityEsti
     42.85 * f / (S T^3) exactly as published; the symbolic field re-derives
     3*tau*omega from SI constants.
     """
-    if T <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {T}")
-    if f <= 0.0 or S <= 0.0:
-        raise ValueError("frequency and area must be positive")
+    require_positive_temperature(T)
+    require_positive(f, "frequency (GHz)")
+    require_positive(S, "area (um^2)")
     printed = ANHARMONICITY_COEFF_PRINTED * f / (S * T**3)
     tau = nonlinear_time_constant(um2_to_m2(S), T)
     symbolic = 3.0 * tau * ghz_to_rad_per_s(f) * 100.0
@@ -298,17 +294,13 @@ def photon_number_limit(T: float, f: float) -> float:
     Provenance: the quartic model holds while hbar*omega*n < 2 k_B T, i.e.
     n_max = 2 k_B T / (h f); see :func:`photon_number_limit_derived`.
     """
-    if T <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {T}")
-    if f <= 0.0:
-        raise ValueError(f"frequency must be > 0, got {f}")
+    require_positive_temperature(T)
+    require_positive(f, "frequency (GHz)")
     return PHOTON_LIMIT_COEFF_PRINTED * T / f
 
 
 def photon_number_limit_derived(T: float, f: float) -> float:
     """n_max = 2 k_B T / (h f) re-derived from constants (T in K, f in GHz)."""
-    if T <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {T}")
-    if f <= 0.0:
-        raise ValueError(f"frequency must be > 0, got {f}")
+    require_positive_temperature(T)
+    require_positive(f, "frequency (GHz)")
     return 2.0 * CONSTANTS.k_B * T / (CONSTANTS.h * f * 1e9)

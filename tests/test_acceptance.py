@@ -255,7 +255,7 @@ def test_criterion_9_property_suites():
     # parity: C even, Q odd, U even (200 draws)
     for v in rng.uniform(0.0, 0.4, size=200):
         assert quantum_capacitance(DESIGN, OperatingPoint(1.0, v)) == pytest.approx(
-            quantum_capacitance(DESIGN, OperatingPoint(1.0, -v)), rel=1e-14
+            quantum_capacitance(DESIGN, OperatingPoint(1.0, -v)), rel=1e-14, abs=0.0
         )
         qp, up = charge_energy_T0(DESIGN, v)
         qm, um = charge_energy_T0(DESIGN, -v)
@@ -267,12 +267,12 @@ def test_criterion_9_property_suites():
         T = float(rng.uniform(0.1, 8.0))
         S = float(rng.uniform(1.0, 500.0)) * 1e-12
         assert nonlinear_time_constant(S, T) / nonlinear_time_constant(S, 2 * T) == pytest.approx(
-            8.0, rel=1e-12
+            8.0, rel=1e-12, abs=0.0
         )
         f, f1, f2 = (float(x) for x in rng.uniform(0.5, 12.0, size=3))
         r = single_photon_rate_engineering(T, f, f1, f2, S * 1e12)
         r_hot = single_photon_rate_engineering(2 * T, f, f1, f2, S * 1e12)
-        assert r.g0_printed_rad_s / r_hot.g0_printed_rad_s == pytest.approx(8.0, rel=1e-12)
+        assert r.g0_printed_rad_s / r_hot.g0_printed_rad_s == pytest.approx(8.0, rel=1e-12, abs=0.0)
         instances += 1
 
     # gauge invariance of |S| under flux-preserving phase shifts (60 x 3)

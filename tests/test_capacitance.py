@@ -42,7 +42,7 @@ def test_ln_2_plus_2cosh_survives_huge_arguments():
     for x in (800.0, -800.0, 5e4):
         val = ln_2_plus_2cosh(x)
         assert math.isfinite(val)
-        assert val == pytest.approx(abs(x), rel=1e-15)
+        assert val == pytest.approx(abs(x), rel=1e-15, abs=0.0)
 
 
 def test_ln_2_plus_2cosh_scalar_and_array_agree():
@@ -58,9 +58,9 @@ def test_quantum_capacitance_zero_bias_value():
     # direct evaluation: ln[2(1+cosh 0)] = ln 4, i.e. half of ln 16
     expected = 2.0 * E**2 * KB * 1.0 * math.log(4.0) / (math.pi * (HBAR * VF) ** 2)
     got = quantum_capacitance(DESIGN, OperatingPoint(1.0, 0.0))
-    assert got == pytest.approx(expected, rel=1e-14)
-    assert got == pytest.approx(2.816361713774626e-05, rel=1e-12)
-    assert got == pytest.approx(linear_capacitance_C0(DESIGN, 1.0) / 2.0, rel=1e-14)
+    assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert got == pytest.approx(2.816361713774626e-05, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(linear_capacitance_C0(DESIGN, 1.0) / 2.0, rel=1e-14, abs=0.0)
 
 
 def test_quantum_capacitance_even_in_voltage():
@@ -69,14 +69,14 @@ def test_quantum_capacitance_even_in_voltage():
         for v in rng.uniform(0.0, 0.2, size=40):
             a = quantum_capacitance(DESIGN, OperatingPoint(T, v))
             b = quantum_capacitance(DESIGN, OperatingPoint(T, -v))
-            assert a == pytest.approx(b, rel=1e-15)
+            assert a == pytest.approx(b, rel=1e-15, abs=0.0)
 
 
 def test_quantum_capacitance_large_bias_approaches_linear_form():
     v = 0.1
     finite = quantum_capacitance(DESIGN, OperatingPoint(1.0, v))
     limit = quantum_capacitance_T0(DESIGN, v)
-    assert finite == pytest.approx(limit, rel=0.01)
+    assert finite == pytest.approx(limit, rel=0.01, abs=0.0)
 
 
 def test_quantum_capacitance_rejects_nonpositive_temperature():
@@ -87,6 +87,11 @@ def test_quantum_capacitance_rejects_nonpositive_temperature():
 def test_quantum_capacitance_rejects_nan_temperature():
     with pytest.raises(NonPositiveTemperature):
         quantum_capacitance(DESIGN, OperatingPoint(math.nan, 0.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveTemperature):
+            linear_capacitance_C0(DESIGN, bad)
+        with pytest.raises(NonPositiveTemperature):
+            capacitance_sweep(DESIGN, [bad], np.array([0.0]))
 
 
 def test_quantum_capacitance_T0_zero_and_parity():
@@ -99,24 +104,24 @@ def test_quantum_capacitance_T0_zero_and_parity():
 def test_quantum_capacitance_T0_is_millikelvin_limit():
     v = 0.05
     t0 = quantum_capacitance_T0(DESIGN, v)
-    assert t0 == pytest.approx(E**3 * v / (math.pi * (HBAR * VF) ** 2), rel=1e-14)
+    assert t0 == pytest.approx(E**3 * v / (math.pi * (HBAR * VF) ** 2), rel=1e-14, abs=0.0)
     cold = quantum_capacitance(DESIGN, OperatingPoint(1e-3, v))
-    assert cold == pytest.approx(t0, rel=1e-3)
+    assert cold == pytest.approx(t0, rel=1e-3, abs=0.0)
 
 
 # --- geometric and series ------------------------------------------------------
 
 def test_geometric_capacitance_published_value():
     got = f_per_m2_to_ff_per_um2(geometric_capacitance(DESIGN))
-    assert got == pytest.approx(5.06, rel=5e-3)
-    assert got == pytest.approx(5.059535893028571, rel=1e-12)
+    assert got == pytest.approx(5.06, rel=5e-3, abs=0.0)
+    assert got == pytest.approx(5.059535893028571, rel=1e-12, abs=0.0)
 
 
 def test_geometric_capacitance_inverse_thickness_scaling():
     double_t = CapacitorDesign(area_S=1e-10, dielectric_thickness_t=14e-9)
     assert geometric_capacitance(double_t) == pytest.approx(
         geometric_capacitance(CapacitorDesign(area_S=1e-10, dielectric_thickness_t=7e-9)) / 2.0,
-        rel=1e-15,
+        rel=1e-15, abs=0.0,
     )
 
 
@@ -124,7 +129,9 @@ def test_geometric_capacitance_vacuum_reference():
     design = CapacitorDesign(
         area_S=1e-10, dielectric_thickness_t=8.854e-9, relative_permittivity=1.0
     )
-    assert f_per_m2_to_ff_per_um2(geometric_capacitance(design)) == pytest.approx(1.0, rel=1e-4)
+    assert f_per_m2_to_ff_per_um2(geometric_capacitance(design)) == pytest.approx(
+        1.0, rel=1e-4, abs=0.0
+    )
 
 
 def test_nonpositive_thickness_rejected():
@@ -178,8 +185,8 @@ def test_series_capacitance_zero_bias_near_quantum_value():
     cs = series_capacitance(DESIGN, op)
     cq = quantum_capacitance(DESIGN, op)
     cg = geometric_capacitance(DESIGN)
-    assert cs == pytest.approx(cq, rel=0.012)
-    assert cs == pytest.approx(cq / (1.0 + cq / cg), rel=1e-14)
+    assert cs == pytest.approx(cq, rel=0.012, abs=0.0)
+    assert cs == pytest.approx(cq / (1.0 + cq / cg), rel=1e-14, abs=0.0)
 
 
 def test_series_capacitance_approaches_geometric_at_large_bias():
@@ -197,7 +204,7 @@ def test_series_capacitance_approaches_geometric_at_large_bias():
 def test_series_capacitance_even_in_voltage():
     a = series_capacitance(DESIGN, OperatingPoint(1.0, 0.03))
     b = series_capacitance(DESIGN, OperatingPoint(1.0, -0.03))
-    assert a == pytest.approx(b, rel=1e-15)
+    assert a == pytest.approx(b, rel=1e-15, abs=0.0)
 
 
 # --- zero-temperature charge/energy -------------------------------------------
@@ -223,7 +230,7 @@ def test_charge_energy_T0_density_form_identity():
         q, u = charge_energy_T0(DESIGN, v)
         n = abs(q) / E
         alt = (1.0 / 3.0) * math.sqrt(2.0 * math.pi) * HBAR * VF * math.copysign(1.0, q) * n**1.5
-        assert alt == pytest.approx(u, rel=1e-10)
+        assert alt == pytest.approx(u, rel=1e-10, abs=0.0)
 
 
 def test_charge_energy_T0_derivative_consistency():
@@ -231,7 +238,9 @@ def test_charge_energy_T0_derivative_consistency():
     v, h = 0.02, 1e-7
     qp, _ = charge_energy_T0(DESIGN, v + h)
     qm, _ = charge_energy_T0(DESIGN, v - h)
-    assert (qp - qm) / (2 * h) == pytest.approx(quantum_capacitance_T0(DESIGN, v), rel=1e-8)
+    assert (qp - qm) / (2 * h) == pytest.approx(
+        quantum_capacitance_T0(DESIGN, v), rel=1e-8, abs=0.0
+    )
 
 
 # --- series expansions vs the quadrature oracle --------------------------------
@@ -264,7 +273,7 @@ def test_charge_numeric_millikelvin_matches_T0_charge():
     v = 5e-3
     quad_val = charge_numeric(DESIGN, OperatingPoint(1e-3, v))
     closed, _ = charge_energy_T0(DESIGN, v)
-    assert quad_val == pytest.approx(closed, rel=1e-3)
+    assert quad_val == pytest.approx(closed, rel=1e-3, abs=0.0)
 
 
 def test_quadrature_derivative_reproduces_capacitance():
@@ -278,7 +287,7 @@ def test_quadrature_derivative_reproduces_capacitance():
             return (qp - qm) / (2 * step)
 
         richardson = (4.0 * central(h / 2) - central(h)) / 3.0
-        assert richardson == pytest.approx(target, rel=1e-6)
+        assert richardson == pytest.approx(target, rel=1e-6, abs=0.0)
 
 
 def test_cubic_coefficient_by_richardson_extrapolation():
@@ -293,7 +302,7 @@ def test_cubic_coefficient_by_richardson_extrapolation():
         return (n - c_lin * vv) / vv**3
 
     est = (4.0 * cubic_estimate(v / 2) - cubic_estimate(v)) / 3.0
-    assert est == pytest.approx(charge_series_cubic_coefficient(DESIGN, T), rel=1e-3)
+    assert est == pytest.approx(charge_series_cubic_coefficient(DESIGN, T), rel=1e-3, abs=0.0)
 
 
 # --- closed-form charge vs an independent Gauss-Legendre integral ----------------
@@ -354,15 +363,15 @@ def test_charge_numeric_large_x_exact():
 
 def test_linear_capacitance_published_values():
     c0 = linear_capacitance_C0(DESIGN, 1.0)
-    assert f_per_m2_to_ff_per_um2(c0) == pytest.approx(0.0563, rel=0.01)
-    assert f_per_m2_to_ff_per_um2(c0) == pytest.approx(0.056327234275492515, rel=1e-12)
+    assert f_per_m2_to_ff_per_um2(c0) == pytest.approx(0.0563, rel=0.01, abs=0.0)
+    assert f_per_m2_to_ff_per_um2(c0) == pytest.approx(0.056327234275492515, rel=1e-12, abs=0.0)
     total_fF = DESIGN.area_S * c0 * 1e15
-    assert total_fF == pytest.approx(5.63, rel=0.01)
+    assert total_fF == pytest.approx(5.63, rel=0.01, abs=0.0)
 
 
 def test_linear_capacitance_linearity_in_temperature():
     assert linear_capacitance_C0(DESIGN, 2.0) == pytest.approx(
-        2.0 * linear_capacitance_C0(DESIGN, 1.0), rel=1e-14
+        2.0 * linear_capacitance_C0(DESIGN, 1.0), rel=1e-14, abs=0.0
     )
 
 
@@ -385,7 +394,9 @@ def test_energy_series_curvature_is_inverse_linear_capacitance():
     leading = math.pi * hv**2 / (kT * ln16)
     quartic = (math.pi * hv**2 / (2.0 * kT)) * (math.pi**2 / 4.0) * (hv / (ln16 * kT)) ** 4
     assert d2 == pytest.approx(leading - quartic * 2.0 * h**2, rel=1e-6, abs=0.0)
-    assert leading == pytest.approx(2.0 * E**2 / linear_capacitance_C0(DESIGN, T), rel=1e-6, abs=0.0)
+    assert leading == pytest.approx(
+        2.0 * E**2 / linear_capacitance_C0(DESIGN, T), rel=1e-6, abs=0.0
+    )
 
 
 # --- design rules ----------------------------------------------------------------
@@ -393,7 +404,7 @@ def test_energy_series_curvature_is_inverse_linear_capacitance():
 def test_design_check_published_geometry_passes():
     report = design_check(DESIGN, 1.0)
     assert report.thickness_ok and report.dominance_ok
-    assert report.dominance_ratio == pytest.approx(0.011133, rel=1e-3)
+    assert report.dominance_ratio == pytest.approx(0.011133, rel=1e-3, abs=0.0)
     assert report.dominance_ratio == report.C_0_areal / report.C_G_areal
     assert len(report.messages) >= 2
 
@@ -453,7 +464,7 @@ def test_sweep_header_and_engineering_rows():
     rows = result.columns()
     assert rows.shape == (1, len(SWEEP_CSV_HEADER)) and rows.dtype == np.float64
     assert rows[0][0] == 1.0 and rows[0][1] == 0.0
-    assert rows[0][2] == pytest.approx(0.028163617138, rel=1e-9)
+    assert rows[0][2] == pytest.approx(0.028163617138, rel=1e-9, abs=0.0)
 
 
 def test_sweep_rejects_negative_temperature():

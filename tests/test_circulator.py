@@ -53,7 +53,7 @@ def test_gauge_flux_definition():
         g=(GHZ, GHZ, GHZ),
         phi=(0.2, 0.5, 0.4),
     )
-    assert config.gauge_flux == pytest.approx(0.2 + 0.4 - 0.5)
+    assert config.gauge_flux == pytest.approx(0.2 + 0.4 - 0.5, rel=1e-6, abs=0.0)
 
 
 def test_config_validation():
@@ -67,6 +67,11 @@ def test_config_validation():
                             ((GHZ,) * 3, (GHZ,) * 3, (0, nan, 0))]:
         with pytest.raises(ValueError):
             CirculatorConfig(omega=omega, kappa=kappa, g=g, phi=(0, 0, 0))
+    ok = dict(omega=(GHZ,) * 3, kappa=(GHZ,) * 3, g=(0, 0, 0), phi=(0, 0, 0))
+    for bad in (nan, float("inf"), -float("inf")):
+        for name in ("omega", "kappa", "g", "phi", "detuning"):
+            with pytest.raises(ValueError):
+                CirculatorConfig(**{**ok, name: (bad, GHZ, GHZ)})
 
 
 def test_config_from_engineering_dict():
@@ -79,8 +84,8 @@ def test_config_from_engineering_dict():
             "frame": "rotating",
         }
     )
-    assert config.omega[1] == pytest.approx(1.05 * GHZ, rel=1e-14)
-    assert config.phi[1] == pytest.approx(math.pi / 2, rel=1e-14)
+    assert config.omega[1] == pytest.approx(1.05 * GHZ, rel=1e-14, abs=0.0)
+    assert config.phi[1] == pytest.approx(math.pi / 2, rel=1e-14, abs=0.0)
     assert config.frame is Frame.ROTATING
 
 
@@ -124,10 +129,10 @@ def test_langevin_pinned_first_row_entry():
         phi=(0.1, 0.2, 0.3),
     )
     m = langevin_matrix(config)
-    assert m[0, 1] == pytest.approx(-1j * 0.7 * GHZ * np.exp(-1j * 0.3), rel=1e-14)
+    assert m[0, 1] == pytest.approx(-1j * 0.7 * GHZ * np.exp(-1j * 0.3), rel=1e-14, abs=0.0)
     # third row carries g_2 with phi_2 and g_1 with phi_1
-    assert m[2, 0] == pytest.approx(-1j * 0.5 * GHZ * np.exp(+1j * 0.2), rel=1e-14)
-    assert m[2, 1] == pytest.approx(-1j * 0.3 * GHZ * np.exp(+1j * 0.1), rel=1e-14)
+    assert m[2, 0] == pytest.approx(-1j * 0.5 * GHZ * np.exp(+1j * 0.2), rel=1e-14, abs=0.0)
+    assert m[2, 1] == pytest.approx(-1j * 0.3 * GHZ * np.exp(+1j * 0.1), rel=1e-14, abs=0.0)
 
 
 def test_langevin_generator_is_hermitian():
@@ -157,7 +162,7 @@ def test_coupling_matrix_loop_flux():
     # amplitude product around the 1 -> 2 -> 3 -> 1 cycle carries the flux
     # (h[i, j] moves a photon from mode j to mode i)
     loop = h[1, 0] * h[2, 1] * h[0, 2]
-    assert np.angle(loop) == pytest.approx(config.gauge_flux, rel=1e-12)
+    assert np.angle(loop) == pytest.approx(config.gauge_flux, rel=1e-12, abs=0.0)
 
 
 # --- scattering ------------------------------------------------------------------------
@@ -230,7 +235,7 @@ def test_gauge_invariance_of_amplitudes():
             phi=(base.phi[0] + alpha, base.phi[1] + alpha, base.phi[2]),
             frame=base.frame,
         )
-        assert shifted.gauge_flux == pytest.approx(base.gauge_flux, rel=1e-12)
+        assert shifted.gauge_flux == pytest.approx(base.gauge_flux, rel=1e-12, abs=0.0)
         for d, ref in zip(deltas, reference):
             assert np.max(np.abs(np.abs(scattering_matrix(shifted, d)) - ref)) < 1e-10
 
@@ -285,9 +290,9 @@ def test_sweep_output_shapes_and_rows():
     assert result.smatrices.shape == (11, 3, 3)
     rows = result.columns()
     assert rows.shape == (11, len(SWEEP_CSV_HEADER)) and rows.dtype == np.float64
-    assert rows[0][0] == pytest.approx(-1 * GHZ, rel=1e-12)
+    assert rows[0][0] == pytest.approx(-1 * GHZ, rel=1e-12, abs=0.0)
     il = -10.0 * math.log10(rows[0][3] ** 2 + rows[0][4] ** 2)
-    assert il == pytest.approx(rows[0][2], rel=1e-9)
+    assert il == pytest.approx(rows[0][2], rel=1e-9, abs=0.0)
 
 
 def test_sweep_rejects_tiny_grid():

@@ -49,8 +49,8 @@ def test_verify_paper_json_format(capsys):
     assert code == 0
     records = json.loads(out)
     by_id = {r["id"]: r for r in records}
-    assert by_id["cg_areal"]["computed"] == pytest.approx(5.0595358930, rel=1e-9)
-    assert by_id["anharmonicity_1k_pct"]["computed"] == pytest.approx(1.714, rel=1e-6)
+    assert by_id["cg_areal"]["computed"] == pytest.approx(5.0595358930, rel=1e-9, abs=0.0)
+    assert by_id["anharmonicity_1k_pct"]["computed"] == pytest.approx(1.714, rel=1e-6, abs=0.0)
 
 
 # --- tables and records -----------------------------------------------------------
@@ -80,16 +80,16 @@ def test_design_check_record(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["thickness_ok"] and doc["dominance_ok"]
-    assert doc["C_G_fF_per_um2"] == pytest.approx(5.0595, rel=1e-4)
+    assert doc["C_G_fF_per_um2"] == pytest.approx(5.0595, rel=1e-4, abs=0.0)
 
 
 def test_qubit_record_with_spectrum(capsys):
     code, out, _ = run_cli(capsys, "qubit", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["tau_s"] == pytest.approx(2.27335108806e-13, rel=1e-9)
-    assert doc["anharmonicity_percent_printed"] == pytest.approx(1.714, rel=1e-6)
-    assert doc["n_max_printed"] == pytest.approx(10.425, rel=1e-9)
+    assert doc["tau_s"] == pytest.approx(2.27335108806e-13, rel=1e-9, abs=0.0)
+    assert doc["anharmonicity_percent_printed"] == pytest.approx(1.714, rel=1e-6, abs=0.0)
+    assert doc["n_max_printed"] == pytest.approx(10.425, rel=1e-9, abs=0.0)
     assert len(doc["spectrum"]["eigenvalues_J"]) == doc["fock_cutoff"]
 
 
@@ -104,7 +104,7 @@ def test_qubit_skip_spectrum_always_succeeds(capsys):
     assert code == 0
     doc = json.loads(out)
     assert "spectrum" not in doc
-    assert doc["anharmonicity_percent_printed"] == pytest.approx(13.712, rel=1e-6)
+    assert doc["anharmonicity_percent_printed"] == pytest.approx(13.712, rel=1e-6, abs=0.0)
 
 
 def test_coupling_record(capsys):
@@ -112,8 +112,8 @@ def test_coupling_record(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["kind"] == "hopping"
-    assert doc["g0_printed_rad_s"] == pytest.approx(1.60727761046e8, rel=1e-9)
-    assert doc["ratio_symbolic_to_printed"] == pytest.approx(3.0, rel=5e-3)
+    assert doc["g0_printed_rad_s"] == pytest.approx(1.60727761046e8, rel=1e-9, abs=0.0)
+    assert doc["ratio_symbolic_to_printed"] == pytest.approx(3.0, rel=5e-3, abs=0.0)
 
 
 def test_circulator_bundled_config(capsys):

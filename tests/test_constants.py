@@ -18,11 +18,11 @@ CODATA_2018 = {
 
 def test_constants_match_codata_to_six_digits():
     for name, value in CODATA_2018.items():
-        assert getattr(CONSTANTS, name) == pytest.approx(value, rel=1e-6)
+        assert getattr(CONSTANTS, name) == pytest.approx(value, rel=1e-6, abs=0.0)
 
 
 def test_fermi_velocity_is_c_over_300():
-    assert CONSTANTS.v_F_default == pytest.approx(CONSTANTS.c / 300.0, rel=1e-12)
+    assert CONSTANTS.v_F_default == pytest.approx(CONSTANTS.c / 300.0, rel=1e-12, abs=0.0)
 
 
 def test_all_constants_positive():
@@ -45,8 +45,8 @@ CONVERSION_PAIRS = [
 def test_conversion_round_trips(forward, back):
     rng = np.random.default_rng(20)
     for value in rng.uniform(1e-6, 1e6, size=50):
-        assert back(forward(value)) == pytest.approx(value, rel=1e-12)
-        assert forward(back(value)) == pytest.approx(value, rel=1e-12)
+        assert back(forward(value)) == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert forward(back(value)) == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_fermi_energy_zero():
@@ -55,7 +55,7 @@ def test_fermi_energy_zero():
 
 def test_fermi_energy_two_millivolts():
     # e*V/2 with V = 2 mV is exactly e * 1e-3
-    assert fermi_energy(2e-3) == pytest.approx(1.602176634e-22, rel=1e-12)
+    assert fermi_energy(2e-3) == pytest.approx(1.602176634e-22, rel=1e-12, abs=0.0)
 
 
 def test_fermi_energy_odd():
@@ -65,14 +65,14 @@ def test_fermi_energy_odd():
 
 
 def test_thermal_energy_one_kelvin():
-    assert thermal_energy(1.0) == pytest.approx(1.380649e-23, rel=1e-12)
+    assert thermal_energy(1.0) == pytest.approx(1.380649e-23, rel=1e-12, abs=0.0)
 
 
 def test_thermal_energy_linearity():
-    assert thermal_energy(4.0) == pytest.approx(4.0 * thermal_energy(1.0), rel=1e-12)
+    assert thermal_energy(4.0) == pytest.approx(4.0 * thermal_energy(1.0), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("T", [0.0, -1.0])
+@pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
 def test_thermal_energy_rejects_nonpositive(T):
     with pytest.raises(NonPositiveTemperature):
         thermal_energy(T)

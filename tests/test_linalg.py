@@ -41,6 +41,18 @@ def test_eigenvalues_rejects_non_square():
         symmetric_eigenvalues(np.zeros((3, 4)))
 
 
+def test_eigenvalues_empty_and_scalar_matrices():
+    empty = symmetric_eigenvalues(np.zeros((0, 0)))
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    assert np.array_equal(symmetric_eigenvalues([[-2.5]]), np.array([-2.5]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
+def test_eigenvalues_rejects_vectors_and_stacks(shape):
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(np.zeros(shape))
+
+
 def test_solve_identity_returns_rhs():
     b = np.array([1.0 + 2.0j, -3.0j, 0.5])
     x = solve_complex(np.eye(3, dtype=np.complex128), b)

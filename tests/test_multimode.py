@@ -30,7 +30,9 @@ def _ghz(f):
 
 def test_gamma_degenerate_case():
     omega = _ghz(3.0)
-    assert gamma_nml(1e-13, omega, omega, omega) == pytest.approx(1e-13 * omega**2, rel=1e-14)
+    assert gamma_nml(1e-13, omega, omega, omega) == pytest.approx(
+        1e-13 * omega**2, rel=1e-14, abs=0.0
+    )
 
 
 def test_gamma_symmetric_in_last_two_modes():
@@ -44,13 +46,18 @@ def test_gamma_published_example():
     tau = 2.275e-13
     direct = tau * _ghz(4.0) * math.sqrt(_ghz(2.0) * _ghz(10.0))
     got = gamma_nml(tau, _ghz(4.0), _ghz(2.0), _ghz(10.0))
-    assert got == pytest.approx(direct, rel=1e-14)
-    assert got == pytest.approx(1.606e8, rel=1e-3)
+    assert got == pytest.approx(direct, rel=1e-14, abs=0.0)
+    assert got == pytest.approx(1.606e8, rel=1e-3, abs=0.0)
 
 
 def test_gamma_rejects_nonpositive_frequencies():
     with pytest.raises(ValueError):
         gamma_nml(1e-13, 0.0, _ghz(1.0), _ghz(1.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            gamma_nml(1.0, bad, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            gamma_nml(1.0, 1.0, 1.0, bad)
 
 
 # --- interaction classification ----------------------------------------------------
@@ -76,7 +83,7 @@ def test_classify_off_resonant():
     pump = PumpSpec(Omega=_ghz(5.0), amplitude_abs=1.0, phase_theta=0.0)
     result = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU, tolerance=TWO_PI * 1e6)
     assert result.kind is InteractionKind.OFF_RESONANT
-    assert result.detuning == pytest.approx(_ghz(2.0), rel=1e-12)
+    assert result.detuning == pytest.approx(_ghz(2.0), rel=1e-12, abs=0.0)
 
 
 def test_classify_ambiguous_raises():
@@ -92,9 +99,9 @@ def test_classification_strength_quadratic_in_pump():
         pump = PumpSpec(Omega=_ghz(4.0), amplitude_abs=amp, phase_theta=0.0)
         return classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU).G
 
-    assert strength(2.0) == pytest.approx(4.0 * strength(1.0), rel=1e-14)
+    assert strength(2.0) == pytest.approx(4.0 * strength(1.0), rel=1e-14, abs=0.0)
     assert strength(1.0) == pytest.approx(
-        3.0 * gamma_nml(TAU, _ghz(4.0), _ghz(2.0), _ghz(10.0)), rel=1e-14
+        3.0 * gamma_nml(TAU, _ghz(4.0), _ghz(2.0), _ghz(10.0)), rel=1e-14, abs=0.0
     )
 
 
@@ -123,18 +130,18 @@ def test_classification_json_shape():
 
 
 def test_default_tolerance_is_one_megahertz():
-    assert DEFAULT_RESONANCE_TOLERANCE == pytest.approx(TWO_PI * 1e6, rel=1e-14)
+    assert DEFAULT_RESONANCE_TOLERANCE == pytest.approx(TWO_PI * 1e6, rel=1e-14, abs=0.0)
 
 
 # --- published single-photon rates ---------------------------------------------------
 
 def test_single_photon_rate_published_values():
     rate_1k = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0)
-    assert rate_1k.g0_printed_rad_s / (TWO_PI * 1e6) == pytest.approx(25.55, rel=5e-3)
+    assert rate_1k.g0_printed_rad_s / (TWO_PI * 1e6) == pytest.approx(25.55, rel=5e-3, abs=0.0)
     rate_4k = single_photon_rate_engineering(4.0, 4.0, 2.0, 10.0, 100.0)
-    assert rate_4k.g0_printed_rad_s / (TWO_PI * 1e3) == pytest.approx(399.2, rel=5e-3)
+    assert rate_4k.g0_printed_rad_s / (TWO_PI * 1e3) == pytest.approx(399.2, rel=5e-3, abs=0.0)
     rate_quarter = single_photon_rate_engineering(0.25, 4.0, 2.0, 10.0, 100.0)
-    assert rate_quarter.g0_printed_rad_s / (TWO_PI * 1e9) == pytest.approx(1.635, rel=5e-3)
+    assert rate_quarter.g0_printed_rad_s / (TWO_PI * 1e9) == pytest.approx(1.635, rel=5e-3, abs=0.0)
 
 
 def test_single_photon_rate_exact_scalings():
@@ -142,9 +149,9 @@ def test_single_photon_rate_exact_scalings():
     hot = single_photon_rate_engineering(4.0, 4.0, 2.0, 10.0, 100.0)
     cold = single_photon_rate_engineering(0.25, 4.0, 2.0, 10.0, 100.0)
     big = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 1000.0)
-    assert base.g0_printed_rad_s / hot.g0_printed_rad_s == pytest.approx(64.0, rel=1e-12)
-    assert cold.g0_printed_rad_s / base.g0_printed_rad_s == pytest.approx(64.0, rel=1e-12)
-    assert base.g0_printed_rad_s / big.g0_printed_rad_s == pytest.approx(10.0, rel=1e-12)
+    assert base.g0_printed_rad_s / hot.g0_printed_rad_s == pytest.approx(64.0, rel=1e-12, abs=0.0)
+    assert cold.g0_printed_rad_s / base.g0_printed_rad_s == pytest.approx(64.0, rel=1e-12, abs=0.0)
+    assert base.g0_printed_rad_s / big.g0_printed_rad_s == pytest.approx(10.0, rel=1e-12, abs=0.0)
 
 
 def test_symbolic_rate_is_thrice_the_printed_formula():
@@ -184,10 +191,10 @@ def test_quantum_rc_zero_bias():
 def test_quantum_rc_linear_scalings():
     ef = fermi_energy(1e-3)
     assert quantum_rc_time(1e-10, 2 * ef) == pytest.approx(
-        2.0 * quantum_rc_time(1e-10, ef), rel=1e-14
+        2.0 * quantum_rc_time(1e-10, ef), rel=1e-14, abs=0.0
     )
     assert quantum_rc_time(2e-10, ef) == pytest.approx(
-        2.0 * quantum_rc_time(1e-10, ef), rel=1e-14
+        2.0 * quantum_rc_time(1e-10, ef), rel=1e-14, abs=0.0
     )
     assert quantum_rc_time(1e-10, -ef) == quantum_rc_time(1e-10, ef)
 
@@ -195,8 +202,8 @@ def test_quantum_rc_linear_scalings():
 def test_quantum_rc_published_example():
     got = quantum_rc_time(1e-10, fermi_energy(1e-3))
     direct = 1e-10 * 0.5 * CONSTANTS.e * 1e-3 / (CONSTANTS.hbar * CONSTANTS.v_F_default**2)
-    assert got == pytest.approx(direct, rel=1e-14)
-    assert got == pytest.approx(7.6e-11, rel=2e-3)
+    assert got == pytest.approx(direct, rel=1e-14, abs=0.0)
+    assert got == pytest.approx(7.6e-11, rel=2e-3, abs=0.0)
 
 
 def test_quantum_rc_consistency_with_capacitance_and_conductance():
@@ -205,7 +212,9 @@ def test_quantum_rc_consistency_with_capacitance_and_conductance():
     rng = np.random.default_rng(51)
     design = CapacitorDesign(area_S=1e-10, dielectric_thickness_t=7e-9)
     sigma_q = quantum_conductance()
-    assert sigma_q == pytest.approx(2.0 * CONSTANTS.e**2 / (math.pi * CONSTANTS.hbar), rel=1e-14)
+    assert sigma_q == pytest.approx(
+        2.0 * CONSTANTS.e**2 / (math.pi * CONSTANTS.hbar), rel=1e-14, abs=0.0
+    )
     for v in rng.uniform(-0.5, 0.5, size=200):
         via_capacitance = design.area_S * quantum_capacitance_T0(design, v) / sigma_q
         direct = quantum_rc_time(design.area_S, fermi_energy(v))
@@ -215,6 +224,18 @@ def test_quantum_rc_consistency_with_capacitance_and_conductance():
 def test_quantum_rc_rejects_nonpositive_area():
     with pytest.raises(NonPositiveArea):
         quantum_rc_time(0.0, 1e-22)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveArea):
+            quantum_rc_time(bad, 1e-22)
+
+
+@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_single_photon_rate_rejects_bad_inputs(index, bad):
+    args = [1.0, 4.0, 2.0, 10.0, 100.0]
+    args[index] = bad
+    with pytest.raises(ValueError):
+        single_photon_rate_engineering(*args)
 
 
 # --- domain types ----------------------------------------------------------------------

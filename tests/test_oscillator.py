@@ -45,17 +45,21 @@ def test_photon_amplitude_direct_value():
     )
     chi, psi = photon_amplitude(spec)
     expected_chi = math.sqrt(KB * 1.0 * math.log(16.0) / (2.0 * math.pi * AREA * HBAR * VF**2))
-    assert chi == pytest.approx(expected_chi, rel=1e-14)
-    assert chi == pytest.approx(24052.316207695065, rel=1e-12)
-    assert psi == pytest.approx(3813088055.864373, rel=1e-12)
+    assert chi == pytest.approx(expected_chi, rel=1e-14, abs=0.0)
+    assert chi == pytest.approx(24052.316207695065, rel=1e-12, abs=0.0)
+    assert psi == pytest.approx(3813088055.864373, rel=1e-12, abs=0.0)
 
 
 def test_photon_amplitude_scalings():
     base = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
     quad = OscillatorSpec(omega=4 * OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
     big = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=4 * AREA, temperature_T=1.0, fock_cutoff=40)
-    assert photon_amplitude(quad)[1] == pytest.approx(2.0 * photon_amplitude(base)[1], rel=1e-14)
-    assert photon_amplitude(big)[0] == pytest.approx(photon_amplitude(base)[0] / 2.0, rel=1e-14)
+    assert photon_amplitude(quad)[1] == pytest.approx(
+        2.0 * photon_amplitude(base)[1], rel=1e-14, abs=0.0
+    )
+    assert photon_amplitude(big)[0] == pytest.approx(
+        photon_amplitude(base)[0] / 2.0, rel=1e-14, abs=0.0
+    )
 
 
 def test_photon_amplitude_consistent_with_time_constant():
@@ -66,23 +70,23 @@ def test_photon_amplitude_consistent_with_time_constant():
     kT = KB * 1.0
     ln16 = math.log(16.0)
     chi4 = 2.0 * ln16**4 * kT**5 * tau / (math.pi**3 * AREA * HBAR**5 * VF**6)
-    assert chi**4 == pytest.approx(chi4, rel=1e-12)
+    assert chi**4 == pytest.approx(chi4, rel=1e-12, abs=0.0)
 
 
 # --- nonlinear time constant ----------------------------------------------------
 
 def test_nonlinear_tau_frozen_value():
     tau = nonlinear_time_constant(AREA, 1.0)
-    assert tau == pytest.approx(TAU_100UM2_1K, rel=1e-12)
-    assert tau == pytest.approx(2.275e-13, rel=1e-3)
+    assert tau == pytest.approx(TAU_100UM2_1K, rel=1e-12, abs=0.0)
+    assert tau == pytest.approx(2.275e-13, rel=1e-3, abs=0.0)
     spec = OscillatorSpec(omega=OMEGA, tau=tau, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
     assert nonlinear_tau(spec) == tau
 
 
 def test_nonlinear_tau_scalings():
     tau = nonlinear_time_constant(AREA, 1.0)
-    assert tau / nonlinear_time_constant(AREA, 2.0) == pytest.approx(8.0, rel=1e-12)
-    assert tau / nonlinear_time_constant(10 * AREA, 1.0) == pytest.approx(10.0, rel=1e-12)
+    assert tau / nonlinear_time_constant(AREA, 2.0) == pytest.approx(8.0, rel=1e-12, abs=0.0)
+    assert tau / nonlinear_time_constant(10 * AREA, 1.0) == pytest.approx(10.0, rel=1e-12, abs=0.0)
 
 
 def test_nonlinear_tau_input_validation():
@@ -90,6 +94,11 @@ def test_nonlinear_tau_input_validation():
         nonlinear_time_constant(AREA, 0.0)
     with pytest.raises(NonPositiveArea):
         nonlinear_time_constant(0.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveTemperature):
+            nonlinear_time_constant(AREA, bad)
+        with pytest.raises(NonPositiveArea):
+            nonlinear_time_constant(bad, 1.0)
 
 
 # --- resonant inductance ----------------------------------------------------------
@@ -97,15 +106,15 @@ def test_nonlinear_tau_input_validation():
 def test_resonant_inductance_round_trip():
     design = CapacitorDesign(area_S=AREA, dielectric_thickness_t=7e-9)
     L = resonant_inductance(design, 1.0, OMEGA)
-    assert L == pytest.approx(2.8106181934452614e-07, rel=1e-12)
+    assert L == pytest.approx(2.8106181934452614e-07, rel=1e-12, abs=0.0)
     c0_total = AREA * linear_capacitance_C0(design, 1.0)
-    assert 1.0 / math.sqrt(L * c0_total) == pytest.approx(OMEGA, rel=1e-12)
+    assert 1.0 / math.sqrt(L * c0_total) == pytest.approx(OMEGA, rel=1e-12, abs=0.0)
 
 
 def test_resonant_inductance_quadruples_when_frequency_halves():
     design = CapacitorDesign(area_S=AREA, dielectric_thickness_t=7e-9)
     assert resonant_inductance(design, 1.0, OMEGA / 2) == pytest.approx(
-        4.0 * resonant_inductance(design, 1.0, OMEGA), rel=1e-14
+        4.0 * resonant_inductance(design, 1.0, OMEGA), rel=1e-14, abs=0.0
     )
 
 
@@ -119,8 +128,8 @@ def test_hamiltonian_coefficients():
     tau = nonlinear_time_constant(AREA, 1.0)
     spec = OscillatorSpec(omega=OMEGA, tau=tau, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
     linear, quartic = hamiltonian_coefficients(spec)
-    assert quartic / linear == pytest.approx(tau * OMEGA / 4.0, rel=1e-14)
-    assert quartic / linear == pytest.approx(1.428e-3, rel=1e-3)
+    assert quartic / linear == pytest.approx(tau * OMEGA / 4.0, rel=1e-14, abs=0.0)
+    assert quartic / linear == pytest.approx(1.428e-3, rel=1e-3, abs=0.0)
 
 
 def test_hamiltonian_matrix_exactly_symmetric():
@@ -264,9 +273,9 @@ def test_spectrum_json_shape():
         "anharmonicity_fraction",
     }
     assert len(doc["eigenvalues_J"]) == 30
-    assert doc["anharmonicity_fraction"] == pytest.approx(result.anharmonicity_A)
+    assert doc["anharmonicity_fraction"] == pytest.approx(result.anharmonicity_A, rel=1e-6, abs=0.0)
     assert result.omega_10 == pytest.approx(
-        (result.eigenvalues[1] - result.eigenvalues[0]) / HBAR, rel=1e-14
+        (result.eigenvalues[1] - result.eigenvalues[0]) / HBAR, rel=1e-14, abs=0.0
     )
 
 
@@ -294,20 +303,20 @@ def test_spec_validation():
 
 def test_anharmonicity_engineering_published_values():
     est = anharmonicity_engineering(0.5, 4.0, 100.0)
-    assert est.percent_printed == pytest.approx(13.71, rel=0.01)
-    assert est.percent_printed == pytest.approx(13.712, rel=1e-6)
+    assert est.percent_printed == pytest.approx(13.71, rel=0.01, abs=0.0)
+    assert est.percent_printed == pytest.approx(13.712, rel=1e-6, abs=0.0)
 
     # the published T = 1 K value 1.1714 is inconsistent with the published
     # formula, which gives 1.714; the formula value is authoritative here
     est_1k = anharmonicity_engineering(1.0, 4.0, 100.0)
-    assert est_1k.percent_printed == pytest.approx(1.714, rel=1e-6)
+    assert est_1k.percent_printed == pytest.approx(1.714, rel=1e-6, abs=0.0)
     assert abs(est_1k.percent_printed - 1.1714) / 1.1714 > 0.4
 
 
 def test_anharmonicity_engineering_area_scaling():
     a = anharmonicity_engineering(1.0, 4.0, 100.0).percent_printed
     b = anharmonicity_engineering(1.0, 4.0, 200.0).percent_printed
-    assert a == pytest.approx(2.0 * b, rel=1e-14)
+    assert a == pytest.approx(2.0 * b, rel=1e-14, abs=0.0)
 
 
 def test_anharmonicity_printed_coefficient_consistent_with_symbolic():
@@ -320,20 +329,39 @@ def test_anharmonicity_printed_coefficient_consistent_with_symbolic():
         est = anharmonicity_engineering(T, f, S)
         assert abs(est.ratio_printed_to_symbolic - 1.0) < 5e-3
         assert est.percent_symbolic == pytest.approx(
-            300.0 * nonlinear_time_constant(S * 1e-12, T) * 2e9 * math.pi * f, rel=1e-12
+            300.0 * nonlinear_time_constant(S * 1e-12, T) * 2e9 * math.pi * f, rel=1e-12, abs=0.0
         )
 
 
 def test_photon_number_limit_published_values():
-    assert photon_number_limit(1.0, 1.0) == pytest.approx(41.7, rel=1e-12)
-    assert photon_number_limit(1.0, 4.0) == pytest.approx(10.425, rel=1e-12)
-    assert photon_number_limit_derived(1.0, 4.0) == pytest.approx(10.42, rel=1e-3)
-    assert photon_number_limit(2.0, 1.0) == pytest.approx(2.0 * photon_number_limit(1.0, 1.0))
+    assert photon_number_limit(1.0, 1.0) == pytest.approx(41.7, rel=1e-12, abs=0.0)
+    assert photon_number_limit(1.0, 4.0) == pytest.approx(10.425, rel=1e-12, abs=0.0)
+    assert photon_number_limit_derived(1.0, 4.0) == pytest.approx(10.42, rel=1e-3, abs=0.0)
+    assert photon_number_limit(2.0, 1.0) == pytest.approx(
+        2.0 * photon_number_limit(1.0, 1.0), rel=1e-6, abs=0.0
+    )
+
+
+def test_engineering_estimates_reject_non_finite_and_nonpositive_inputs():
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveTemperature):
+            anharmonicity_engineering(bad, 4.0, 100.0)
+        with pytest.raises(ValueError):
+            anharmonicity_engineering(1.0, bad, 100.0)
+        with pytest.raises(ValueError):
+            anharmonicity_engineering(1.0, 4.0, bad)
+        for limit in (photon_number_limit, photon_number_limit_derived):
+            with pytest.raises(NonPositiveTemperature):
+                limit(bad, 1.0)
+            with pytest.raises(ValueError):
+                limit(1.0, bad)
+        with pytest.raises(ValueError):
+            resonant_inductance(CapacitorDesign(area_S=AREA, dielectric_thickness_t=7e-9), 1.0, bad)
 
 
 def test_photon_number_limit_derived_matches_printed_coefficient():
     # 2 k_B/(h * 1 GHz) = 41.67, the published 41.7 rounds it to 3 digits
     assert photon_number_limit_derived(1.0, 1.0) == pytest.approx(
-        2.0 * KB / (CONSTANTS.h * 1e9), rel=1e-14
+        2.0 * KB / (CONSTANTS.h * 1e9), rel=1e-14, abs=0.0
     )
-    assert photon_number_limit_derived(1.0, 1.0) == pytest.approx(41.7, rel=1e-3)
+    assert photon_number_limit_derived(1.0, 1.0) == pytest.approx(41.7, rel=1e-3, abs=0.0)
