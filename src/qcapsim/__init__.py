@@ -27,7 +27,6 @@ from .circulator import (
     CirculatorConfig,
     Frame,
     SweepResult,
-    complex_solve,
     config_from_engineering_dict,
     coupling_matrix,
     langevin_matrix,
@@ -66,7 +65,6 @@ from .oscillator import (
     fock_diagonalize,
     hamiltonian_coefficients,
     hamiltonian_matrix,
-    nonlinear_tau,
     nonlinear_time_constant,
     photon_amplitude,
     photon_number_limit,

@@ -39,7 +39,6 @@ class CapacitorDesign:
     area_S: float                      # m^2
     dielectric_thickness_t: float      # m
     relative_permittivity: float = 4.0
-    v_F: float = CONSTANTS.v_F_default  # m/s
 
     def __post_init__(self):
         require_positive(self.area_S, "area_S", NonPositiveArea)
@@ -47,7 +46,6 @@ class CapacitorDesign:
         epsr = self.relative_permittivity
         if not (epsr >= 1.0 and math.isfinite(epsr)):  # also rejects NaN
             raise ValueError(f"relative_permittivity must be finite and >= 1, got {epsr}")
-        require_positive(self.v_F, "v_F")
 
 
 @dataclass(frozen=True)
@@ -90,29 +88,32 @@ class DesignReport:
 # (the naive form dies near |x| ~ 710).
 
 def ln_2_plus_2cosh(x):
-    """Stable elementwise ln[2(1 + cosh x)]; scalar in, scalar out."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        ax = abs(float(arr))
-        return ax + 2.0 * math.log1p(math.exp(-ax))
-    ax = np.abs(arr)
+    """Stable elementwise ln[2(1 + cosh x)]; one numpy path for scalars and
+    arrays, so a point gives the same bits alone or inside a sweep."""
+    ax = np.abs(np.asarray(x, dtype=np.float64))
     return ax + 2.0 * np.log1p(np.exp(-ax))
 
 
 # --- capacitances -----------------------------------------------------------
 
-def _cq_prefactor(T: float, v_F: float) -> float:
-    """2 e^2 k_B T / (pi (hbar v_F)^2), the finite-T capacitance scale."""
-    return (
+def _cq_prefactor(T: float) -> float:
+    """2 e^2 k_B T / (pi (hbar v_F)^2), the finite-T capacitance scale.
+
+    Raises :class:`ValueError` when the scale is not a finite, normal float
+    (T so small that it underflows, and every capacitance would read 0).
+    """
+    scale = (
         2.0 * CONSTANTS.e**2 * CONSTANTS.k_B * T
-        / (math.pi * (CONSTANTS.hbar * v_F) ** 2)
+        / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
     )
+    require_positive(scale, "capacitance scale 2 e^2 k_B T / pi (hbar v_F)^2")
+    return scale
 
 
-def _cq_areal(T: float, V, v_F: float):
+def _cq_areal(T: float, V):
     """Quantum capacitance per unit area; V may be a scalar or array."""
     x = CONSTANTS.e * np.asarray(V, dtype=np.float64) / (2.0 * CONSTANTS.k_B * T)
-    return _cq_prefactor(T, v_F) * ln_2_plus_2cosh(x)
+    return _cq_prefactor(T) * ln_2_plus_2cosh(x)
 
 
 def quantum_capacitance(design: CapacitorDesign, op: OperatingPoint) -> float:
@@ -122,14 +123,14 @@ def quantum_capacitance(design: CapacitorDesign, op: OperatingPoint) -> float:
     bias and linearly with |V| at large bias.
     """
     require_positive_temperature(op.temperature_T)
-    return float(_cq_areal(op.temperature_T, op.voltage_V, design.v_F))
+    return float(_cq_areal(op.temperature_T, op.voltage_V))
 
 
 def quantum_capacitance_T0(design: CapacitorDesign, voltage: float):
     """Zero-temperature limit e^3 |V| / pi (hbar v_F)^2 of the quantum
     capacitance per unit area.  Piecewise linear, vanishing at V = 0."""
     V = np.asarray(voltage, dtype=np.float64)
-    out = CONSTANTS.e**3 * np.abs(V) / (math.pi * (CONSTANTS.hbar * design.v_F) ** 2)
+    out = CONSTANTS.e**3 * np.abs(V) / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -152,7 +153,7 @@ def linear_capacitance_C0(design: CapacitorDesign, T: float) -> float:
     """Low-voltage linear capacitance 2 e^2 k_B T ln(16) / pi (hbar v_F)^2
     per unit area (F/m^2); linear in T."""
     require_positive_temperature(T)
-    return _cq_prefactor(T, design.v_F) * math.log(16.0)
+    return _cq_prefactor(T) * math.log(16.0)
 
 
 # --- zero-temperature charge and energy ------------------------------------
@@ -165,7 +166,7 @@ def charge_energy_T0(design: CapacitorDesign, voltage: float) -> tuple[float, fl
     finite-T path: both are non-analytic at V = 0 and must not be expanded
     around it.
     """
-    denom = math.pi * (CONSTANTS.hbar * design.v_F) ** 2
+    denom = math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2
     q = CONSTANTS.e**3 * abs(voltage) * voltage / (2.0 * denom)
     u = CONSTANTS.e**3 * abs(voltage) ** 3 / (6.0 * denom)
     return q, u
@@ -183,7 +184,7 @@ def charge_series(design: CapacitorDesign, op: OperatingPoint) -> float:
     require_positive_temperature(op.temperature_T)
     kT = CONSTANTS.k_B * op.temperature_T
     V = op.voltage_V
-    pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * design.v_F) ** 2)
+    pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
     n_density = pref * (math.log(2.0) * V + CONSTANTS.e**2 * V**3 / (96.0 * kT**2))
     return CONSTANTS.e * n_density
 
@@ -192,7 +193,7 @@ def charge_series_cubic_coefficient(design: CapacitorDesign, T: float) -> float:
     """d^3N/dV^3 / 6 of the expansion behind :func:`charge_series` (1/(m^2 V^3))."""
     require_positive_temperature(T)
     kT = CONSTANTS.k_B * T
-    pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * design.v_F) ** 2)
+    pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
     return pref * CONSTANTS.e**2 / (96.0 * kT**2)
 
 
@@ -207,7 +208,7 @@ def energy_series(design: CapacitorDesign, T: float, n_density: float) -> float:
     """
     require_positive_temperature(T)
     kT = CONSTANTS.k_B * T
-    hv = CONSTANTS.hbar * design.v_F
+    hv = CONSTANTS.hbar * CONSTANTS.v_F_default
     ln16 = math.log(16.0)
     quadratic = n_density**2 / ln16
     quartic = (math.pi**2 / 4.0) * (hv / (ln16 * kT)) ** 4 * n_density**4
@@ -264,7 +265,7 @@ def charge_numeric(design: CapacitorDesign, op: OperatingPoint) -> float:
     T, V = op.temperature_T, op.voltage_V
     kT = CONSTANTS.k_B * T
     X = CONSTANTS.e * abs(V) / (2.0 * kT)
-    q = _cq_prefactor(T, design.v_F) * (2.0 * kT / CONSTANTS.e) * _charge_integral(X)
+    q = _cq_prefactor(T) * (2.0 * kT / CONSTANTS.e) * _charge_integral(X)
     return math.copysign(q, V)
 
 
@@ -346,7 +347,7 @@ def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSwe
             cq = np.asarray(quantum_capacitance_T0(design, V))
         else:
             require_positive_temperature(T)
-            cq = np.asarray(_cq_areal(T, V, design.v_F))
+            cq = np.asarray(_cq_areal(T, V))
         cs = cg * cq / (cg + cq)
         t_col.append(np.full_like(V, float(T)))
         v_col.append(V)

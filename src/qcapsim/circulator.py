@@ -36,8 +36,6 @@ from .constants import ghz_to_rad_per_s, pi_units_to_rad, require_positive
 from .errors import ConfigError
 from .linalg import solve_complex
 
-SOLVE_RESIDUAL_TOL = 1e-10
-
 SWEEP_CSV_HEADER = (
     "delta_rad_s",
     "ratio_13_31",
@@ -176,11 +174,6 @@ def langevin_matrix(config: CirculatorConfig) -> np.ndarray:
     return -1j * h - np.diag(np.asarray(config.kappa, dtype=np.float64)) / 2.0
 
 
-def complex_solve(matrix, rhs) -> np.ndarray:
-    """Partial-pivoted complex solve with the 1e-10 residual contract."""
-    return solve_complex(matrix, rhs, residual_tol=SOLVE_RESIDUAL_TOL)
-
-
 def scattering_matrix(config: CirculatorConfig, delta) -> np.ndarray:
     """Scattering matrix S(delta) = I - K (-i delta I - M)^(-1) K.
 
@@ -194,7 +187,7 @@ def scattering_matrix(config: CirculatorConfig, delta) -> np.ndarray:
     m = langevin_matrix(config)
     k = np.diag(np.sqrt(np.asarray(config.kappa, dtype=np.float64)))
     a = -1j * deltas[..., None, None] * np.eye(3) - m
-    x = complex_solve(a, np.broadcast_to(k.astype(np.complex128), a.shape))
+    x = solve_complex(a, np.broadcast_to(k.astype(np.complex128), a.shape))
     return np.eye(3) - k @ x
 
 
@@ -238,12 +231,14 @@ def sweep(
 
     All points are solved as one stack; :class:`SingularSystem` is raised
     when any point hits a zero pivot or a relative solve residual above
-    ``SOLVE_RESIDUAL_TOL``.  Returns the full complex matrices along with
-    the 1 -> 3 / 3 -> 1 asymmetry ratio and the insertion loss of the
+    ``linalg.SOLVE_RESIDUAL_TOL``.  Returns the full complex matrices along
+    with the 1 -> 3 / 3 -> 1 asymmetry ratio and the insertion loss of the
     forward path.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
+    if not (math.isfinite(delta_min) and math.isfinite(delta_max)):
+        raise ValueError(f"detunings out of range: [{delta_min}, {delta_max}] rad/s must be finite")
     deltas = np.linspace(delta_min, delta_max, n_points)
     s_out = scattering_matrix(config, deltas)
     s13 = np.abs(s_out[:, 2, 0])

@@ -113,8 +113,12 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _config_float(key: str, value) -> float:
-    """A config-file number as a float; nan and +-inf raise ConfigError (exit 2)."""
-    number = float(value)
+    """A config-file number as a float; non-numbers, nan and +-inf raise
+    ConfigError (exit 2)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
     if not math.isfinite(number):
         raise ConfigError(f"config key '{key}' must be a finite number, got {value}")
     return number
@@ -322,6 +326,45 @@ def _cmd_circulator(args) -> int:
 
 
 VERIFY_HEADER = ("id", "description", "printed", "computed", "rel_dev_vs_printed", "status", "note")
+VERIFY_REQUIRED = {"id", "description", "printed", "rel_tol"}
+VERIFY_KEYS = VERIFY_REQUIRED | {"expect", "consistent_with", "note"}
+
+
+def _verify_checks(name: str, doc: dict) -> list[dict]:
+    """The verify table's checks with their numbers as finite floats.
+
+    ``printed`` must be non-zero (deviations are relative to it), ``rel_tol``
+    >= 0, and a ``"flag"`` check needs ``consistent_with``; missing or unknown
+    keys and any other shape raise ConfigError naming the file.
+    """
+    checks = doc["checks"]
+    if not (isinstance(checks, list) and all(isinstance(c, dict) for c in checks)):
+        raise ConfigError(f"{name}: 'checks' must be a list of objects")
+    try:
+        for i, check in enumerate(checks):
+            missing = VERIFY_REQUIRED - set(check)
+            if missing:
+                raise ConfigError(f"check {i}: missing keys {sorted(missing)}")
+            unknown = set(check) - VERIFY_KEYS
+            if unknown:
+                raise ConfigError(f"check {i}: unknown keys {sorted(unknown)}")
+            if not all(isinstance(check.get(k, ""), str) for k in ("id", "description", "note")):
+                raise ConfigError(f"check {i}: 'id', 'description' and 'note' must be strings")
+            expect = check.setdefault("expect", "pass")
+            if expect not in ("pass", "flag"):
+                raise ConfigError(f"check {i}: 'expect' must be 'pass' or 'flag', got {expect!r}")
+            if expect == "flag" and "consistent_with" not in check:
+                raise ConfigError(f"check {i}: a 'flag' check needs 'consistent_with'")
+            for key in ("printed", "rel_tol", "consistent_with"):
+                if key in check:
+                    check[key] = _config_float(f"checks[{i}].{key}", check[key])
+            if check["printed"] == 0.0:
+                raise ConfigError(f"check {i}: 'printed' must be non-zero")
+            if check["rel_tol"] < 0.0:
+                raise ConfigError(f"check {i}: 'rel_tol' must be >= 0, got {check['rel_tol']}")
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    return checks
 
 
 def _verify_computed_values() -> dict[str, float]:
@@ -352,23 +395,22 @@ def _verify_computed_values() -> dict[str, float]:
 
 
 def _cmd_verify_paper(args) -> int:
-    doc = _load_config(args.config, {"checks"}, {"checks"})
+    checks = _verify_checks(args.config, _load_config(args.config, {"checks"}, {"checks"}))
     computed_values = _verify_computed_values()
     rows = []
     any_fail = False
-    for check in doc["checks"]:
+    for check in checks:
         cid = check["id"]
         if cid not in computed_values:
-            raise ConfigError(f"verify table references unknown check id '{cid}'")
-        printed = float(check["printed"])
-        rel_tol = float(check["rel_tol"])
-        expect = check.get("expect", "pass")
+            raise ConfigError(f"{args.config}: unknown check id {cid!r}")
+        printed = check["printed"]
+        rel_tol = check["rel_tol"]
         computed = computed_values[cid]
         rel_dev = abs(computed - printed) / abs(printed)
-        if expect == "pass":
+        if check["expect"] == "pass":
             status = "PASS" if rel_dev <= rel_tol else "FAIL"
         else:
-            guard = float(check["consistent_with"])
+            guard = check["consistent_with"]
             guard_ok = abs(computed - guard) <= rel_tol * abs(guard)
             status = "FLAG" if guard_ok else "FAIL"
         if status == "FAIL":

@@ -8,6 +8,7 @@ the boundary with the helpers below.  Constants are CODATA 2018.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NonPositiveTemperature
@@ -19,9 +20,10 @@ SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 class PhysicalConstants:
     """CODATA 2018 constants plus the graphene Fermi velocity convention.
 
-    ``v_F_default`` is fixed to c/300 exactly; it enters squared in the
-    nonlinear time constant and the coupling rates, so the convention
-    matters for every derived number.
+    ``v_F_default`` is fixed to c/300 exactly and is the one Fermi velocity
+    every formula reads; it enters squared in the nonlinear time constant
+    and the coupling rates, so the convention matters for every derived
+    number.
     """
 
     e: float = 1.602176634e-19        # elementary charge, C (exact)
@@ -43,16 +45,11 @@ CONSTANTS = PhysicalConstants()
 TWO_PI = 2.0 * math.pi
 
 
-# --- engineering-unit conversions (each pair is an exact inverse) ---------
+# --- engineering-unit conversions (only the directions the CLI uses) ------
 
 def ghz_to_rad_per_s(f_ghz):
     """Frequency in GHz -> angular frequency in rad/s."""
     return TWO_PI * 1e9 * f_ghz
-
-
-def rad_per_s_to_ghz(omega):
-    """Angular frequency in rad/s -> frequency in GHz."""
-    return omega / (TWO_PI * 1e9)
 
 
 def um2_to_m2(area_um2):
@@ -60,19 +57,9 @@ def um2_to_m2(area_um2):
     return area_um2 * 1e-12
 
 
-def m2_to_um2(area_m2):
-    """Area in m^2 -> um^2."""
-    return area_m2 * 1e12
-
-
 def nm_to_m(t_nm):
     """Length in nm -> m."""
     return t_nm * 1e-9
-
-
-def m_to_nm(t_m):
-    """Length in m -> nm."""
-    return t_m * 1e9
 
 
 def f_per_m2_to_ff_per_um2(c_areal):
@@ -80,29 +67,9 @@ def f_per_m2_to_ff_per_um2(c_areal):
     return c_areal * 1e3
 
 
-def ff_per_um2_to_f_per_m2(c_areal_ff):
-    """Areal capacitance in fF/um^2 -> F/m^2."""
-    return c_areal_ff * 1e-3
-
-
 def farad_to_femtofarad(c):
     """Capacitance in F -> fF."""
     return c * 1e15
-
-
-def femtofarad_to_farad(c_ff):
-    """Capacitance in fF -> F."""
-    return c_ff * 1e-15
-
-
-def fraction_to_percent(x):
-    """Dimensionless fraction -> percent."""
-    return x * 100.0
-
-
-def percent_to_fraction(x_pct):
-    """Percent -> dimensionless fraction."""
-    return x_pct / 100.0
 
 
 def pi_units_to_rad(phi_over_pi):
@@ -110,24 +77,20 @@ def pi_units_to_rad(phi_over_pi):
     return phi_over_pi * math.pi
 
 
-def rad_to_pi_units(phi_rad):
-    """Phase in radians -> units of pi."""
-    return phi_rad / math.pi
-
-
 # --- input checks ---------------------------------------------------------
 
 def require_positive(value: float, name: str, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` unless ``value`` is finite and > 0.
+    """Raise ``error`` unless ``value`` is a finite, normal float > 0.
 
-    ``not value > 0.0`` also rejects NaN; ``math.isfinite`` rejects +inf.
+    The chained comparison is False for NaN; subnormals are rejected because
+    the formulas built on them have already lost digits.
     """
-    if not (value > 0.0 and math.isfinite(value)):
-        raise error(f"{name} must be finite and > 0, got {value}")
+    if not (sys.float_info.min <= value <= sys.float_info.max):
+        raise error(f"{name} out of range: must be a finite, normal float > 0, got {value}")
 
 
 def require_positive_temperature(T: float) -> None:
-    """Raise :class:`NonPositiveTemperature` unless T is finite and > 0 K."""
+    """Raise :class:`NonPositiveTemperature` unless T is a finite, normal float > 0 K."""
     require_positive(T, "temperature (K)", NonPositiveTemperature)
 
 
@@ -144,7 +107,7 @@ def fermi_energy(voltage: float) -> float:
 def thermal_energy(temperature: float) -> float:
     """Thermal energy k_B*T in joules.
 
-    Raises :class:`NonPositiveTemperature` unless T is finite and > 0.
+    Raises :class:`NonPositiveTemperature` unless T is a finite, normal float > 0.
     """
     require_positive_temperature(temperature)
     return CONSTANTS.k_B * temperature

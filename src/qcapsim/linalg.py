@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import SingularSystem
 
+# largest accepted relative residual ||A x - b|| / ||b|| of a solved column
+SOLVE_RESIDUAL_TOL = 1e-10
+
 
 def symmetric_eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, ascending.
@@ -59,15 +62,14 @@ def _eliminate(a, b) -> None:
         b[:, k] /= a[:, k, k, None]
 
 
-def solve_complex(matrix, rhs, residual_tol: float | None = 1e-10) -> np.ndarray:
+def solve_complex(matrix, rhs) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` by partial-pivoted elimination.
 
     ``matrix`` is one square matrix (n, n) or a stack (..., n, n); ``rhs``
     is (..., n) or (..., n, m) with the same leading axes, and the result
     has the shape of ``rhs``.  Raises :class:`SingularSystem` on a zero
     pivot or when any system's column has a relative residual
-    ||A x - b|| / ||b|| above ``residual_tol`` or not finite (pass None to
-    skip the residual check).
+    ||A x - b|| / ||b|| above ``SOLVE_RESIDUAL_TOL`` or not finite.
     """
     a0 = np.asarray(matrix, dtype=np.complex128)
     b0 = np.asarray(rhs, dtype=np.complex128)
@@ -83,13 +85,12 @@ def solve_complex(matrix, rhs, residual_tol: float | None = 1e-10) -> np.ndarray
     a = np.array(a2, order="C", copy=True)
     x = np.array(b2, order="C", copy=True)
     _eliminate(a, x)
-    if residual_tol is not None:
-        resid = np.linalg.norm(a2 @ x - b2, axis=1)
-        scale = np.linalg.norm(b2, axis=1)
-        rel = resid / np.where(scale > 0.0, scale, 1.0)
-        if not np.all(rel <= residual_tol):
-            raise SingularSystem(
-                f"solve residual {float(np.max(rel)):.3e} exceeds {residual_tol:.1e}"
-            )
+    resid = np.linalg.norm(a2 @ x - b2, axis=1)
+    scale = np.linalg.norm(b2, axis=1)
+    rel = resid / np.where(scale > 0.0, scale, 1.0)
+    if not np.all(rel <= SOLVE_RESIDUAL_TOL):
+        raise SingularSystem(
+            f"solve residual {float(np.max(rel)):.3e} exceeds {SOLVE_RESIDUAL_TOL:.1e}"
+        )
     x = x.reshape(b1.shape)
     return x[..., 0] if vector_rhs else x

@@ -112,13 +112,16 @@ def classify_interaction(
     higher), parametric when |2*Omega - (w1 + w2)| <= tolerance,
     otherwise off-resonant (reported with the smaller residual so RWA
     validity can be judged).  Raises :class:`AmbiguousResonance` if both
-    conditions match, which requires min(w1, w2) <= tolerance.
+    conditions match, which requires min(w1, w2) <= tolerance, and
+    :class:`ValueError` if G is not finite (G = 0 is valid).
     """
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     d_hop = abs(2.0 * pump.Omega - abs(omega_1 - omega_2))
     d_par = abs(2.0 * pump.Omega - (omega_1 + omega_2))
     strength = 3.0 * gamma_nml(tau, pump.Omega, omega_1, omega_2) * pump.amplitude_abs**2
+    if not math.isfinite(strength):
+        raise ValueError(f"interaction rate G out of range: {strength} rad/s is not finite")
     hop = d_hop <= tolerance
     par = d_par <= tolerance
     if hop and par:
@@ -170,11 +173,11 @@ def single_photon_rate_engineering(
     """
     for name, value in (("T", T), ("f", f), ("f1", f1), ("f2", f2), ("S", S)):
         require_positive(value, name)
+    tau = nonlinear_time_constant(S * 1e-12, T)  # first: it checks the range of S and T
     printed = (
         2.0 * math.pi * SINGLE_PHOTON_RATE_COEFF_PRINTED
         * f * math.sqrt(f1 * f2) / (S * T**3) * 1e9
     )
-    tau = nonlinear_time_constant(S * 1e-12, T)
     symbolic = 3.0 * gamma_nml(
         tau, 2.0 * math.pi * f * 1e9, 2.0 * math.pi * f1 * 1e9, 2.0 * math.pi * f2 * 1e9
     )
@@ -185,14 +188,14 @@ def single_photon_rate_engineering(
     )
 
 
-def quantum_rc_time(S: float, E_F: float, v_F: float = CONSTANTS.v_F_default) -> float:
+def quantum_rc_time(S: float, E_F: float) -> float:
     """Quantum charging time S |E_F| / (hbar v_F^2) of the capacitor (s).
 
     Equals S * C_Q(T -> 0) / sigma_Q with the quantum conductance
     sigma_Q = 2 e^2 / pi hbar; vanishes at zero bias.
     """
     require_positive(S, "area (m^2)", NonPositiveArea)
-    return S * abs(E_F) / (CONSTANTS.hbar * v_F**2)
+    return S * abs(E_F) / (CONSTANTS.hbar * CONSTANTS.v_F_default**2)
 
 
 def quantum_conductance() -> float:

@@ -41,6 +41,7 @@ STRONG_ANHARMONICITY_THRESHOLD = 1.0 / 12.0
 
 CONVERGENCE_CUTOFF_STEP = 20
 CONVERGENCE_RTOL = 1e-9
+SUGGESTED_CUTOFF_MAX = 80
 
 
 @dataclass(frozen=True)
@@ -103,39 +104,50 @@ class AnharmonicityEstimate:
 
 # --- photon amplitude and nonlinear time constant ---------------------------
 
-def photon_amplitude(spec: OscillatorSpec, v_F: float = CONSTANTS.v_F_default):
+def photon_amplitude(spec: OscillatorSpec):
     """Single-photon number-density fluctuation scale of the mode.
 
     Returns (chi, psi) with chi = sqrt(k_B T ln16 / 2 pi S hbar v_F^2)
     in (1/m^2) sqrt(s) and psi = chi*sqrt(omega) in 1/m^2.
     """
-    chi = math.sqrt(
-        CONSTANTS.k_B * spec.temperature_T * math.log(16.0)
-        / (2.0 * math.pi * spec.area_S * CONSTANTS.hbar * v_F**2)
-    )
+    den = 2.0 * math.pi * spec.area_S * CONSTANTS.hbar * CONSTANTS.v_F_default**2
+    require_positive(den, "2 pi S hbar v_F^2")
+    chi = math.sqrt(CONSTANTS.k_B * spec.temperature_T * math.log(16.0) / den)
+    require_positive(chi, "photon amplitude chi")
     return chi, chi * math.sqrt(spec.omega)
 
 
-def nonlinear_time_constant(
-    area_S: float, temperature_T: float, v_F: float = CONSTANTS.v_F_default
-) -> float:
+def nonlinear_time_constant(area_S: float, temperature_T: float) -> float:
     """Nonlinear time constant tau = pi hbar^3 v_F^2 / 8 ln^2(16) S (k_B T)^3.
 
     Also evaluates the equivalent chi-based form
     pi^3 S hbar^5 v_F^6 chi^4 / 2 ln^4(16) (k_B T)^5 and insists the two
-    agree to 1e-10 relative, as a transcription guard.
+    agree to 1e-10 relative, as a transcription guard.  Raises
+    :class:`ValueError` when tau or any intermediate of either form is not
+    a finite, normal float > 0, since both forms would then have lost
+    digits.
     """
     require_positive(area_S, "area_S", NonPositiveArea)
     require_positive_temperature(temperature_T)
     kT = CONSTANTS.k_B * temperature_T
     ln16 = math.log(16.0)
-    closed = math.pi * CONSTANTS.hbar**3 * v_F**2 / (8.0 * ln16**2 * area_S * kT**3)
-    chi_sq = kT * ln16 / (2.0 * math.pi * area_S * CONSTANTS.hbar * v_F**2)
-    via_chi = (
-        math.pi**3 * area_S * CONSTANTS.hbar**5 * v_F**6 * chi_sq**2
-        / (2.0 * ln16**4 * kT**5)
-    )
-    if abs(closed - via_chi) > 1e-10 * abs(closed):
+    v_F = CONSTANTS.v_F_default
+    try:  # float ** raises on overflow, and / on an underflowed divisor
+        kT3, kT5 = kT**3, kT**5
+        chi_sq = kT * ln16 / (2.0 * math.pi * area_S * CONSTANTS.hbar * v_F**2)
+        chi4 = chi_sq**2
+    except (OverflowError, ZeroDivisionError):
+        kT3 = kT5 = chi4 = math.inf
+    den_closed = 8.0 * ln16**2 * area_S * kT3
+    # S enters the chi form after the constants, so no partial product of
+    # it leaves the normal range unless chi^4 itself does
+    num_chi = math.pi**3 * CONSTANTS.hbar**5 * v_F**6 * area_S * chi4
+    den_chi = 2.0 * ln16**4 * kT5
+    for value in (kT3, kT5, chi4, den_closed, num_chi, den_chi):
+        require_positive(value, "an intermediate of the nonlinear time constant")
+    closed = math.pi * CONSTANTS.hbar**3 * v_F**2 / den_closed
+    require_positive(closed, "nonlinear time constant (s)")
+    if abs(closed - num_chi / den_chi) > 1e-10 * abs(closed):
         raise ArithmeticError(
             "the two closed forms of the nonlinear time constant disagree; "
             "constants or formulas were mistranscribed"
@@ -143,17 +155,19 @@ def nonlinear_time_constant(
     return closed
 
 
-def nonlinear_tau(spec: OscillatorSpec, v_F: float = CONSTANTS.v_F_default) -> float:
-    """Nonlinear time constant for the spec's area and temperature (s)."""
-    return nonlinear_time_constant(spec.area_S, spec.temperature_T, v_F)
-
-
 def resonant_inductance(design: CapacitorDesign, T: float, omega: float) -> float:
     """Tank inductance L = 1/(omega^2 S C_0) that resonates the linear
     capacitance at ``omega`` (henry)."""
     require_positive(omega, "omega")
     c0_total = design.area_S * linear_capacitance_C0(design, T)
-    return 1.0 / (omega**2 * c0_total)
+    try:
+        den = omega**2 * c0_total
+    except OverflowError:
+        den = math.inf
+    require_positive(den, "omega^2 S C_0")
+    inductance = 1.0 / den
+    require_positive(inductance, "tank inductance (H)")
+    return inductance
 
 
 def hamiltonian_coefficients(spec: OscillatorSpec) -> tuple[float, float]:
@@ -196,7 +210,7 @@ def hamiltonian_matrix(spec: OscillatorSpec, cutoff: int | None = None) -> np.nd
     return h
 
 
-def suggested_fock_cutoff(tau_omega: float, cap: int = 80) -> int:
+def suggested_fock_cutoff(tau_omega: float) -> int:
     """Largest truncation whose +20 stability check can still pass.
 
     The softening quartic is unbounded below, so past roughly
@@ -204,13 +218,13 @@ def suggested_fock_cutoff(tau_omega: float, cap: int = 80) -> int:
     physical ground state and the low spectrum collapses with cutoff.
     This returns the largest cutoff keeping tau*omega * (cutoff+20)^2
     below 12 (a safety margin against that collapse), clamped to
-    [10, cap].  For strongly nonlinear modes even the minimum cutoff may
-    not converge; :func:`fock_diagonalize` then raises.
+    [10, SUGGESTED_CUTOFF_MAX].  For strongly nonlinear modes even the
+    minimum cutoff may not converge; :func:`fock_diagonalize` then raises.
     """
     if tau_omega <= 0.0:
-        return cap
+        return SUGGESTED_CUTOFF_MAX
     safe = int(math.floor(math.sqrt(12.0 / tau_omega))) - CONVERGENCE_CUTOFF_STEP
-    return max(10, min(cap, safe))
+    return max(10, min(SUGGESTED_CUTOFF_MAX, safe))
 
 
 def _parity_block_eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -277,8 +291,8 @@ def anharmonicity_engineering(T: float, f: float, S: float) -> AnharmonicityEsti
     require_positive_temperature(T)
     require_positive(f, "frequency (GHz)")
     require_positive(S, "area (um^2)")
+    tau = nonlinear_time_constant(um2_to_m2(S), T)  # first: it checks the range of S and T
     printed = ANHARMONICITY_COEFF_PRINTED * f / (S * T**3)
-    tau = nonlinear_time_constant(um2_to_m2(S), T)
     symbolic = 3.0 * tau * ghz_to_rad_per_s(f) * 100.0
     return AnharmonicityEstimate(
         percent_printed=printed,
@@ -303,4 +317,8 @@ def photon_number_limit_derived(T: float, f: float) -> float:
     """n_max = 2 k_B T / (h f) re-derived from constants (T in K, f in GHz)."""
     require_positive_temperature(T)
     require_positive(f, "frequency (GHz)")
-    return 2.0 * CONSTANTS.k_B * T / (CONSTANTS.h * f * 1e9)
+    hf = CONSTANTS.h * f * 1e9
+    require_positive(hf, "photon energy h f (J)")
+    n_max = 2.0 * CONSTANTS.k_B * T / hf
+    require_positive(n_max, "derived photon-number limit")
+    return n_max

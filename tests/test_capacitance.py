@@ -46,10 +46,10 @@ def test_ln_2_plus_2cosh_survives_huge_arguments():
 
 
 def test_ln_2_plus_2cosh_scalar_and_array_agree():
-    xs = np.array([-3.0, 0.0, 0.7, 12.0])
+    xs = np.concatenate(([-3.0, 0.0, 0.7, 12.0], np.linspace(-40.0, 40.0, 8001)))
     arr = ln_2_plus_2cosh(xs)
-    for i, x in enumerate(xs):
-        assert arr[i] == ln_2_plus_2cosh(float(x))
+    scalars = np.array([ln_2_plus_2cosh(float(x)) for x in xs])
+    assert np.array_equal(arr, scalars)
 
 
 # --- quantum capacitance -----------------------------------------------------
@@ -146,12 +146,11 @@ def test_nonpositive_thickness_rejected():
         ("area_S", NonPositiveArea),
         ("dielectric_thickness_t", NonPositiveThickness),
         ("relative_permittivity", ValueError),
-        ("v_F", ValueError),
     ],
 )
 def test_non_finite_design_rejected(field, error, value):
     fields = {"area_S": 1e-10, "dielectric_thickness_t": 7e-9,
-              "relative_permittivity": 4.0, "v_F": VF, field: value}
+              "relative_permittivity": 4.0, field: value}
     with pytest.raises(error):
         CapacitorDesign(**fields)
 
@@ -445,6 +444,14 @@ def test_sweep_zero_temperature_branch_matches_explicit_form():
     assert np.allclose(result.CQ_areal, expected, rtol=1e-14, atol=0)
 
 
+def test_sweep_matches_pointwise_quantum_capacitance():
+    # a cell of the sweep carries the same bits as the scalar evaluation
+    volts = np.random.default_rng(1010).uniform(-5e-3, 5e-3, size=5000)
+    result = capacitance_sweep(DESIGN, [1.0], volts)
+    pointwise = [quantum_capacitance(DESIGN, OperatingPoint(1.0, float(v))) for v in volts]
+    assert np.array_equal(result.CQ_areal, np.array(pointwise))
+
+
 def test_sweep_large_bias_plateau():
     grid = np.array([-2.0, 2.0])
     result = capacitance_sweep(DESIGN, [1.0], grid)
@@ -470,6 +477,16 @@ def test_sweep_header_and_engineering_rows():
 def test_sweep_rejects_negative_temperature():
     with pytest.raises(NonPositiveTemperature):
         capacitance_sweep(DESIGN, [-1.0], np.array([0.0]))
+
+
+def test_underflowing_capacitance_scale_rejected():
+    # at T = 1e-300 K the prefactor underflows and every C_Q would read 0
+    with pytest.raises(ValueError, match="out of range"):
+        quantum_capacitance(DESIGN, OperatingPoint(1e-300, 0.01))
+    with pytest.raises(ValueError, match="out of range"):
+        linear_capacitance_C0(DESIGN, 1e-300)
+    with pytest.raises(ValueError, match="out of range"):
+        capacitance_sweep(DESIGN, [1e-300], np.array([0.0, 0.01]))
 
 
 # --- randomized parity/monotonicity properties -----------------------------------

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qcapsim import circulator
 from qcapsim.circulator import (
     SWEEP_CSV_HEADER,
     CirculatorConfig,
     Frame,
-    complex_solve,
     config_from_engineering_dict,
     coupling_matrix,
     langevin_matrix,
@@ -15,7 +15,8 @@ from qcapsim.circulator import (
     scattering_matrix,
     sweep,
 )
-from qcapsim.errors import ConfigError, SingularSystem
+from qcapsim.errors import ConfigError
+from qcapsim.linalg import solve_complex
 
 TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e9
@@ -259,16 +260,6 @@ def test_scattering_solve_residual_contract():
         assert np.max(resid) < 1e-10
 
 
-def test_complex_solve_examples():
-    b = np.array([1.0 + 1.0j, 2.0, 3.0 - 1.0j])
-    assert np.allclose(complex_solve(np.eye(3, dtype=complex), b), b, atol=1e-15)
-    a = np.diag([2.0, 4.0j, -1.0]).astype(complex)
-    x = complex_solve(a, b)
-    assert np.allclose(x, np.array([b[0] / 2.0, -0.25j * b[1], -b[2]]), rtol=1e-14)
-    with pytest.raises(SingularSystem):
-        complex_solve(np.zeros((3, 3), dtype=complex), b)
-
-
 def test_lab_frame_resonances():
     config = CirculatorConfig(
         omega=(1.0 * GHZ, 2.0 * GHZ, 3.0 * GHZ),
@@ -293,6 +284,24 @@ def test_sweep_output_shapes_and_rows():
     assert rows[0][0] == pytest.approx(-1 * GHZ, rel=1e-12, abs=0.0)
     il = -10.0 * math.log10(rows[0][3] ** 2 + rows[0][4] ** 2)
     assert il == pytest.approx(rows[0][2], rel=1e-9, abs=0.0)
+
+
+def test_sweep_solves_one_stack(monkeypatch):
+    # one solve per sweep, looked up on the circulator module at call time
+    calls = []
+
+    def counting_solve(matrix, rhs):
+        calls.append(np.shape(matrix))
+        return solve_complex(matrix, rhs)
+
+    monkeypatch.setattr(circulator, "solve_complex", counting_solve)
+    sweep(paper_config(math.pi / 2), -GHZ, GHZ, 57)
+    assert calls == [(57, 3, 3)]
+
+
+def test_sweep_rejects_non_finite_detuning_range():
+    with pytest.raises(ValueError, match="out of range"):
+        sweep(paper_config(0.0), -GHZ, math.inf, 11)
 
 
 def test_sweep_rejects_tiny_grid():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,49 @@ def test_capacitance_grid_shape_rejected(key, value, flags, tmp_path):
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert "config error" in result.stderr
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "index,key,value,needle",
+    [
+        (0, "id", DROP, "missing"),
+        (0, "description", DROP, "missing"),
+        (0, "printed", DROP, "missing"),
+        (0, "rel_tol", DROP, "missing"),
+        (None, "checks", 5, "list of objects"),
+        (None, "checks", [3], "list of objects"),
+        (0, "printed", 0, "non-zero"),
+        (0, "printed", float("nan"), "finite"),
+        (0, "printed", "many", "finite"),
+        (0, "rel_tol", float("inf"), "finite"),
+        (0, "rel_tol", -0.1, ">= 0"),
+        (7, "consistent_with", float("nan"), "finite"),
+        (7, "consistent_with", DROP, "consistent_with"),
+        (0, "expect", "maybe", "expect"),
+        (0, "id", ["cg_areal"], "strings"),
+        (0, "bogus", 1, "unknown keys"),
+        (0, "id", "no_such_check", "unknown check id"),
+    ],
+    ids=lambda v: "drop" if v is DROP else None,
+)
+def test_malformed_verify_table_rejected(index, key, value, needle, tmp_path, capsys):
+    doc = json.loads(
+        resources.files("qcapsim").joinpath("configs", "paper_table_numbers.json").read_text()
+    )
+    target = doc if index is None else doc["checks"][index]
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    config = tmp_path / "table.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify-paper", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and str(config) in err and needle in err
 
 
 # --- determinism and file output ------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,14 +33,39 @@ def test_all_constants_positive():
         assert getattr(CONSTANTS, name) > 0.0
 
 
+# Reference inverses, written out here: the library converts in one
+# direction only, so a round trip through these pins each forward factor.
+def rad_per_s_to_ghz(omega):
+    return omega / (2.0 * math.pi * 1e9)
+
+
+def m2_to_um2(area_m2):
+    return area_m2 / 1e-12
+
+
+def m_to_nm(t_m):
+    return t_m / 1e-9
+
+
+def ff_per_um2_to_f_per_m2(c_areal_ff):
+    return c_areal_ff / 1e3
+
+
+def femtofarad_to_farad(c_ff):
+    return c_ff / 1e15
+
+
+def rad_to_pi_units(phi_rad):
+    return phi_rad / math.pi
+
+
 CONVERSION_PAIRS = [
-    (constants.ghz_to_rad_per_s, constants.rad_per_s_to_ghz),
-    (constants.um2_to_m2, constants.m2_to_um2),
-    (constants.nm_to_m, constants.m_to_nm),
-    (constants.f_per_m2_to_ff_per_um2, constants.ff_per_um2_to_f_per_m2),
-    (constants.farad_to_femtofarad, constants.femtofarad_to_farad),
-    (constants.fraction_to_percent, constants.percent_to_fraction),
-    (constants.pi_units_to_rad, constants.rad_to_pi_units),
+    (constants.ghz_to_rad_per_s, rad_per_s_to_ghz),
+    (constants.um2_to_m2, m2_to_um2),
+    (constants.nm_to_m, m_to_nm),
+    (constants.f_per_m2_to_ff_per_um2, ff_per_um2_to_f_per_m2),
+    (constants.farad_to_femtofarad, femtofarad_to_farad),
+    (constants.pi_units_to_rad, rad_to_pi_units),
 ]
 
 
@@ -47,6 +75,18 @@ def test_conversion_round_trips(forward, back):
     for value in rng.uniform(1e-6, 1e6, size=50):
         assert back(forward(value)) == pytest.approx(value, rel=1e-12, abs=0.0)
         assert forward(back(value)) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("forward,value,expected", [
+    (constants.ghz_to_rad_per_s, 4.0, 2.5132741228718345e10),
+    (constants.um2_to_m2, 100.0, 1e-10),
+    (constants.nm_to_m, 7.0, 7e-9),
+    (constants.f_per_m2_to_ff_per_um2, 5.06e-3, 5.06),
+    (constants.farad_to_femtofarad, 5.63e-15, 5.63),
+    (constants.pi_units_to_rad, 0.5, math.pi / 2.0),
+])
+def test_conversion_forward_values(forward, value, expected):
+    assert forward(value) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_fermi_energy_zero():
@@ -76,3 +116,11 @@ def test_thermal_energy_linearity():
 def test_thermal_energy_rejects_nonpositive(T):
     with pytest.raises(NonPositiveTemperature):
         thermal_energy(T)
+
+
+def test_require_positive_accepts_only_normal_floats():
+    for good in (sys.float_info.min, 1.0, sys.float_info.max):
+        constants.require_positive(good, "x")
+    for bad in (5e-324, sys.float_info.min / 2.0, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="out of range"):
+            constants.require_positive(bad, "x")

@@ -122,6 +122,14 @@ def test_classification_mutually_exclusive_for_separated_modes():
         )
 
 
+def test_classification_rejects_non_finite_strength():
+    pump = PumpSpec(Omega=_ghz(4.0), amplitude_abs=1e150, phase_theta=0.0)
+    with pytest.raises(ValueError, match="out of range"):
+        classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU)
+    silent = PumpSpec(Omega=_ghz(4.0), amplitude_abs=0.0, phase_theta=0.0)
+    assert classify_interaction(silent, _ghz(2.0), _ghz(10.0), TAU).G == 0.0
+
+
 def test_classification_json_shape():
     pump = PumpSpec(Omega=_ghz(4.0), amplitude_abs=1.0, phase_theta=0.1)
     doc = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU).to_json_dict()
@@ -239,6 +247,11 @@ def test_single_photon_rate_rejects_bad_inputs(index, bad):
 
 
 # --- domain types ----------------------------------------------------------------------
+
+def test_single_photon_rate_rejects_out_of_range_temperature():
+    with pytest.raises(ValueError, match="out of range"):
+        single_photon_rate_engineering(1e300, 4.0, 2.0, 10.0, 100.0)
+
 
 def test_mode_set_validation():
     ModeSet(frequencies=(_ghz(1.0), _ghz(2.0)), labels=("a", "b"))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from qcapsim.oscillator import (
     fock_diagonalize,
     hamiltonian_coefficients,
     hamiltonian_matrix,
-    nonlinear_tau,
     nonlinear_time_constant,
     photon_amplitude,
     photon_number_limit,
@@ -79,8 +79,6 @@ def test_nonlinear_tau_frozen_value():
     tau = nonlinear_time_constant(AREA, 1.0)
     assert tau == pytest.approx(TAU_100UM2_1K, rel=1e-12, abs=0.0)
     assert tau == pytest.approx(2.275e-13, rel=1e-3, abs=0.0)
-    spec = OscillatorSpec(omega=OMEGA, tau=tau, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
-    assert nonlinear_tau(spec) == tau
 
 
 def test_nonlinear_tau_scalings():
@@ -357,6 +355,44 @@ def test_engineering_estimates_reject_non_finite_and_nonpositive_inputs():
                 limit(1.0, bad)
         with pytest.raises(ValueError):
             resonant_inductance(CapacitorDesign(area_S=AREA, dielectric_thickness_t=7e-9), 1.0, bad)
+
+
+def test_nonlinear_time_constant_range_is_checked_not_trapped():
+    # across the whole float range tau is either a normal float or a
+    # ValueError: no OverflowError, ZeroDivisionError or transcription-guard
+    # ArithmeticError escapes, and the guard still runs wherever tau returns
+    grid = [10.0**k for k in range(-307, 308, 7)]
+    returned = 0
+    for T in grid:
+        for S in grid:
+            try:
+                tau = nonlinear_time_constant(S, T)
+            except ValueError:
+                continue
+            assert sys.float_info.min <= tau <= sys.float_info.max
+            returned += 1
+    assert returned > 100
+
+
+@pytest.mark.parametrize("S,T", [(AREA, 1e300), (AREA, 1e-300), (1e288, 1.0), (1e-288, 1.0)])
+def test_nonlinear_time_constant_rejects_out_of_range_scales(S, T):
+    with pytest.raises(ValueError, match="out of range"):
+        nonlinear_time_constant(S, T)
+
+
+def test_scalar_formulas_reject_results_out_of_range():
+    design = CapacitorDesign(area_S=AREA, dielectric_thickness_t=7e-9)
+    with pytest.raises(ValueError, match="out of range"):
+        photon_number_limit_derived(1.0, 1e-300)
+    with pytest.raises(ValueError, match="out of range"):
+        resonant_inductance(design, 1.0, 1e-290)
+    with pytest.raises(ValueError, match="out of range"):
+        resonant_inductance(design, 1.0, 1e160)
+    with pytest.raises(ValueError, match="out of range"):
+        anharmonicity_engineering(1e300, 4.0, 100.0)
+    tiny = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=1e-300, temperature_T=1.0)
+    with pytest.raises(ValueError, match="out of range"):
+        photon_amplitude(tiny)
 
 
 def test_photon_number_limit_derived_matches_printed_coefficient():
