@@ -1,11 +1,14 @@
-"""Graphene quantum-capacitance model for a graphene/dielectric/graphene stack.
+"""Graphene quantum capacitance on voltage grids.
 
 Implements the finite-temperature differential capacitance per unit area,
 its zero-temperature limit, the series combination with the parallel-plate
-(geometric) capacitance, the low-voltage series expansions used for field
-quantization, the closed-form charge integral, and the dielectric
-thickness design rules.  All quantities are SI and per unit area unless
-noted; engineering units (fF/um^2) appear only at the emission boundary.
+(geometric) capacitance, and the (T, V) sweep.  These take scalars or whole
+numpy arrays through one path, so a point gives the same bits alone or
+inside a sweep.  The scalar formulas of the model (design, design rules,
+C_G, C_0, the charge and energy series, the closed-form charge) are in the
+numpy-free :mod:`qcapsim.capacitor` and are re-exported here.  All
+quantities are SI and per unit area unless noted; engineering units
+(fF/um^2) appear only at the emission boundary.
 """
 
 from __future__ import annotations
@@ -15,70 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    CONSTANTS,
-    f_per_m2_to_ff_per_um2,
-    require_positive,
-    require_positive_temperature,
+# re-exported so that every name this module has defined stays importable
+from .capacitor import (  # noqa: F401
+    DOMINANCE_MAX_RATIO,
+    THICKNESS_MAX,
+    THICKNESS_MIN,
+    CapacitorDesign,
+    DesignReport,
+    OperatingPoint,
+    _cq_prefactor,
+    charge_energy_T0,
+    charge_numeric,
+    charge_series,
+    charge_series_cubic_coefficient,
+    design_check,
+    energy_series,
+    geometric_capacitance,
+    linear_capacitance_C0,
 )
-from .errors import NonPositiveArea, NonPositiveTemperature, NonPositiveThickness
-
-# dielectric thickness window: thick enough to block tunneling, thin enough
-# that the quantum capacitance stays an order of magnitude below C_G
-THICKNESS_MIN = 3e-9
-THICKNESS_MAX = 70e-9
-DOMINANCE_MAX_RATIO = 0.1
+from .constants import CONSTANTS, f_per_m2_to_ff_per_um2, require_positive_temperature
 
 SWEEP_CSV_HEADER = ("T_K", "V_volt", "CQ_fF_per_um2", "Cseries_fF_per_um2")
-
-
-@dataclass(frozen=True)
-class CapacitorDesign:
-    """Geometry and material of the layered capacitor stack."""
-
-    area_S: float                      # m^2
-    dielectric_thickness_t: float      # m
-    relative_permittivity: float = 4.0
-
-    def __post_init__(self):
-        require_positive(self.area_S, "area_S", NonPositiveArea)
-        require_positive(self.dielectric_thickness_t, "dielectric_thickness_t", NonPositiveThickness)
-        epsr = self.relative_permittivity
-        if not (epsr >= 1.0 and math.isfinite(epsr)):  # also rejects NaN
-            raise ValueError(f"relative_permittivity must be finite and >= 1, got {epsr}")
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Temperature and voltage at which the model is evaluated.
-
-    Finite-temperature operations require T > 0 and raise
-    :class:`NonPositiveTemperature` otherwise; the voltage is unrestricted
-    in sign.  Both must be finite, and T must be >= 0.
-    """
-
-    temperature_T: float  # K
-    voltage_V: float      # V
-
-    def __post_init__(self):
-        # `not x >= 0.0` also rejects NaN; isfinite rejects +inf
-        T = self.temperature_T
-        if not (T >= 0.0 and math.isfinite(T)):
-            raise NonPositiveTemperature(f"temperature_T must be finite and >= 0, got {T}")
-        if not math.isfinite(self.voltage_V):
-            raise ValueError(f"voltage_V must be finite, got {self.voltage_V}")
-
-
-@dataclass(frozen=True)
-class DesignReport:
-    """Outcome of the dielectric-thickness design rules."""
-
-    C_G_areal: float        # F/m^2
-    C_0_areal: float        # F/m^2
-    dominance_ratio: float  # C_0 / C_G
-    thickness_ok: bool
-    dominance_ok: bool
-    messages: tuple[str, ...]
 
 
 # --- numerically stable ln[2(1 + cosh x)] ----------------------------------
@@ -95,20 +55,6 @@ def ln_2_plus_2cosh(x):
 
 
 # --- capacitances -----------------------------------------------------------
-
-def _cq_prefactor(T: float) -> float:
-    """2 e^2 k_B T / (pi (hbar v_F)^2), the finite-T capacitance scale.
-
-    Raises :class:`ValueError` when the scale is not a finite, normal float
-    (T so small that it underflows, and every capacitance would read 0).
-    """
-    scale = (
-        2.0 * CONSTANTS.e**2 * CONSTANTS.k_B * T
-        / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
-    )
-    require_positive(scale, "capacitance scale 2 e^2 k_B T / pi (hbar v_F)^2")
-    return scale
-
 
 def _cq_areal(T: float, V):
     """Quantum capacitance per unit area; V may be a scalar or array."""
@@ -134,13 +80,6 @@ def quantum_capacitance_T0(design: CapacitorDesign, voltage: float):
     return float(out) if out.ndim == 0 else out
 
 
-def geometric_capacitance(design: CapacitorDesign) -> float:
-    """Parallel-plate capacitance eps0 * eps_r / t per unit area (F/m^2)."""
-    if design.dielectric_thickness_t <= 0.0:
-        raise NonPositiveThickness("dielectric thickness must be > 0")
-    return CONSTANTS.epsilon_0 * design.relative_permittivity / design.dielectric_thickness_t
-
-
 def series_capacitance(design: CapacitorDesign, op: OperatingPoint) -> float:
     """Series combination C_G*C_Q/(C_G + C_Q) per unit area (F/m^2)."""
     require_positive_temperature(op.temperature_T)
@@ -149,170 +88,7 @@ def series_capacitance(design: CapacitorDesign, op: OperatingPoint) -> float:
     return cg * cq / (cg + cq)
 
 
-def linear_capacitance_C0(design: CapacitorDesign, T: float) -> float:
-    """Low-voltage linear capacitance 2 e^2 k_B T ln(16) / pi (hbar v_F)^2
-    per unit area (F/m^2); linear in T."""
-    require_positive_temperature(T)
-    return _cq_prefactor(T) * math.log(16.0)
-
-
-# --- zero-temperature charge and energy ------------------------------------
-
-def charge_energy_T0(design: CapacitorDesign, voltage: float) -> tuple[float, float]:
-    """Stored charge and energy per unit area at T = 0.
-
-    Q = e^3 |V| V / 2 pi (hbar v_F)^2 (odd in V) and
-    U = e^3 |V|^3 / 6 pi (hbar v_F)^2 (even, >= 0).  Kept separate from the
-    finite-T path: both are non-analytic at V = 0 and must not be expanded
-    around it.
-    """
-    denom = math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2
-    q = CONSTANTS.e**3 * abs(voltage) * voltage / (2.0 * denom)
-    u = CONSTANTS.e**3 * abs(voltage) ** 3 / (6.0 * denom)
-    return q, u
-
-
-# --- low-voltage series expansions ------------------------------------------
-
-def charge_series(design: CapacitorDesign, op: OperatingPoint) -> float:
-    """Cubic-order charge density e*N (C/m^2) from the low-voltage expansion.
-
-    N(V) = (4 e k_B T / pi (hbar v_F)^2) [ln(2) V + e^2 V^3 / 96 (k_B T)^2].
-    Accurate to better than 0.01% of the integrated capacitance for
-    e|V| <= 0.2 k_B T; see :func:`charge_numeric` for the oracle.
-    """
-    require_positive_temperature(op.temperature_T)
-    kT = CONSTANTS.k_B * op.temperature_T
-    V = op.voltage_V
-    pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
-    n_density = pref * (math.log(2.0) * V + CONSTANTS.e**2 * V**3 / (96.0 * kT**2))
-    return CONSTANTS.e * n_density
-
-
-def charge_series_cubic_coefficient(design: CapacitorDesign, T: float) -> float:
-    """d^3N/dV^3 / 6 of the expansion behind :func:`charge_series` (1/(m^2 V^3))."""
-    require_positive_temperature(T)
-    kT = CONSTANTS.k_B * T
-    pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
-    return pref * CONSTANTS.e**2 / (96.0 * kT**2)
-
-
-def energy_series(design: CapacitorDesign, T: float, n_density: float) -> float:
-    """Stored energy per unit area (J/m^2) as a quartic expansion in the
-    carrier number density N (1/m^2).
-
-    U(N) = (pi (hbar v_F)^2 / 2 k_B T) * [N^2/ln(16)
-           - (pi^2/4) (hbar v_F / ln(16) k_B T)^4 N^4].
-    The leading term carries the linear capacitance: d^2U/dN^2 at N = 0
-    equals 2 e^2 / C_0.
-    """
-    require_positive_temperature(T)
-    kT = CONSTANTS.k_B * T
-    hv = CONSTANTS.hbar * CONSTANTS.v_F_default
-    ln16 = math.log(16.0)
-    quadratic = n_density**2 / ln16
-    quartic = (math.pi**2 / 4.0) * (hv / (ln16 * kT)) ** 4 * n_density**4
-    return (math.pi * hv**2 / (2.0 * kT)) * (quadratic - quartic)
-
-
-# --- charge: closed-form integral of the capacitance ---------------------------
-#
-# With x = e v / 2 k_B T and X = e|V| / 2 k_B T,
-#     Q(V) = sign(V) * prefactor * (2 k_B T / e) * I(X),
-#     I(X) = int_0^X ln(2 + 2 cosh x) dx = X^2/2 + 2 [Li2(-e^-X) + pi^2/12],
-# because d/dx Li2(-e^-x) = ln(1 + e^-x) and ln(2 + 2 cosh x) = x + 2 ln(1 + e^-x).
-# Li2 on [-1, 0) goes through the Landen map Li2(z) = -Li2(w) - ln^2(1 - z)/2,
-# w = z/(z - 1) in (0, 1/2], where the power series in w converges at least
-# like 2^-k.  Below _CHARGE_TAYLOR_MAX_X the bracket cancels against the
-# linear term, so I takes its Taylor series 2 ln2 X + X^3/12 - X^5/480
-# (= X^2/2 + 2 [X ln2 - X^2/4 + X^3/24 - X^5/960]); the first dropped term,
-# X^7/10080, is 7e-17 relative at the seam and the closed form loses < 1e-13
-# there to the cancellation.
-
-_CHARGE_TAYLOR_MAX_X = 1e-2
-
-
-def _li2_series(w: float) -> float:
-    """sum_k w^k / k^2 for 0 <= w <= 1/2, to double precision."""
-    total, power = 0.0, w
-    for k in range(1, 64):  # bounded so a NaN cannot loop forever
-        term = power / (k * k)
-        total += term
-        if term <= 1e-17 * total:
-            break
-        power *= w
-    return total
-
-
-def _charge_integral(X: float) -> float:
-    """I(X) = int_0^X ln(2 + 2 cosh x) dx for X >= 0."""
-    if X < _CHARGE_TAYLOR_MAX_X:
-        X2 = X * X
-        return X * (2.0 * math.log(2.0) + X2 * (1.0 / 12.0 - X2 / 480.0))
-    q = math.exp(-X)  # -z; underflows to 0 harmlessly for X > ~745
-    ln_1mz = math.log1p(q)
-    li2_tail = math.pi**2 / 12.0 - _li2_series(q / (1.0 + q)) - 0.5 * ln_1mz**2
-    return 0.5 * X * X + 2.0 * li2_tail
-
-
-def charge_numeric(design: CapacitorDesign, op: OperatingPoint) -> float:
-    """Charge density Q(V) = integral of C_Q from 0 to V (C/m^2).
-
-    Evaluates the closed form of the integral to double precision at every
-    voltage and temperature; odd in V.  The oracle for the series forms.
-    """
-    require_positive_temperature(op.temperature_T)
-    T, V = op.temperature_T, op.voltage_V
-    kT = CONSTANTS.k_B * T
-    X = CONSTANTS.e * abs(V) / (2.0 * kT)
-    q = _cq_prefactor(T) * (2.0 * kT / CONSTANTS.e) * _charge_integral(X)
-    return math.copysign(q, V)
-
-
-# --- design rules and sweeps -------------------------------------------------
-
-def design_check(design: CapacitorDesign, T: float) -> DesignReport:
-    """Check the dielectric thickness window and quantum-capacitance dominance.
-
-    thickness_ok requires 3 nm < t < 70 nm; dominance_ok requires
-    C_0/C_G <= 0.1 so the quantum capacitance controls the series
-    combination by an order of magnitude.
-    """
-    require_positive_temperature(T)
-    cg = geometric_capacitance(design)
-    c0 = linear_capacitance_C0(design, T)
-    ratio = c0 / cg
-    thickness_ok = THICKNESS_MIN < design.dielectric_thickness_t < THICKNESS_MAX
-    dominance_ok = ratio <= DOMINANCE_MAX_RATIO
-    t_nm = design.dielectric_thickness_t * 1e9
-    messages = [
-        f"C_G = {f_per_m2_to_ff_per_um2(cg):.4g} fF/um^2, "
-        f"C_0 = {f_per_m2_to_ff_per_um2(c0):.4g} fF/um^2 at T = {T:g} K "
-        f"(ratio {ratio:.4g})",
-    ]
-    if thickness_ok:
-        messages.append(f"thickness {t_nm:.4g} nm inside the 3-70 nm window")
-    else:
-        messages.append(
-            f"thickness {t_nm:.4g} nm outside the 3-70 nm window: "
-            "either tunneling leakage or geometric-capacitance takeover"
-        )
-    if dominance_ok:
-        messages.append("quantum capacitance dominates the series combination")
-    else:
-        messages.append(
-            f"C_0/C_G = {ratio:.4g} > {DOMINANCE_MAX_RATIO}: geometric capacitance "
-            "no longer negligible"
-        )
-    return DesignReport(
-        C_G_areal=cg,
-        C_0_areal=c0,
-        dominance_ratio=ratio,
-        thickness_ok=thickness_ok,
-        dominance_ok=dominance_ok,
-        messages=tuple(messages),
-    )
-
+# --- sweeps -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CapacitanceSweep:

@@ -26,22 +26,15 @@ import datetime
 import json
 import math
 import sys
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 
 from . import __version__
-from .capacitance import (
-    SWEEP_CSV_HEADER as CAP_SWEEP_HEADER,
+from .capacitor import (
     CapacitorDesign,
-    capacitance_sweep,
     design_check,
     geometric_capacitance,
     linear_capacitance_C0,
-)
-from .circulator import (
-    SWEEP_CSV_HEADER as CIRC_SWEEP_HEADER,
-    config_from_engineering_dict,
-    sweep,
 )
 from .constants import (
     f_per_m2_to_ff_per_um2,
@@ -52,11 +45,9 @@ from .constants import (
     um2_to_m2,
 )
 from .errors import ConfigError, CutoffNotConverged, SingularSystem
-from .multimode import PumpSpec, classify_interaction, single_photon_rate_engineering
-from .oscillator import (
+from .mode import (
     OscillatorSpec,
     anharmonicity_engineering,
-    fock_diagonalize,
     nonlinear_time_constant,
     photon_amplitude,
     photon_number_limit,
@@ -64,9 +55,32 @@ from .oscillator import (
     resonant_inductance,
     suggested_fock_cutoff,
 )
+from .multimode import PumpSpec, classify_interaction, single_photon_rate_engineering
 from .tables import csv_text, json_text, table_csv, table_json
 
-import numpy as np
+# The numpy-backed kernels are imported on first use, so that design-check,
+# coupling, qubit --skip-spectrum and verify-paper never load numpy.  A
+# subcommand reads its kernel from this module's attributes when it runs,
+# so a wrapper set on one of them (a profiler's span, a test's counter) is
+# the one called.
+_KERNEL_MODULES = {
+    "capacitance_sweep": ".capacitance",
+    "sweep": ".circulator",
+    "fock_diagonalize": ".oscillator",
+}
+
+
+def __getattr__(name: str):
+    """Bind a kernel on this module at its first access (PEP 562)."""
+    if name not in _KERNEL_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    kernel = getattr(import_module(_KERNEL_MODULES[name], __package__), name)
+    return globals().setdefault(name, kernel)
+
+
+def _kernel(name: str):
+    """The kernel ``name`` as this module's attribute holds it now."""
+    return getattr(sys.modules[__name__], name)
 
 
 # --- config loading ----------------------------------------------------------
@@ -181,6 +195,10 @@ FIG2_KEYS = {"thickness_nm", "relative_permittivity", "temperatures_K", "vmax_V"
 
 
 def _cmd_sweep_capacitance(args) -> int:
+    import numpy as np
+
+    from .capacitance import SWEEP_CSV_HEADER
+
     if args.config is not None:
         doc = _load_config(args.config, FIG2_KEYS, FIG2_KEYS)
         thickness_nm = _config_float("thickness_nm", doc["thickness_nm"])
@@ -206,8 +224,8 @@ def _cmd_sweep_capacitance(args) -> int:
         relative_permittivity=epsr,
     )
     grid = np.linspace(-vmax, vmax, n_points)
-    result = capacitance_sweep(design, temperatures, grid)
-    _emit_columns(args, CAP_SWEEP_HEADER, result.columns())
+    result = _kernel("capacitance_sweep")(design, temperatures, grid)
+    _emit_columns(args, SWEEP_CSV_HEADER, result.columns())
     return 0
 
 
@@ -264,7 +282,7 @@ def _cmd_qubit(args) -> int:
         "n_max_derived": photon_number_limit_derived(args.T, args.f),
     }
     if not args.skip_spectrum:
-        spectrum = fock_diagonalize(spec)
+        spectrum = _kernel("fock_diagonalize")(spec)
         record["anharmonicity_percent_fock"] = spectrum.anharmonicity_A * 100.0
         record["spectrum"] = spectrum.to_json_dict()
     _emit_record(args, record)
@@ -304,6 +322,8 @@ CIRC_FILE_KEYS = {"circulator", "delta_min_GHz", "delta_max_GHz", "n_points"}
 
 
 def _cmd_circulator(args) -> int:
+    from .circulator import SWEEP_CSV_HEADER, config_from_engineering_dict
+
     doc = _load_config(args.config, CIRC_FILE_KEYS, {"circulator"})
     if not isinstance(doc["circulator"], dict):
         raise ConfigError("config key 'circulator' must be an object")
@@ -315,13 +335,13 @@ def _cmd_circulator(args) -> int:
     delta_min = args.delta_min if args.delta_min is not None else file_number("delta_min_GHz", -4.0)
     delta_max = args.delta_max if args.delta_max is not None else file_number("delta_max_GHz", 4.0)
     n_points = args.points if args.points is not None else int(file_number("n_points", 1001))
-    result = sweep(
+    result = _kernel("sweep")(
         config,
         ghz_to_rad_per_s(delta_min),
         ghz_to_rad_per_s(delta_max),
         n_points,
     )
-    _emit_columns(args, CIRC_SWEEP_HEADER, result.columns())
+    _emit_columns(args, SWEEP_CSV_HEADER, result.columns())
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS, require_positive
 from .errors import AmbiguousResonance, NonPositiveArea
-from .oscillator import nonlinear_time_constant
+from .mode import nonlinear_time_constant
 
 # printed engineering coefficient: g0 = 2 pi x 0.143 f sqrt(f1 f2)/(S T^3) GHz
 SINGLE_PHOTON_RATE_COEFF_PRINTED = 0.143

@@ -398,6 +398,24 @@ def test_energy_series_curvature_is_inverse_linear_capacitance():
     )
 
 
+@pytest.mark.parametrize("T", [0.25, 1.0, 4.0])
+def test_energy_series_quartic_is_twelve_times_the_charge_model(T):
+    # Inverting N = c1 V + c3 V^3 and integrating U = int e V dN gives
+    # U = e N^2 / 2 c1 - e c3 N^4 / 4 c1^4; energy_series keeps the quadratic
+    # term and carries 12 times the quartic one (see its docstring).
+    c3 = charge_series_cubic_coefficient(DESIGN, T)
+    v = 1e-6 * KB * T / E  # c3 v^2 / c1 ~ 1e-14: c1 is exact to rounding
+    c1 = charge_series(DESIGN, OperatingPoint(T, v)) / (E * v) - c3 * v**2
+    # U(n) = a n^2 - b n^4 at n = N and 2N, with N where b N^2 ~ 6 a, so that
+    # neither combination below cancels more than a digit
+    n = math.sqrt(c1**3 / c3)
+    u1, u2 = energy_series(DESIGN, T, n), energy_series(DESIGN, T, 2.0 * n)
+    a = (16.0 * u1 - u2) / (12.0 * n**2)
+    b = (4.0 * u1 - u2) / (12.0 * n**4)
+    assert a == pytest.approx(E / (2.0 * c1), rel=1e-9, abs=0.0)
+    assert b / (E * c3 / (4.0 * c1**4)) == pytest.approx(12.0, rel=1e-9, abs=0.0)
+
+
 # --- design rules ----------------------------------------------------------------
 
 def test_design_check_published_geometry_passes():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qcapsim import cli
 from qcapsim.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -150,6 +151,42 @@ def test_json_records_are_the_csv_rows(argv, capsys):
                 assert value == row[key]
             else:
                 assert float(row[key]) == value
+
+
+# Perfbench's layer spans wrap these names on qcapsim.cli; each subcommand
+# must call through them when it runs.
+SPAN_NAMES = ("capacitance_sweep", "sweep", "fock_diagonalize", "csv_text", "json_text")
+
+
+@pytest.mark.parametrize(
+    "argv,called",
+    [
+        (("sweep-capacitance", "--T", "0,1", "--points", "3"), ("capacitance_sweep",)),
+        (("sweep-capacitance", "--T", "0,1", "--points", "3", "--format", "json"),
+         ("capacitance_sweep",)),
+        (("circulator", "--config", "paper_fig4.json", "--points", "3"), ("sweep",)),
+        (("circulator", "--config", "paper_fig4.json", "--points", "3", "--format", "json"),
+         ("sweep",)),
+        (("qubit", "--T", "4"), ("fock_diagonalize", "csv_text")),
+        (("qubit", "--T", "4", "--format", "json"), ("fock_diagonalize", "json_text")),
+        (("verify-paper",), ("csv_text",)),
+        (("verify-paper", "--format", "json"), ("json_text",)),
+    ],
+)
+def test_subcommands_call_the_module_attributes(argv, called, monkeypatch, capsys):
+    calls = dict.fromkeys(SPAN_NAMES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in SPAN_NAMES:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == {name: int(name in called) for name in SPAN_NAMES}
 
 
 # --- error paths --------------------------------------------------------------------
@@ -383,6 +420,12 @@ GOLDEN_CASES = [
     ("fig5_circulator.csv", ("circulator", "--config", "paper_fig5.json")),
     ("fig2_capacitance.csv", ("sweep-capacitance", "--config", "paper_fig2.json")),
     ("verify_paper.csv", ("verify-paper",)),
+    ("design_check.csv", ("design-check",)),
+    ("design_check.json", ("design-check", "--format", "json")),
+    ("coupling.csv", ("coupling",)),
+    ("coupling.json", ("coupling", "--format", "json")),
+    ("qubit_T1_skip_spectrum.csv", ("qubit", "--T", "1", "--skip-spectrum")),
+    ("qubit_T1_skip_spectrum.json", ("qubit", "--T", "1", "--skip-spectrum", "--format", "json")),
 ]
 
 
@@ -433,3 +476,47 @@ def test_cli_import_does_not_load_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+SCALAR_INVOCATIONS = (
+    ("design-check",),
+    ("coupling",),
+    ("qubit", "--T", "1", "--skip-spectrum"),
+    ("verify-paper",),
+)
+ARRAY_MODULES = ("numpy", "qcapsim.capacitance", "qcapsim.circulator", "qcapsim.linalg",
+                 "qcapsim.oscillator")
+
+
+def _run_in_fresh_process(invocations):
+    """Exit codes of ``cli.main`` on each argv, one after another in a fresh
+    interpreter, and which of ARRAY_MODULES that process loaded."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import qcapsim.cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(qcapsim.cli.main(argv))\n"
+        "print(json.dumps([codes, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(invocations), json.dumps(ARRAY_MODULES)],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_scalar_commands_do_not_load_numpy():
+    # numpy is about 50 ms of each cold invocation; these four commands are
+    # closed-form scalars and must not pay it
+    invocations = [[*argv, "--format", fmt] for argv in SCALAR_INVOCATIONS
+                   for fmt in ("csv", "json")]
+    codes, loaded = _run_in_fresh_process(invocations)
+    assert codes == [0] * len(invocations)
+    assert loaded == []
+    # the positive control: the same probe sees the array modules load
+    codes, loaded = _run_in_fresh_process([["qubit", "--T", "1"]])
+    assert codes == [0]
+    assert loaded == ["numpy", "qcapsim.linalg", "qcapsim.oscillator"]
