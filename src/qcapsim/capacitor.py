@@ -169,7 +169,7 @@ def energy_series(design: CapacitorDesign, T: float, n_density: float) -> float:
     where the formula above has 8 in place of 96.  The published
     coefficients 42.85 and 0.143 follow this formula through the nonlinear
     time constant, so it is kept as published; the test suite pins the
-    factor 12.
+    factor 12, and ``verify-paper`` flags it as ``quartic_coefficient_ratio``.
     """
     require_positive_temperature(T)
     kT = CONSTANTS.k_B * T

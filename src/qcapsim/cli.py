@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -32,11 +33,16 @@ from pathlib import Path
 from . import __version__
 from .capacitor import (
     CapacitorDesign,
+    OperatingPoint,
+    charge_series,
+    charge_series_cubic_coefficient,
     design_check,
+    energy_series,
     geometric_capacitance,
     linear_capacitance_C0,
 )
 from .constants import (
+    CONSTANTS,
     f_per_m2_to_ff_per_um2,
     farad_to_femtofarad,
     ghz_to_rad_per_s,
@@ -387,6 +393,25 @@ def _verify_checks(name: str, doc: dict) -> list[dict]:
     return checks
 
 
+def _quartic_coefficient_ratio(design: CapacitorDesign, T: float) -> float:
+    """The quartic coefficient of :func:`energy_series` over the one that
+    inverting the charge series N = c1 V + c3 V^3 implies, e c3 / 4 c1^4.
+
+    c1 is read off :func:`charge_series` at e V = 1e-6 k_B T, where the cubic
+    term is 1e-14 of it; the quartic coefficient comes from U(n) = a n^2 - b n^4
+    at n = N and 2N, with b N^2 ~ 6 a so that the difference cancels no more
+    than a digit.
+    """
+    e = CONSTANTS.e
+    c3 = charge_series_cubic_coefficient(design, T)
+    v = 1e-6 * CONSTANTS.k_B * T / e
+    c1 = charge_series(design, OperatingPoint(T, v)) / (e * v) - c3 * v**2
+    n = math.sqrt(c1**3 / c3)
+    u1, u2 = energy_series(design, T, n), energy_series(design, T, 2.0 * n)
+    b = (4.0 * u1 - u2) / (12.0 * n**4)
+    return b / (e * c3 / (4.0 * c1**4))
+
+
 def _verify_computed_values() -> dict[str, float]:
     design = CapacitorDesign(
         area_S=um2_to_m2(100.0), dielectric_thickness_t=7e-9, relative_permittivity=4.0
@@ -411,6 +436,7 @@ def _verify_computed_values() -> dict[str, float]:
         "rate_coefficient": single_photon_rate_engineering(1.0, 1.0, 1.0, 1.0, 1.0).g0_symbolic_rad_s
         / (3.0 * two_pi * 1e9),
         "g0_definition_factor": g0_1k.ratio_symbolic_to_printed,
+        "quartic_coefficient_ratio": _quartic_coefficient_ratio(design, 1.0),
     }
 
 
@@ -530,9 +556,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first :func:`main` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``qcap-sim`` command; the exit code is the return value.
+
+    Repeated calls in one process share the parser that the first call
+    builds: parsing leaves no state on it, and every call gets a fresh
+    namespace.  A subcommand looks up its kernel and emitters (``sweep``,
+    ``fock_diagonalize``, ``csv_text``, ``table_json``, ...) on this module
+    when it runs, so wrapping them works at any time.  The ``_cmd_*``
+    handlers are bound into the parser once, by ``set_defaults(func=...)``;
+    replacing one after the first call has no effect, and no test or
+    profiler span replaces one.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

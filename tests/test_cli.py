@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -39,9 +40,10 @@ def test_verify_paper_passes_with_expected_flags(capsys):
     assert code == 0
     rows = parse_csv(out)
     statuses = {row["id"]: row["status"] for row in rows}
-    assert len(rows) == 12
+    assert len(rows) == 13
     assert statuses["anharmonicity_1k_pct"] == "FLAG"
     assert statuses["g0_definition_factor"] == "FLAG"
+    assert statuses["quartic_coefficient_ratio"] == "FLAG"
     assert all(s in ("PASS", "FLAG") for s in statuses.values())
     assert sum(1 for s in statuses.values() if s == "PASS") == 10
 
@@ -187,6 +189,109 @@ def test_subcommands_call_the_module_attributes(argv, called, monkeypatch, capsy
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert calls == {name: int(name in called) for name in SPAN_NAMES}
+
+
+# --- parser reuse ---------------------------------------------------------------------
+
+# Each later call relies on a default that an earlier one overrode; the last
+# four take the argparse error, --version and bundled-config paths.
+REUSE_SEQUENCE = (
+    ("qubit", "--T", "2", "--cutoff", "40", "--format", "json"),
+    ("qubit", "--T", "1", "--skip-spectrum"),
+    ("design-check", "--T", "2"),
+    ("design-check",),
+    ("qubit", "--T", "nan"),
+    ("--version",),
+    ("circulator",),
+    ("sweep-capacitance", "--config", "paper_fig2.json"),
+)
+
+
+def _call_main(argv):
+    """``main(argv)``'s exit code, also when argparse exits instead."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _parse(parser, argv):
+    try:
+        return vars(parser.parse_args(list(argv)))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def fresh_process_runs():
+    """(exit code, stdout, stderr) of each REUSE_SEQUENCE argv, each run alone
+    in a fresh interpreter."""
+    runs = {}
+    for argv in REUSE_SEQUENCE:
+        result = subprocess.run(
+            [sys.executable, "-m", "qcapsim.cli", *argv],
+            capture_output=True, text=True, env=_src_env(),
+        )
+        runs[argv] = (result.returncode, result.stdout, result.stderr)
+    return runs
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_reused_parser_leaks_no_state(order, fresh_process_runs, capsys):
+    sequence = REUSE_SEQUENCE if order == "forward" else REUSE_SEQUENCE[::-1]
+    for argv in sequence:
+        code = _call_main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh_process_runs[argv], argv
+    for argv in sequence:
+        assert _parse(cli._parser(), argv) == _parse(cli.build_parser(), argv), argv
+
+
+def test_reused_parser_restores_defaults(fresh_process_runs):
+    # the overrides of the calls before them do not stick
+    code, out, _ = fresh_process_runs[("qubit", "--T", "1", "--skip-spectrum")]
+    assert code == 0
+    assert out == (GOLDEN_DIR / "qubit_T1_skip_spectrum.csv").read_text()
+    code, out, _ = fresh_process_runs[("design-check",)]
+    assert code == 0
+    assert out == (GOLDEN_DIR / "design_check.csv").read_text()
+    assert fresh_process_runs[("qubit", "--T", "nan")][0] == 2
+    assert fresh_process_runs[("--version",)][:2] == (0, f"qcap-sim {cli.__version__}\n")
+    assert fresh_process_runs[("circulator",)][0] == 2
+
+
+def test_parser_is_built_once_per_process():
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import qcapsim.cli as cli\n"
+        "built = []\n"
+        "build = cli.build_parser\n"
+        "cli.build_parser = lambda: built.append(1) or build()\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(json.dumps([codes, len(built)]))\n"
+    )
+    invocations = [["design-check"], ["coupling", "--format", "json"], ["verify-paper"]]
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(invocations)],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0, 0, 0], 1]
+
+
+def _qubit_subparser(parser):
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices["qubit"]
+
+
+def test_reused_parser_help_matches_a_fresh_one(capsys):
+    assert run_cli(capsys, "design-check")[0] == 0
+    reused, fresh = cli._parser(), cli.build_parser()
+    assert reused.format_help() == fresh.format_help()
+    assert _qubit_subparser(reused).format_help() == _qubit_subparser(fresh).format_help()
 
 
 # --- error paths --------------------------------------------------------------------
