@@ -233,7 +233,8 @@ def sweep(
     when any point hits a zero pivot or a relative solve residual above
     ``linalg.SOLVE_RESIDUAL_TOL``.  Returns the full complex matrices along
     with the 1 -> 3 / 3 -> 1 asymmetry ratio and the insertion loss of the
-    forward path.
+    forward path; :class:`ValueError` names the first detuning where either
+    is not finite (|S13| or |S31| is 0.0 or underflows).
     """
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
@@ -243,9 +244,16 @@ def sweep(
     s_out = scattering_matrix(config, deltas)
     s13 = np.abs(s_out[:, 2, 0])
     s31 = np.abs(s_out[:, 0, 2])
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         ratio = s13 / s31
         insertion_loss = -10.0 * np.log10(s13**2)
+    bad = ~(np.isfinite(ratio) & np.isfinite(insertion_loss))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"the 1->3/3->1 ratio or the insertion loss is not finite at detuning "
+            f"{deltas[i]:.6g} rad/s (|S13| = {s13[i]:.3g}, |S31| = {s31[i]:.3g})"
+        )
     return SweepResult(
         detuning_grid=deltas,
         smatrices=s_out,

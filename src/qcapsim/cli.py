@@ -52,6 +52,7 @@ from .constants import (
 )
 from .errors import ConfigError, CutoffNotConverged, SingularSystem
 from .mode import (
+    FOCK_CUTOFF_MAX,
     OscillatorSpec,
     anharmonicity_engineering,
     nonlinear_time_constant,
@@ -513,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cutoff",
         type=int,
         default=None,
-        help="Fock truncation (default: largest convergence-safe value)",
+        help=f"Fock truncation, 10 to {FOCK_CUTOFF_MAX} (default: largest convergence-safe value)",
     )
     p.add_argument(
         "--skip-spectrum",

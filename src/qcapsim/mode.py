@@ -39,6 +39,9 @@ STRONG_ANHARMONICITY_THRESHOLD = 1.0 / 12.0
 # the Fock oracle checks its low levels again at cutoff + this step
 CONVERGENCE_CUTOFF_STEP = 20
 SUGGESTED_CUTOFF_MAX = 80
+# largest accepted Fock cutoff: it bounds the dense parity blocks
+# (two of order (cutoff + 20)/2) before anything is allocated
+FOCK_CUTOFF_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,10 @@ class OscillatorSpec:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         require_positive(self.area_S, "area_S", NonPositiveArea)
         require_positive(self.temperature_T, "temperature_T", NonPositiveTemperature)
-        if self.fock_cutoff < 10:
-            raise ValueError(f"fock_cutoff must be >= 10, got {self.fock_cutoff}")
+        if not 10 <= self.fock_cutoff <= FOCK_CUTOFF_MAX:
+            raise ValueError(
+                f"fock_cutoff must be in [10, {FOCK_CUTOFF_MAX}], got {self.fock_cutoff}"
+            )
 
     @property
     def strongly_anharmonic(self) -> bool:

@@ -4,8 +4,9 @@ The quartic Hamiltonian
 
     H = hbar*omega (n + 1/2) - (hbar*tau/4) * omega^2 * (a + a^dag)^4
 
-is built as a matrix in a truncated Fock basis and diagonalized exactly,
-with a cutoff-stability check on the lowest levels.  The scalar formulas of
+is built in a truncated Fock basis from the closed-form bands of its
+quartic term and diagonalized exactly, one parity block at a time, with a
+cutoff-stability check on the lowest levels.  The scalar formulas of
 the mode (its specification, tau, the photon amplitude, the engineering
 estimates and the photon-number limit) are in the numpy-free
 :mod:`qcapsim.mode` and are re-exported here.
@@ -64,43 +65,59 @@ class SpectrumResult:
 
 # --- Fock-basis oracle -------------------------------------------------------
 
-def position_ladder_matrix(cutoff: int) -> np.ndarray:
-    """Matrix of (a + a^dag) in the number basis, truncated at ``cutoff``."""
-    x = np.zeros((cutoff, cutoff))
-    idx = np.arange(cutoff - 1)
-    amp = np.sqrt(idx + 1.0)
-    x[idx, idx + 1] = amp
-    x[idx + 1, idx] = amp
-    return x
+def _parity_blocks(spec: OscillatorSpec, n: int) -> list[np.ndarray]:
+    """Even and odd Fock blocks of the Hamiltonian truncated at ``n`` (J).
+
+    With x = P(a + a^dag)P, x^2 has the diagonal d_k = 2k + 1, except
+    d_{n-1} = n - 1 at the truncation corner, and the second diagonal
+    o_k = sqrt((k + 1)(k + 2)).  Squaring it gives the only three bands of
+    x^4: d_k^2 + o_k^2 + o_{k-2}^2 on the main diagonal, o_k (d_k + d_{k+2})
+    on the second and o_k o_{k+2} on the fourth.  This is the truncated
+    operator (PxP)^4, not the untruncated P x^4 P.  The bands couple only
+    states of equal parity, so block p (states p, p+2, ...) takes every
+    other entry of each band; each block is exactly symmetric.
+    """
+    linear, quartic = hamiltonian_coefficients(spec)
+    k = np.arange(n, dtype=np.float64)
+    d = 2.0 * k + 1.0
+    d[-1] = n - 1.0
+    o_sq = (k[:-2] + 1.0) * (k[:-2] + 2.0)
+    o = np.sqrt(o_sq)
+    x4_main = d * d
+    x4_main[:-2] += o_sq
+    x4_main[2:] += o_sq
+    bands = (
+        linear * (k + 0.5) - quartic * x4_main,
+        -quartic * (o * (d[:-2] + d[2:])),
+        -quartic * (o[:-2] * o[2:]),
+    )
+    blocks = []
+    for p in (0, 1):
+        m = (n - p + 1) // 2
+        block = np.zeros((m, m))
+        flat = block.reshape(-1)
+        for j, band in enumerate(bands):  # j-th diagonal above and below
+            flat[j : m * (m - j) : m + 1] = band[p::2]
+            flat[j * m :: m + 1] = band[p::2]
+        blocks.append(block)
+    return blocks
 
 
 def hamiltonian_matrix(spec: OscillatorSpec, cutoff: int | None = None) -> np.ndarray:
-    """Truncated Hamiltonian matrix (J), exactly symmetric by construction.
-
-    The quartic block is the explicit product of four ladder-sum matrices;
-    its upper triangle is mirrored once so the matrix is symmetric to the
-    bit even if the BLAS product were not.
-    """
+    """Truncated Hamiltonian matrix (J): the parity blocks that
+    :func:`fock_diagonalize` solves, interleaved, with exact 0.0 between
+    states of opposite parity.  Exactly symmetric by construction."""
     n = spec.fock_cutoff if cutoff is None else cutoff
-    x = position_ladder_matrix(n)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x4 = np.triu(x4) + np.triu(x4, 1).T
-    linear, quartic = hamiltonian_coefficients(spec)
-    h = -quartic * x4
-    diag = linear * (np.arange(n) + 0.5)
-    h[np.diag_indices(n)] += diag
+    h = np.zeros((n, n))
+    for p, block in enumerate(_parity_blocks(spec, n)):
+        h[p::2, p::2] = block
     return h
 
 
-def _parity_block_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``h`` from its even and odd Fock blocks.
-
-    (a + a^dag)^4 only couples number states of equal parity, so the
-    off-parity entries of :func:`hamiltonian_matrix` are exactly 0.0 and
-    each block is diagonalized on its own.
-    """
-    blocks = [linalg.symmetric_eigenvalues(h[p::2, p::2]) for p in (0, 1)]
+def _parity_block_eigenvalues(spec: OscillatorSpec, n: int) -> np.ndarray:
+    """Ascending eigenvalues at cutoff ``n``: each parity block is solved on
+    its own and the two spectra are merged."""
+    blocks = [linalg.symmetric_eigenvalues(b) for b in _parity_blocks(spec, n)]
     return np.sort(np.concatenate(blocks))
 
 
@@ -123,10 +140,8 @@ def fock_diagonalize(spec: OscillatorSpec) -> SpectrumResult:
             PerturbativeRegimeExceeded,
             stacklevel=2,
         )
-    evals = _parity_block_eigenvalues(hamiltonian_matrix(spec))
-    evals_check = _parity_block_eigenvalues(
-        hamiltonian_matrix(spec, cutoff=spec.fock_cutoff + CONVERGENCE_CUTOFF_STEP)
-    )
+    evals = _parity_block_eigenvalues(spec, spec.fock_cutoff)
+    evals_check = _parity_block_eigenvalues(spec, spec.fock_cutoff + CONVERGENCE_CUTOFF_STEP)
     for k in range(3):
         denom = max(abs(evals_check[k]), abs(evals[k]))
         if abs(evals[k] - evals_check[k]) > CONVERGENCE_RTOL * denom:

@@ -445,6 +445,53 @@ def test_capacitance_grid_shape_rejected(key, value, flags, tmp_path):
     assert "config error" in result.stderr
 
 
+def test_qubit_cutoff_above_maximum_rejected():
+    # only the first value past the maximum: a huge cutoff is never run
+    from qcapsim.mode import FOCK_CUTOFF_MAX
+
+    result = subprocess.run(
+        [sys.executable, "-m", "qcapsim.cli", "qubit", "--cutoff", str(FOCK_CUTOFF_MAX + 1)],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error:") and str(FOCK_CUTOFF_MAX) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "g,flags,first_bad",
+    [
+        # ports 1 and 3 decoupled: |S13| = |S31| = 0 from the first point, -4 GHz
+        ([0, 0, 0], (), "-2.51327e+10 rad/s"),
+        # |S13| and |S31| underflow from the second point, 2.5e199 GHz
+        (None, ("--points", "5", "--delta-max", "1e200"), "1.5708e+209 rad/s"),
+    ],
+)
+def test_circulator_non_finite_figures_rejected(g, flags, first_bad, tmp_path):
+    argv = ["circulator", "--config", "paper_fig4.json", *flags]
+    if g is not None:
+        doc = json.loads(resources.files("qcapsim").joinpath("configs", "paper_fig4.json").read_text())
+        doc["circulator"]["g"] = g
+        config = tmp_path / "decoupled.json"
+        config.write_text(json.dumps(doc))
+        argv[2] = str(config)
+    for fmt in ("csv", "json"):
+        result = subprocess.run(
+            [sys.executable, "-m", "qcapsim.cli", *argv, "--format", fmt],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert result.stderr.startswith("error:")
+        assert f"not finite at detuning {first_bad}" in result.stderr
+
+
 DROP = object()
 
 

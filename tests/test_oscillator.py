@@ -7,6 +7,7 @@ import pytest
 from qcapsim.capacitance import CapacitorDesign, linear_capacitance_C0
 from qcapsim.constants import CONSTANTS
 from qcapsim.errors import CutoffNotConverged, NonPositiveArea, NonPositiveTemperature, PerturbativeRegimeExceeded
+from qcapsim.mode import FOCK_CUTOFF_MAX
 from qcapsim.oscillator import (
     OscillatorSpec,
     anharmonicity_engineering,
@@ -17,7 +18,6 @@ from qcapsim.oscillator import (
     photon_amplitude,
     photon_number_limit,
     photon_number_limit_derived,
-    position_ladder_matrix,
     resonant_inductance,
     suggested_fock_cutoff,
 )
@@ -35,6 +35,22 @@ def _spec(tau_omega: float, cutoff: int = 80) -> OscillatorSpec:
     return OscillatorSpec(
         omega=OMEGA, tau=tau_omega / OMEGA, area_S=AREA, temperature_T=1.0, fock_cutoff=cutoff
     )
+
+
+def _ladder_oracle(cutoff: int) -> np.ndarray:
+    """(a + a^dag) in the number basis truncated at ``cutoff``: <n+1|a^dag|n> = sqrt(n+1)."""
+    x = np.zeros((cutoff, cutoff))
+    idx = np.arange(cutoff - 1)
+    x[idx, idx + 1] = x[idx + 1, idx] = np.sqrt(idx + 1.0)
+    return x
+
+
+def _product_oracle(spec: OscillatorSpec) -> np.ndarray:
+    """Brute-force truncated Hamiltonian: the fourth matrix power of the ladder sum."""
+    n = spec.fock_cutoff
+    linear, quartic = hamiltonian_coefficients(spec)
+    x4 = np.linalg.matrix_power(_ladder_oracle(n), 4)
+    return np.diag(linear * (np.arange(n) + 0.5)) - quartic * x4
 
 
 # --- photon amplitude ---------------------------------------------------------
@@ -137,11 +153,27 @@ def test_hamiltonian_matrix_exactly_symmetric():
 
 
 def test_quartic_diagonal_from_operator_algebra():
-    # brute-force ladder algebra: <n|(a+a^dag)^4|n> = 6 n^2 + 6 n + 3
-    x = position_ladder_matrix(30)
-    x4 = np.linalg.matrix_power(x, 4)
+    # brute-force ladder algebra: <n|(a+a^dag)^4|n> = 6 n^2 + 6 n + 3 below
+    # the truncation corner, and the Hamiltonian's diagonal carries exactly it
+    spec = _spec(1.0, cutoff=30)
+    linear, quartic = hamiltonian_coefficients(spec)
+    x4 = np.linalg.matrix_power(_ladder_oracle(30), 4)
     n = np.arange(20)
     assert np.allclose(np.diagonal(x4)[:20], 6 * n**2 + 6 * n + 3, rtol=1e-13, atol=0)
+    quartic_diag = (linear * (np.arange(30) + 0.5) - np.diagonal(hamiltonian_matrix(spec))) / quartic
+    assert np.max(np.abs(quartic_diag - np.diagonal(x4))) <= 1e-13 * np.max(np.abs(x4))
+
+
+@pytest.mark.parametrize("cutoff", [10, 11, 12, 21, 100, 120])
+@pytest.mark.parametrize("tau_omega", [1e-3, 1.0])
+def test_hamiltonian_matrix_matches_product_oracle(cutoff, tau_omega):
+    # the closed-form bands are the truncated (PxP)^4, including the last two
+    # rows, the truncation corner where it differs from P x^4 P
+    spec = _spec(tau_omega, cutoff=cutoff)
+    got = hamiltonian_matrix(spec)
+    ref = _product_oracle(spec)
+    assert got.shape == ref.shape == (cutoff, cutoff)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # --- Fock diagonalization oracles ----------------------------------------------------
@@ -162,7 +194,7 @@ def test_parity_blocked_spectrum_matches_eigvalsh(cutoff, tau_omega):
     tau_omega = 10.0 / (cutoff + 20) ** 2 if tau_omega is None else tau_omega
     spec = _spec(tau_omega, cutoff=cutoff)
     got = fock_diagonalize(spec).eigenvalues
-    ref = np.linalg.eigvalsh(hamiltonian_matrix(spec))
+    ref = np.linalg.eigvalsh(_product_oracle(spec))
     assert got.shape == (cutoff,)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -280,6 +312,11 @@ def test_spectrum_json_shape():
 def test_spec_validation():
     with pytest.raises(ValueError):
         OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=9)
+    OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=FOCK_CUTOFF_MAX)
+    with pytest.raises(ValueError, match=str(FOCK_CUTOFF_MAX)):
+        OscillatorSpec(
+            omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=FOCK_CUTOFF_MAX + 1
+        )
     with pytest.raises(ValueError):
         OscillatorSpec(omega=0.0, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
     with pytest.raises(ValueError):
