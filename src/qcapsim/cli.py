@@ -145,6 +145,13 @@ def _config_float(key: str, value) -> float:
     return number
 
 
+def _config_count(key: str, value) -> int:
+    """A config-file whole number; booleans and fractions raise ConfigError (exit 2)."""
+    if isinstance(value, bool) or _config_float(key, value) % 1:
+        raise ConfigError(f"config key '{key}' must be a whole number, got {value}")
+    return int(float(value))
+
+
 def _finite_float(text: str) -> float:
     """argparse ``type`` for numeric options: rejects nan and +-inf (exit 2)."""
     try:
@@ -214,7 +221,7 @@ def _cmd_sweep_capacitance(args) -> int:
             raise ConfigError("config key 'temperatures_K' must be a list of numbers")
         temperatures = [_config_float("temperatures_K", t) for t in doc["temperatures_K"]]
         vmax = _config_float("vmax_V", doc["vmax_V"])
-        n_points = int(_config_float("n_points", doc["n_points"]))
+        n_points = _config_count("n_points", doc["n_points"])
     else:
         thickness_nm = args.thickness_nm
         epsr = args.epsr
@@ -341,7 +348,8 @@ def _cmd_circulator(args) -> int:
 
     delta_min = args.delta_min if args.delta_min is not None else file_number("delta_min_GHz", -4.0)
     delta_max = args.delta_max if args.delta_max is not None else file_number("delta_max_GHz", 4.0)
-    n_points = args.points if args.points is not None else int(file_number("n_points", 1001))
+    points = doc.get("n_points", 1001)
+    n_points = args.points if args.points is not None else _config_count("n_points", points)
     result = _kernel("sweep")(
         config,
         ghz_to_rad_per_s(delta_min),

@@ -67,14 +67,21 @@ def table_csv(header: Sequence[str], values) -> str:
     return csv_text(header, ()) + (row * n) % tuple(values.ravel().tolist())
 
 
+def _respelled(flat):
+    """Where ``repr`` may spell a value otherwise than ``%.12g``, elsewhere the shortest text
+    that reads back: nan, +-inf, subnormals, and within 1e-11 of an integer, as all |x| >= 1e11 are."""
+    mag = abs(flat)
+    mag[~(mag <= 1.7976931348623157e308)] = 0.0  # nan, +-inf: no inf - inf, re-spelled as 0 is
+    return (abs(mag - mag.round()) <= 1e-11 * mag) | (mag < 1e-307)
+
+
 def table_json(header: Sequence[str], values) -> str:
     """``json_text`` of one ``dict(zip(header, row))`` record per array row."""
     if len(values) == 0:
         return "[]\n"
-    flat = values.ravel().tolist()
-    texts = ("%.12g\n" * len(flat)) % tuple(flat)
-    reprs = list(map(repr, map(float, texts.split())))
-    if "n" in texts:  # only nan, inf and -inf spell an "n"
-        reprs = list(map(_JSON_NON_FINITE.get, reprs, reprs))
+    flat = values.ravel()
+    texts = (("%.12g\n" * flat.size) % tuple(flat.tolist())).split()
+    for i in _respelled(flat).nonzero()[0].tolist():
+        texts[i] = _JSON_NON_FINITE.get(texts[i]) or repr(float(texts[i]))
     record = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in header) + "\n  }"
-    return "[\n" + ",\n".join([record] * len(values)) % tuple(reprs) + "\n]\n"
+    return "[\n" + ",\n".join([record] * len(values)) % tuple(texts) + "\n]\n"

@@ -445,6 +445,27 @@ def test_capacitance_grid_shape_rejected(key, value, flags, tmp_path):
     assert "config error" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["circulator", "sweep-capacitance"])
+@pytest.mark.parametrize("n_points,rows", [(5.7, None), (3.9, None), (True, None), (False, None),
+                                           ("5.5", None), (5.0, 5), (3, 3)])
+def test_config_n_points_must_be_whole(command, n_points, rows, tmp_path, capsys):
+    # a fraction or a boolean is refused, never truncated to a smaller grid
+    if command == "circulator":
+        doc = json.loads(resources.files("qcapsim").joinpath("configs", "paper_fig4.json").read_text())
+    else:
+        doc = {"thickness_nm": 7.0, "relative_permittivity": 4.0,
+               "temperatures_K": [1.0], "vmax_V": 0.05}
+    doc["n_points"] = n_points
+    config = tmp_path / "n_points.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--config", str(config))
+    if rows is None:
+        assert (code, out) == (2, "")
+        assert f"config key 'n_points' must be a whole number, got {n_points}" in err
+    else:
+        assert code == 0 and len(parse_csv(out)) == rows
+
+
 def test_qubit_cutoff_above_maximum_rejected():
     # only the first value past the maximum: a huge cutoff is never run
     from qcapsim.mode import FOCK_CUTOFF_MAX
