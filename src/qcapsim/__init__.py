@@ -18,7 +18,6 @@ _EXPORTS = {
     "capacitor": (
         "CapacitorDesign",
         "DesignReport",
-        "OperatingPoint",
         "charge_energy_T0",
         "charge_numeric",
         "charge_series",
@@ -41,11 +40,10 @@ _EXPORTS = {
         "config_from_engineering_dict",
         "coupling_matrix",
         "langevin_matrix",
-        "pump_constraint_check",
         "scattering_matrix",
         "sweep",
     ),
-    "constants": ("CONSTANTS", "PhysicalConstants", "fermi_energy", "thermal_energy"),
+    "constants": ("CONSTANTS", "PhysicalConstants", "fermi_energy"),
     "errors": (
         "AmbiguousResonance",
         "ConfigError",
@@ -59,7 +57,6 @@ _EXPORTS = {
     "multimode": (
         "InteractionClassification",
         "InteractionKind",
-        "ModeSet",
         "PumpSpec",
         "SinglePhotonRate",
         "classify_interaction",
@@ -79,7 +76,7 @@ _EXPORTS = {
         "photon_number_limit_derived",
         "resonant_inductance",
     ),
-    "oscillator": ("SpectrumResult", "fock_diagonalize", "hamiltonian_matrix"),
+    "oscillator": ("SpectrumResult", "fock_diagonalize"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

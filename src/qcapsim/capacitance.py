@@ -6,9 +6,9 @@ its zero-temperature limit, the series combination with the parallel-plate
 numpy arrays through one path, so a point gives the same bits alone or
 inside a sweep.  The scalar formulas of the model (design, design rules,
 C_G, C_0, the charge and energy series, the closed-form charge) are in the
-numpy-free :mod:`qcapsim.capacitor` and are re-exported here.  All
-quantities are SI and per unit area unless noted; engineering units
-(fF/um^2) appear only at the emission boundary.
+numpy-free :mod:`qcapsim.capacitor`.  All quantities are SI and per unit
+area unless noted; engineering units (fF/um^2) appear only at the emission
+boundary.
 """
 
 from __future__ import annotations
@@ -18,23 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# re-exported so that every name this module has defined stays importable
-from .capacitor import (  # noqa: F401
-    DOMINANCE_MAX_RATIO,
-    THICKNESS_MAX,
-    THICKNESS_MIN,
+from .capacitor import (
     CapacitorDesign,
-    DesignReport,
-    OperatingPoint,
     _cq_prefactor,
-    charge_energy_T0,
-    charge_numeric,
-    charge_series,
-    charge_series_cubic_coefficient,
-    design_check,
-    energy_series,
+    _require_operating_point,
     geometric_capacitance,
-    linear_capacitance_C0,
 )
 from .constants import CONSTANTS, f_per_m2_to_ff_per_um2, require_positive_temperature
 
@@ -62,17 +50,17 @@ def _cq_areal(T: float, V):
     return _cq_prefactor(T) * ln_2_plus_2cosh(x)
 
 
-def quantum_capacitance(design: CapacitorDesign, op: OperatingPoint) -> float:
+def quantum_capacitance(T: float, V: float) -> float:
     """Differential quantum capacitance per unit area (F/m^2) at finite T.
 
     Even in the voltage; strictly positive; grows linearly with T at zero
     bias and linearly with |V| at large bias.
     """
-    require_positive_temperature(op.temperature_T)
-    return float(_cq_areal(op.temperature_T, op.voltage_V))
+    _require_operating_point(T, V)
+    return float(_cq_areal(T, V))
 
 
-def quantum_capacitance_T0(design: CapacitorDesign, voltage: float):
+def quantum_capacitance_T0(voltage: float):
     """Zero-temperature limit e^3 |V| / pi (hbar v_F)^2 of the quantum
     capacitance per unit area.  Piecewise linear, vanishing at V = 0."""
     V = np.asarray(voltage, dtype=np.float64)
@@ -80,12 +68,10 @@ def quantum_capacitance_T0(design: CapacitorDesign, voltage: float):
     return float(out) if out.ndim == 0 else out
 
 
-def series_capacitance(design: CapacitorDesign, op: OperatingPoint) -> float:
-    """Series combination C_G*C_Q/(C_G + C_Q) per unit area (F/m^2)."""
-    require_positive_temperature(op.temperature_T)
-    cg = geometric_capacitance(design)
-    cq = quantum_capacitance(design, op)
-    return cg * cq / (cg + cq)
+def series_capacitance(c_g, c_q):
+    """Series combination C_G*C_Q/(C_G + C_Q) per unit area (F/m^2);
+    either capacitance may be a scalar or an array."""
+    return c_g * c_q / (c_g + c_q)
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -120,11 +106,11 @@ def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSwe
     t_col, v_col, cq_col, cs_col = [], [], [], []
     for T in T_list:
         if T == 0.0:
-            cq = np.asarray(quantum_capacitance_T0(design, V))
+            cq = np.asarray(quantum_capacitance_T0(V))
         else:
             require_positive_temperature(T)
             cq = np.asarray(_cq_areal(T, V))
-        cs = cg * cq / (cg + cq)
+        cs = series_capacitance(cg, cq)
         t_col.append(np.full_like(V, float(T)))
         v_col.append(V)
         cq_col.append(cq)

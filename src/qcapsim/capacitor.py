@@ -21,7 +21,7 @@ from .constants import (
     require_positive,
     require_positive_temperature,
 )
-from .errors import NonPositiveArea, NonPositiveTemperature, NonPositiveThickness
+from .errors import NonPositiveThickness
 
 # dielectric thickness window: thick enough to block tunneling, thin enough
 # that the quantum capacitance stays an order of magnitude below C_G
@@ -32,39 +32,17 @@ DOMINANCE_MAX_RATIO = 0.1
 
 @dataclass(frozen=True)
 class CapacitorDesign:
-    """Geometry and material of the layered capacitor stack."""
+    """Dielectric of the layered capacitor stack: it sets C_G and the
+    thickness window of the design rules, and enters nothing else."""
 
-    area_S: float                      # m^2
     dielectric_thickness_t: float      # m
     relative_permittivity: float = 4.0
 
     def __post_init__(self):
-        require_positive(self.area_S, "area_S", NonPositiveArea)
         require_positive(self.dielectric_thickness_t, "dielectric_thickness_t", NonPositiveThickness)
         epsr = self.relative_permittivity
         if not (epsr >= 1.0 and math.isfinite(epsr)):  # also rejects NaN
             raise ValueError(f"relative_permittivity must be finite and >= 1, got {epsr}")
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Temperature and voltage at which the model is evaluated.
-
-    Finite-temperature operations require T > 0 and raise
-    :class:`NonPositiveTemperature` otherwise; the voltage is unrestricted
-    in sign.  Both must be finite, and T must be >= 0.
-    """
-
-    temperature_T: float  # K
-    voltage_V: float      # V
-
-    def __post_init__(self):
-        # `not x >= 0.0` also rejects NaN; isfinite rejects +inf
-        T = self.temperature_T
-        if not (T >= 0.0 and math.isfinite(T)):
-            raise NonPositiveTemperature(f"temperature_T must be finite and >= 0, got {T}")
-        if not math.isfinite(self.voltage_V):
-            raise ValueError(f"voltage_V must be finite, got {self.voltage_V}")
 
 
 @dataclass(frozen=True)
@@ -95,14 +73,20 @@ def _cq_prefactor(T: float) -> float:
     return scale
 
 
+def _require_operating_point(T: float, V: float) -> None:
+    """Raise :class:`NonPositiveTemperature` unless T is a finite, normal
+    float > 0 K, and :class:`ValueError` unless V is finite (either sign)."""
+    require_positive_temperature(T)
+    if not math.isfinite(V):
+        raise ValueError(f"voltage must be finite, got {V}")
+
+
 def geometric_capacitance(design: CapacitorDesign) -> float:
     """Parallel-plate capacitance eps0 * eps_r / t per unit area (F/m^2)."""
-    if design.dielectric_thickness_t <= 0.0:
-        raise NonPositiveThickness("dielectric thickness must be > 0")
     return CONSTANTS.epsilon_0 * design.relative_permittivity / design.dielectric_thickness_t
 
 
-def linear_capacitance_C0(design: CapacitorDesign, T: float) -> float:
+def linear_capacitance_C0(T: float) -> float:
     """Low-voltage linear capacitance 2 e^2 k_B T ln(16) / pi (hbar v_F)^2
     per unit area (F/m^2); linear in T."""
     require_positive_temperature(T)
@@ -111,7 +95,7 @@ def linear_capacitance_C0(design: CapacitorDesign, T: float) -> float:
 
 # --- zero-temperature charge and energy ------------------------------------
 
-def charge_energy_T0(design: CapacitorDesign, voltage: float) -> tuple[float, float]:
+def charge_energy_T0(voltage: float) -> tuple[float, float]:
     """Stored charge and energy per unit area at T = 0.
 
     Q = e^3 |V| V / 2 pi (hbar v_F)^2 (odd in V) and
@@ -127,22 +111,21 @@ def charge_energy_T0(design: CapacitorDesign, voltage: float) -> tuple[float, fl
 
 # --- low-voltage series expansions ------------------------------------------
 
-def charge_series(design: CapacitorDesign, op: OperatingPoint) -> float:
+def charge_series(T: float, V: float) -> float:
     """Cubic-order charge density e*N (C/m^2) from the low-voltage expansion.
 
     N(V) = (4 e k_B T / pi (hbar v_F)^2) [ln(2) V + e^2 V^3 / 96 (k_B T)^2].
     Accurate to better than 0.01% of the integrated capacitance for
     e|V| <= 0.2 k_B T; see :func:`charge_numeric` for the oracle.
     """
-    require_positive_temperature(op.temperature_T)
-    kT = CONSTANTS.k_B * op.temperature_T
-    V = op.voltage_V
+    _require_operating_point(T, V)
+    kT = CONSTANTS.k_B * T
     pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
     n_density = pref * (math.log(2.0) * V + CONSTANTS.e**2 * V**3 / (96.0 * kT**2))
     return CONSTANTS.e * n_density
 
 
-def charge_series_cubic_coefficient(design: CapacitorDesign, T: float) -> float:
+def charge_series_cubic_coefficient(T: float) -> float:
     """d^3N/dV^3 / 6 of the expansion behind :func:`charge_series` (1/(m^2 V^3))."""
     require_positive_temperature(T)
     kT = CONSTANTS.k_B * T
@@ -150,7 +133,7 @@ def charge_series_cubic_coefficient(design: CapacitorDesign, T: float) -> float:
     return pref * CONSTANTS.e**2 / (96.0 * kT**2)
 
 
-def energy_series(design: CapacitorDesign, T: float, n_density: float) -> float:
+def energy_series(T: float, n_density: float) -> float:
     """Stored energy per unit area (J/m^2) as a quartic expansion in the
     carrier number density N (1/m^2).
 
@@ -220,14 +203,13 @@ def _charge_integral(X: float) -> float:
     return 0.5 * X * X + 2.0 * li2_tail
 
 
-def charge_numeric(design: CapacitorDesign, op: OperatingPoint) -> float:
+def charge_numeric(T: float, V: float) -> float:
     """Charge density Q(V) = integral of C_Q from 0 to V (C/m^2).
 
     Evaluates the closed form of the integral to double precision at every
     voltage and temperature; odd in V.  The oracle for the series forms.
     """
-    require_positive_temperature(op.temperature_T)
-    T, V = op.temperature_T, op.voltage_V
+    _require_operating_point(T, V)
     kT = CONSTANTS.k_B * T
     X = CONSTANTS.e * abs(V) / (2.0 * kT)
     q = _cq_prefactor(T) * (2.0 * kT / CONSTANTS.e) * _charge_integral(X)
@@ -245,7 +227,7 @@ def design_check(design: CapacitorDesign, T: float) -> DesignReport:
     """
     require_positive_temperature(T)
     cg = geometric_capacitance(design)
-    c0 = linear_capacitance_C0(design, T)
+    c0 = linear_capacitance_C0(T)
     ratio = c0 / cg
     thickness_ok = THICKNESS_MIN < design.dielectric_thickness_t < THICKNESS_MAX
     dominance_ok = ratio <= DOMINANCE_MAX_RATIO

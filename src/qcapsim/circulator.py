@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ghz_to_rad_per_s, pi_units_to_rad, require_positive
-from .errors import ConfigError
+from .errors import ConfigError, config_number
 from .linalg import solve_complex
 
 SWEEP_CSV_HEADER = (
@@ -100,7 +100,8 @@ def config_from_engineering_dict(doc: dict) -> CirculatorConfig:
 
     Frequencies (omega, kappa, g, detuning) are in GHz; phases are in units
     of pi (e.g. ``"phi": [0, 0.5, 0]`` means phi_2 = pi/2).  Unknown keys
-    are rejected.
+    are rejected; ``doc`` is a config file's ``circulator`` object, and
+    errors name their keys from it (``circulator.kappa[0]``).
     """
     unknown = set(doc) - CIRCULATOR_JSON_KEYS
     if unknown:
@@ -115,17 +116,18 @@ def config_from_engineering_dict(doc: dict) -> CirculatorConfig:
     def triple(name, convert):
         values = doc[name] if name in doc else [0.0, 0.0, 0.0]
         if not isinstance(values, (list, tuple)) or len(values) != 3:
-            raise ConfigError(f"config key '{name}' must be a list of 3 numbers")
-        numbers = tuple(float(v) for v in values)
-        if not all(math.isfinite(v) for v in numbers):
-            raise ConfigError(f"config key '{name}' must hold finite numbers, got {list(values)}")
-        return tuple(convert(v) for v in numbers)
+            raise ConfigError(f"config key 'circulator.{name}' must be a list of 3 numbers")
+        return tuple(
+            convert(config_number(f"circulator.{name}[{i}]", v)) for i, v in enumerate(values)
+        )
 
     frame_name = str(doc.get("frame", "rotating")).lower()
     try:
         frame = Frame(frame_name)
     except ValueError:
-        raise ConfigError(f"config key 'frame' must be 'lab' or 'rotating', got {frame_name!r}")
+        raise ConfigError(
+            f"config key 'circulator.frame' must be 'lab' or 'rotating', got {frame_name!r}"
+        )
     return CirculatorConfig(
         omega=triple("omega", ghz_to_rad_per_s),
         kappa=triple("kappa", ghz_to_rad_per_s),
@@ -134,13 +136,6 @@ def config_from_engineering_dict(doc: dict) -> CirculatorConfig:
         frame=frame,
         detuning=triple("detuning", ghz_to_rad_per_s),
     )
-
-
-def pump_constraint_check(Omega_1: float, Omega_2: float, Omega_3: float, tol: float) -> bool:
-    """True when the pump drives satisfy Omega_1 + Omega_3 = Omega_2 within tol."""
-    if tol < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
-    return abs(Omega_1 + Omega_3 - Omega_2) <= tol
 
 
 def coupling_matrix(config: CirculatorConfig) -> np.ndarray:

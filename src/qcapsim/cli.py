@@ -33,7 +33,6 @@ from pathlib import Path
 from . import __version__
 from .capacitor import (
     CapacitorDesign,
-    OperatingPoint,
     charge_series,
     charge_series_cubic_coefficient,
     design_check,
@@ -48,9 +47,10 @@ from .constants import (
     ghz_to_rad_per_s,
     nm_to_m,
     pi_units_to_rad,
+    require_positive,
     um2_to_m2,
 )
-from .errors import ConfigError, CutoffNotConverged, SingularSystem
+from .errors import ConfigError, CutoffNotConverged, NonPositiveArea, SingularSystem, config_number
 from .mode import (
     FOCK_CUTOFF_MAX,
     OscillatorSpec,
@@ -133,25 +133,6 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
-def _config_float(key: str, value) -> float:
-    """A config-file number as a float; non-numbers, nan and +-inf raise
-    ConfigError (exit 2)."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"config key '{key}' must be a finite number, got {value}")
-    return number
-
-
-def _config_count(key: str, value) -> int:
-    """A config-file whole number; booleans and fractions raise ConfigError (exit 2)."""
-    if isinstance(value, bool) or _config_float(key, value) % 1:
-        raise ConfigError(f"config key '{key}' must be a whole number, got {value}")
-    return int(float(value))
-
-
 def _finite_float(text: str) -> float:
     """argparse ``type`` for numeric options: rejects nan and +-inf (exit 2)."""
     try:
@@ -215,13 +196,15 @@ def _cmd_sweep_capacitance(args) -> int:
 
     if args.config is not None:
         doc = _load_config(args.config, FIG2_KEYS, FIG2_KEYS)
-        thickness_nm = _config_float("thickness_nm", doc["thickness_nm"])
-        epsr = _config_float("relative_permittivity", doc["relative_permittivity"])
+        thickness_nm = config_number("thickness_nm", doc["thickness_nm"])
+        epsr = config_number("relative_permittivity", doc["relative_permittivity"])
         if not isinstance(doc["temperatures_K"], list):
             raise ConfigError("config key 'temperatures_K' must be a list of numbers")
-        temperatures = [_config_float("temperatures_K", t) for t in doc["temperatures_K"]]
-        vmax = _config_float("vmax_V", doc["vmax_V"])
-        n_points = _config_count("n_points", doc["n_points"])
+        temperatures = [
+            config_number(f"temperatures_K[{i}]", t) for i, t in enumerate(doc["temperatures_K"])
+        ]
+        vmax = config_number("vmax_V", doc["vmax_V"])
+        n_points = config_number("n_points", doc["n_points"], whole=True)
     else:
         thickness_nm = args.thickness_nm
         epsr = args.epsr
@@ -232,10 +215,10 @@ def _cmd_sweep_capacitance(args) -> int:
         raise ConfigError("at least one temperature is required")
     if n_points < 2:
         raise ConfigError(f"n_points must be >= 2, got {n_points}")
+    # the sweep is per unit area: --S is validated but not read
+    require_positive(um2_to_m2(args.S), "area_S", NonPositiveArea)
     design = CapacitorDesign(
-        area_S=um2_to_m2(args.S),
-        dielectric_thickness_t=nm_to_m(thickness_nm),
-        relative_permittivity=epsr,
+        dielectric_thickness_t=nm_to_m(thickness_nm), relative_permittivity=epsr
     )
     grid = np.linspace(-vmax, vmax, n_points)
     result = _kernel("capacitance_sweep")(design, temperatures, grid)
@@ -245,9 +228,7 @@ def _cmd_sweep_capacitance(args) -> int:
 
 def _cmd_design_check(args) -> int:
     design = CapacitorDesign(
-        area_S=um2_to_m2(args.S),
-        dielectric_thickness_t=nm_to_m(args.thickness_nm),
-        relative_permittivity=args.epsr,
+        dielectric_thickness_t=nm_to_m(args.thickness_nm), relative_permittivity=args.epsr
     )
     report = design_check(design, args.T)
     record = {
@@ -273,11 +254,6 @@ def _cmd_qubit(args) -> int:
     spec = OscillatorSpec(
         omega=omega, tau=tau, area_S=area, temperature_T=args.T, fock_cutoff=cutoff
     )
-    design = CapacitorDesign(
-        area_S=area,
-        dielectric_thickness_t=nm_to_m(args.thickness_nm),
-        relative_permittivity=args.epsr,
-    )
     chi, psi = photon_amplitude(spec)
     anh = anharmonicity_engineering(args.T, args.f, args.S)
     record = {
@@ -289,7 +265,7 @@ def _cmd_qubit(args) -> int:
         "tau_omega": tau * omega,
         "chi_per_m2_sqrt_s": chi,
         "psi_per_m2": psi,
-        "tank_inductance_H": resonant_inductance(design, args.T, omega),
+        "tank_inductance_H": resonant_inductance(area, args.T, omega),
         "anharmonicity_percent_printed": anh.percent_printed,
         "anharmonicity_percent_symbolic": anh.percent_symbolic,
         "n_max_printed": photon_number_limit(args.T, args.f),
@@ -343,13 +319,12 @@ def _cmd_circulator(args) -> int:
         raise ConfigError("config key 'circulator' must be an object")
     config = config_from_engineering_dict(doc["circulator"])
 
-    def file_number(key, default):
-        return _config_float(key, doc.get(key, default))
+    def file_number(key, default, whole=False):
+        return config_number(key, doc.get(key, default), whole=whole)
 
     delta_min = args.delta_min if args.delta_min is not None else file_number("delta_min_GHz", -4.0)
     delta_max = args.delta_max if args.delta_max is not None else file_number("delta_max_GHz", 4.0)
-    points = doc.get("n_points", 1001)
-    n_points = args.points if args.points is not None else _config_count("n_points", points)
+    n_points = args.points if args.points is not None else file_number("n_points", 1001, whole=True)
     result = _kernel("sweep")(
         config,
         ghz_to_rad_per_s(delta_min),
@@ -392,7 +367,7 @@ def _verify_checks(name: str, doc: dict) -> list[dict]:
                 raise ConfigError(f"check {i}: a 'flag' check needs 'consistent_with'")
             for key in ("printed", "rel_tol", "consistent_with"):
                 if key in check:
-                    check[key] = _config_float(f"checks[{i}].{key}", check[key])
+                    check[key] = config_number(f"checks[{i}].{key}", check[key])
             if check["printed"] == 0.0:
                 raise ConfigError(f"check {i}: 'printed' must be non-zero")
             if check["rel_tol"] < 0.0:
@@ -402,7 +377,7 @@ def _verify_checks(name: str, doc: dict) -> list[dict]:
     return checks
 
 
-def _quartic_coefficient_ratio(design: CapacitorDesign, T: float) -> float:
+def _quartic_coefficient_ratio(T: float) -> float:
     """The quartic coefficient of :func:`energy_series` over the one that
     inverting the charge series N = c1 V + c3 V^3 implies, e c3 / 4 c1^4.
 
@@ -412,29 +387,25 @@ def _quartic_coefficient_ratio(design: CapacitorDesign, T: float) -> float:
     than a digit.
     """
     e = CONSTANTS.e
-    c3 = charge_series_cubic_coefficient(design, T)
+    c3 = charge_series_cubic_coefficient(T)
     v = 1e-6 * CONSTANTS.k_B * T / e
-    c1 = charge_series(design, OperatingPoint(T, v)) / (e * v) - c3 * v**2
+    c1 = charge_series(T, v) / (e * v) - c3 * v**2
     n = math.sqrt(c1**3 / c3)
-    u1, u2 = energy_series(design, T, n), energy_series(design, T, 2.0 * n)
+    u1, u2 = energy_series(T, n), energy_series(T, 2.0 * n)
     b = (4.0 * u1 - u2) / (12.0 * n**4)
     return b / (e * c3 / (4.0 * c1**4))
 
 
 def _verify_computed_values() -> dict[str, float]:
-    design = CapacitorDesign(
-        area_S=um2_to_m2(100.0), dielectric_thickness_t=7e-9, relative_permittivity=4.0
-    )
+    design = CapacitorDesign(dielectric_thickness_t=7e-9, relative_permittivity=4.0)
     g0_1k = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0)
     g0_4k = single_photon_rate_engineering(4.0, 4.0, 2.0, 10.0, 100.0)
     g0_quarter = single_photon_rate_engineering(0.25, 4.0, 2.0, 10.0, 100.0)
     two_pi = 2.0 * math.pi
     return {
         "cg_areal": f_per_m2_to_ff_per_um2(geometric_capacitance(design)),
-        "c0_areal_1k": f_per_m2_to_ff_per_um2(linear_capacitance_C0(design, 1.0)),
-        "c0_total_100um2_1k": farad_to_femtofarad(
-            design.area_S * linear_capacitance_C0(design, 1.0)
-        ),
+        "c0_areal_1k": f_per_m2_to_ff_per_um2(linear_capacitance_C0(1.0)),
+        "c0_total_100um2_1k": farad_to_femtofarad(um2_to_m2(100.0) * linear_capacitance_C0(1.0)),
         "g0_1k_2pi_mhz": g0_1k.g0_printed_rad_s / (two_pi * 1e6),
         "g0_4k_2pi_khz": g0_4k.g0_printed_rad_s / (two_pi * 1e3),
         "g0_0p25k_2pi_ghz": g0_quarter.g0_printed_rad_s / (two_pi * 1e9),
@@ -445,7 +416,7 @@ def _verify_computed_values() -> dict[str, float]:
         "rate_coefficient": single_photon_rate_engineering(1.0, 1.0, 1.0, 1.0, 1.0).g0_symbolic_rad_s
         / (3.0 * two_pi * 1e9),
         "g0_definition_factor": g0_1k.ratio_symbolic_to_printed,
-        "quartic_coefficient_ratio": _quartic_coefficient_ratio(design, 1.0),
+        "quartic_coefficient_ratio": _quartic_coefficient_ratio(1.0),
     }
 
 
@@ -502,7 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=201, help="voltage grid points")
     p.add_argument("--thickness-nm", type=_finite_float, default=7.0, help="dielectric thickness in nm")
     p.add_argument("--epsr", type=_finite_float, default=4.0, help="dielectric relative permittivity")
-    p.add_argument("--S", type=_finite_float, default=100.0, help="capacitor area in um^2")
+    p.add_argument(
+        "--S",
+        type=_finite_float,
+        default=100.0,
+        help="capacitor area in um^2; checked to be > 0, but the sweep is per unit area "
+        "and does not read it",
+    )
     _add_common_output_flags(p)
     p.set_defaults(func=_cmd_sweep_capacitance)
 
@@ -510,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thickness-nm", type=_finite_float, default=7.0)
     p.add_argument("--epsr", type=_finite_float, default=4.0)
     p.add_argument("--T", type=_finite_float, default=1.0, help="temperature in K")
-    p.add_argument("--S", type=_finite_float, default=100.0, help="capacitor area in um^2")
     _add_common_output_flags(p)
     p.set_defaults(func=_cmd_design_check)
 
@@ -529,8 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit the Fock-basis spectrum (engineering outputs only)",
     )
-    p.add_argument("--thickness-nm", type=_finite_float, default=7.0)
-    p.add_argument("--epsr", type=_finite_float, default=4.0)
     _add_common_output_flags(p)
     p.set_defaults(func=_cmd_qubit)
 

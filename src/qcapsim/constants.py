@@ -102,12 +102,3 @@ def fermi_energy(voltage: float) -> float:
     Odd in V; negative bias gives a negative Fermi energy.
     """
     return CONSTANTS.e * voltage / 2.0
-
-
-def thermal_energy(temperature: float) -> float:
-    """Thermal energy k_B*T in joules.
-
-    Raises :class:`NonPositiveTemperature` unless T is a finite, normal float > 0.
-    """
-    require_positive_temperature(temperature)
-    return CONSTANTS.k_B * temperature

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .capacitor import CapacitorDesign, linear_capacitance_C0
+from .capacitor import linear_capacitance_C0
 from .constants import (
     CONSTANTS,
     ghz_to_rad_per_s,
@@ -139,11 +139,12 @@ def nonlinear_time_constant(area_S: float, temperature_T: float) -> float:
     return closed
 
 
-def resonant_inductance(design: CapacitorDesign, T: float, omega: float) -> float:
+def resonant_inductance(area_S: float, T: float, omega: float) -> float:
     """Tank inductance L = 1/(omega^2 S C_0) that resonates the linear
-    capacitance at ``omega`` (henry)."""
+    capacitance of area ``area_S`` (m^2) at ``omega`` (henry)."""
+    require_positive(area_S, "area_S", NonPositiveArea)
     require_positive(omega, "omega")
-    c0_total = design.area_S * linear_capacitance_C0(design, T)
+    c0_total = area_S * linear_capacitance_C0(T)
     try:
         den = omega**2 * c0_total
     except OverflowError:

@@ -28,22 +28,6 @@ DEFAULT_RESONANCE_TOLERANCE = 2.0 * math.pi * 1e6  # rad/s, ~typical linewidth
 
 
 @dataclass(frozen=True)
-class ModeSet:
-    """Labelled set of mode angular frequencies (rad/s)."""
-
-    frequencies: tuple[float, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.frequencies) != len(self.labels):
-            raise ValueError("frequencies and labels must have equal length")
-        for f in self.frequencies:
-            require_positive(f, "mode frequency")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("mode labels must be unique")
-
-
-@dataclass(frozen=True)
 class PumpSpec:
     """Strong coherent drive on the pump mode.
 

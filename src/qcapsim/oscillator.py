@@ -9,7 +9,7 @@ quartic term and diagonalized exactly, one parity block at a time, with a
 cutoff-stability check on the lowest levels.  The scalar formulas of
 the mode (its specification, tau, the photon amplitude, the engineering
 estimates and the photon-number limit) are in the numpy-free
-:mod:`qcapsim.mode` and are re-exported here.
+:mod:`qcapsim.mode`.
 """
 
 from __future__ import annotations
@@ -22,25 +22,7 @@ import numpy as np
 from . import linalg
 from .constants import CONSTANTS
 from .errors import CutoffNotConverged, PerturbativeRegimeExceeded
-
-# re-exported so that every name this module has defined stays importable
-from .mode import (  # noqa: F401
-    ANHARMONICITY_COEFF_PRINTED,
-    CONVERGENCE_CUTOFF_STEP,
-    PHOTON_LIMIT_COEFF_PRINTED,
-    STRONG_ANHARMONICITY_THRESHOLD,
-    SUGGESTED_CUTOFF_MAX,
-    AnharmonicityEstimate,
-    OscillatorSpec,
-    anharmonicity_engineering,
-    hamiltonian_coefficients,
-    nonlinear_time_constant,
-    photon_amplitude,
-    photon_number_limit,
-    photon_number_limit_derived,
-    resonant_inductance,
-    suggested_fock_cutoff,
-)
+from .mode import CONVERGENCE_CUTOFF_STEP, OscillatorSpec, hamiltonian_coefficients
 
 CONVERGENCE_RTOL = 1e-9
 
@@ -101,17 +83,6 @@ def _parity_blocks(spec: OscillatorSpec, n: int) -> list[np.ndarray]:
             flat[j * m :: m + 1] = band[p::2]
         blocks.append(block)
     return blocks
-
-
-def hamiltonian_matrix(spec: OscillatorSpec, cutoff: int | None = None) -> np.ndarray:
-    """Truncated Hamiltonian matrix (J): the parity blocks that
-    :func:`fock_diagonalize` solves, interleaved, with exact 0.0 between
-    states of opposite parity.  Exactly symmetric by construction."""
-    n = spec.fock_cutoff if cutoff is None else cutoff
-    h = np.zeros((n, n))
-    for p, block in enumerate(_parity_blocks(spec, n)):
-        h[p::2, p::2] = block
-    return h
 
 
 def _parity_block_eigenvalues(spec: OscillatorSpec, n: int) -> np.ndarray:

@@ -24,34 +24,29 @@ import time
 import numpy as np
 import pytest
 
-from qcapsim.capacitance import (
+from qcapsim.capacitance import quantum_capacitance, quantum_capacitance_T0
+from qcapsim.capacitor import (
     CapacitorDesign,
-    OperatingPoint,
     charge_energy_T0,
     charge_numeric,
     charge_series,
     geometric_capacitance,
     linear_capacitance_C0,
-    quantum_capacitance,
-    quantum_capacitance_T0,
 )
 from qcapsim.circulator import CirculatorConfig, Frame, langevin_matrix, scattering_matrix, sweep
 from qcapsim.cli import _verify_computed_values
 from qcapsim.constants import CONSTANTS, f_per_m2_to_ff_per_um2, fermi_energy
 from qcapsim.linalg import solve_complex
+from qcapsim.mode import OscillatorSpec, anharmonicity_engineering, nonlinear_time_constant
 from qcapsim.multimode import quantum_conductance, quantum_rc_time, single_photon_rate_engineering
-from qcapsim.oscillator import (
-    OscillatorSpec,
-    anharmonicity_engineering,
-    fock_diagonalize,
-    nonlinear_time_constant,
-)
+from qcapsim.oscillator import fock_diagonalize
 
 E, KB, HBAR, VF = CONSTANTS.e, CONSTANTS.k_B, CONSTANTS.hbar, CONSTANTS.v_F_default
 TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e9
 
-DESIGN = CapacitorDesign(area_S=1e-10, dielectric_thickness_t=7e-9, relative_permittivity=4.0)
+DESIGN = CapacitorDesign(dielectric_thickness_t=7e-9, relative_permittivity=4.0)
+AREA = 1e-10  # 100 um^2
 
 # one line per criterion check; echoed in the pytest terminal summary
 ACCEPTANCE_LINES = []
@@ -71,8 +66,8 @@ def test_criterion_1_geometric_capacitance():
 
 
 def test_criterion_2_linear_capacitance():
-    areal = f_per_m2_to_ff_per_um2(linear_capacitance_C0(DESIGN, 1.0))
-    total = DESIGN.area_S * linear_capacitance_C0(DESIGN, 1.0) * 1e15
+    areal = f_per_m2_to_ff_per_um2(linear_capacitance_C0(1.0))
+    total = AREA * linear_capacitance_C0(1.0) * 1e15
     ok = abs(areal - 0.0563) / 0.0563 <= 0.01 and abs(total - 5.63) / 5.63 <= 0.01
     assert _report(
         2, f"linear capacitance {areal:.5f} fF/um^2 and {total:.4f} fF vs 0.0563 / 5.63 (1%)", ok
@@ -177,15 +172,15 @@ def test_criterion_6_series_expansion_oracle():
     for T in (0.25, 1.0, 4.0):
         for frac in (0.05, 0.1, 0.2):
             v = frac * KB * T / E
-            series = charge_series(DESIGN, OperatingPoint(T, v))
-            oracle = charge_numeric(DESIGN, OperatingPoint(T, v))
+            series = charge_series(T, v)
+            oracle = charge_numeric(T, v)
             worst = max(worst, abs(series - oracle) / abs(oracle))
     series_ok = worst <= 1e-4
 
     v = 10e-3
     T_cold = E * v / (200.0 * KB)
-    cold = quantum_capacitance(DESIGN, OperatingPoint(T_cold, v))
-    limit = quantum_capacitance_T0(DESIGN, v)
+    cold = quantum_capacitance(T_cold, v)
+    limit = quantum_capacitance_T0(v)
     limit_ok = abs(cold - limit) / limit <= 0.01
     elapsed = time.perf_counter() - start
     ok = series_ok and limit_ok and elapsed < 1.0
@@ -239,8 +234,8 @@ def test_criterion_8_quantum_rc_identity():
     sigma_q = quantum_conductance()
     worst = 0.0
     for v in rng.uniform(-0.5, 0.5, size=500):
-        via_capacitance = DESIGN.area_S * quantum_capacitance_T0(DESIGN, v) / sigma_q
-        direct = quantum_rc_time(DESIGN.area_S, fermi_energy(v))
+        via_capacitance = AREA * quantum_capacitance_T0(v) / sigma_q
+        direct = quantum_rc_time(AREA, fermi_energy(v))
         if direct > 0.0:
             worst = max(worst, abs(via_capacitance - direct) / direct)
     ok = worst <= 1e-10
@@ -254,11 +249,11 @@ def test_criterion_9_property_suites():
 
     # parity: C even, Q odd, U even (200 draws)
     for v in rng.uniform(0.0, 0.4, size=200):
-        assert quantum_capacitance(DESIGN, OperatingPoint(1.0, v)) == pytest.approx(
-            quantum_capacitance(DESIGN, OperatingPoint(1.0, -v)), rel=1e-14, abs=0.0
+        assert quantum_capacitance(1.0, v) == pytest.approx(
+            quantum_capacitance(1.0, -v), rel=1e-14, abs=0.0
         )
-        qp, up = charge_energy_T0(DESIGN, v)
-        qm, um = charge_energy_T0(DESIGN, -v)
+        qp, up = charge_energy_T0(v)
+        qm, um = charge_energy_T0(-v)
         assert qm == -qp and um == up
         instances += 1
 

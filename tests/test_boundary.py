@@ -1,13 +1,17 @@
-"""Input-boundary property test: out-of-range numbers never escape as a
-traceback or as a non-finite value in a successful run's data.
+"""Input-boundary property tests, run in process through ``cli.main``.
 
-Every numeric flag of the flag-taking subcommands, and every numeric
-literal of the bundled fig2, circulator and verify-table configs, is set in
-turn to each value in ``EXTREMES`` and run in process through ``cli.main``
-in both output formats.  The exit code must be 0, 1 or 2 (argparse's own
-usage errors exit 2 through ``SystemExit``), and a run that exits 0 must
-write no nan or inf token.  No value here can request a large grid or
-cutoff: ``int()`` rejects the non-integer spellings at the boundary.
+Out-of-range numbers never escape as a traceback or as a non-finite value
+in a successful run's data: every numeric flag of the flag-taking
+subcommands, and every numeric literal of the bundled fig2, circulator and
+verify-table configs, is set in turn to each value in ``EXTREMES`` in both
+output formats.  The exit code must be 0, 1 or 2 (argparse's own usage
+errors exit 2 through ``SystemExit``), and a run that exits 0 must write no
+nan or inf token.  No value here can request a large grid or cutoff:
+``int()`` rejects the non-integer spellings at the boundary.
+
+Every numeric flag is live: another value changes the output bytes.  And a
+wrongly typed value (``WRONG_TYPES``) at any leaf of a bundled config is a
+config error that names its key.
 """
 
 import copy
@@ -23,8 +27,8 @@ EXTREMES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300")
 
 NUMERIC_FLAGS = {
     "sweep-capacitance": ("--T", "--vmax", "--points", "--thickness-nm", "--epsr", "--S"),
-    "design-check": ("--thickness-nm", "--epsr", "--T", "--S"),
-    "qubit": ("--T", "--f", "--S", "--cutoff", "--thickness-nm", "--epsr"),
+    "design-check": ("--thickness-nm", "--epsr", "--T"),
+    "qubit": ("--T", "--f", "--S", "--cutoff"),
     "coupling": (
         "--T", "--f", "--f1", "--f2", "--S",
         "--pump-photons", "--theta-over-pi", "--tolerance-mhz",
@@ -39,6 +43,21 @@ CONFIGS = {
     "circulator": "paper_fig4.json",
     "verify-paper": "paper_table_numbers.json",
 }
+
+# a value other than the default for each numeric flag
+OTHER_VALUE = {
+    "--T": "2", "--vmax": "0.1", "--points": "11", "--thickness-nm": "10", "--epsr": "5",
+    "--S": "200", "--f": "5", "--f1": "3", "--f2": "11", "--cutoff": "30",
+    "--pump-photons": "2", "--theta-over-pi": "0.5", "--tolerance-mhz": "7",
+    "--delta-min": "-3", "--delta-max": "3",
+}
+# 2 Omega misses |f1 - f2| by 5 MHz here, so a 1 MHz tolerance reads
+# off_resonant and a 7 MHz one hopping
+LIVENESS_ARGS = {("coupling", "--tolerance-mhz"): ("--f2", "10.005")}
+# the capacitance sweep is per unit area: --S is validated but not read
+DEAD_FLAGS = {("sweep-capacitance", "--S")}
+
+WRONG_TYPES = (True, False, "2", None, [], {}, [1.0], "nan")
 
 NON_FINITE_TOKEN = re.compile(r"(?<![A-Za-z_])(nan|inf|NaN|Infinity)(?![A-Za-z_])")
 
@@ -61,16 +80,32 @@ def _failure(capsys, argv, label):
     return None
 
 
-def _numeric_paths(node, path=()):
-    """Key paths of every number (not bool) in a JSON document."""
+def _leaves(node, path=()):
+    """(key path, value) of every leaf, that is every value but an object or
+    a list, of a JSON document."""
     if isinstance(node, dict):
         for key, value in node.items():
-            yield from _numeric_paths(value, path + (key,))
+            yield from _leaves(value, path + (key,))
     elif isinstance(node, list):
         for index, value in enumerate(node):
-            yield from _numeric_paths(value, path + (index,))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield path
+            yield from _leaves(value, path + (index,))
+    else:
+        yield path, node
+
+
+def _numeric_paths(doc):
+    """Key paths of every number (not bool) in a JSON document."""
+    for path, value in _leaves(doc):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
+
+
+def _key_name(path):
+    """A config key path as error messages spell it: ``circulator.kappa[0]``."""
+    name = ""
+    for key in path:
+        name += f"[{key}]" if isinstance(key, int) else f".{key}" if name else key
+    return name
 
 
 def _with_value(doc, path, value):
@@ -110,4 +145,52 @@ def test_config_literals_stay_inside_the_exit_contract(capsys, tmp_path, command
             argv = [command, "--config", str(config), "--format", fmt]
             failures.append(_failure(capsys, argv, f"{command} {name} {list(path)} = {value}"))
     failures = [f for f in failures if f]
+    assert not failures, "\n".join(failures)
+
+
+def _stdout(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0, argv
+    return out
+
+
+def test_every_numeric_flag_changes_the_output(capsys):
+    dead = []
+    for command, flags in NUMERIC_FLAGS.items():
+        for flag in flags:
+            if (command, flag) in DEAD_FLAGS:
+                continue
+            base = [command, *BASE_ARGS.get(command, ()), *LIVENESS_ARGS.get((command, flag), ())]
+            other = [*base, f"{flag}={OTHER_VALUE[flag]}"]
+            if _stdout(capsys, base) == _stdout(capsys, other):
+                dead.append(" ".join(other))
+    assert not dead, "flags that change no output byte:\n" + "\n".join(dead)
+
+
+@pytest.mark.parametrize("name", ["paper_fig2.json", "paper_fig4.json", "paper_fig5.json",
+                                  "paper_table_numbers.json"])
+def test_wrongly_typed_config_values_are_config_errors(capsys, tmp_path, name):
+    command = {"paper_fig2.json": "sweep-capacitance",
+               "paper_table_numbers.json": "verify-paper"}.get(name, "circulator")
+    doc = json.loads(resources.files("qcapsim").joinpath("configs", name).read_text())
+    failures = []
+    for path, leaf in _leaves(doc):
+        # a string leaf's message names its key, a number's the whole key path
+        key = path[-1] if isinstance(leaf, str) else _key_name(path)
+        for value in WRONG_TYPES:
+            if key in ("description", "note") and isinstance(value, str):
+                continue  # any string is a valid description or note
+            config = tmp_path / name
+            config.write_text(json.dumps(_with_value(doc, path, value)))
+            label = f"{name} {_key_name(path)} = {json.dumps(value)}"
+            try:
+                code = main([command, "--config", str(config)])
+            except Exception as exc:  # a traceback in a real run
+                capsys.readouterr()
+                failures.append(f"{label}: {type(exc).__name__}: {exc}")
+                continue
+            out, err = capsys.readouterr()
+            if (code, out) != (2, "") or key not in err.replace(str(config), ""):
+                failures.append(f"{label}: exit {code}, stdout {len(out)} chars, stderr {err!r}")
     assert not failures, "\n".join(failures)

@@ -5,9 +5,14 @@ import pytest
 
 from qcapsim.capacitance import (
     SWEEP_CSV_HEADER,
-    CapacitorDesign,
-    OperatingPoint,
     capacitance_sweep,
+    ln_2_plus_2cosh,
+    quantum_capacitance,
+    quantum_capacitance_T0,
+    series_capacitance,
+)
+from qcapsim.capacitor import (
+    CapacitorDesign,
     charge_energy_T0,
     charge_numeric,
     charge_series,
@@ -16,17 +21,14 @@ from qcapsim.capacitance import (
     energy_series,
     geometric_capacitance,
     linear_capacitance_C0,
-    ln_2_plus_2cosh,
-    quantum_capacitance,
-    quantum_capacitance_T0,
-    series_capacitance,
 )
 from qcapsim.constants import CONSTANTS, f_per_m2_to_ff_per_um2
-from qcapsim.errors import NonPositiveArea, NonPositiveTemperature, NonPositiveThickness
+from qcapsim.errors import NonPositiveTemperature, NonPositiveThickness
 
 E, KB, HBAR, VF = CONSTANTS.e, CONSTANTS.k_B, CONSTANTS.hbar, CONSTANTS.v_F_default
 
-DESIGN = CapacitorDesign(area_S=1e-10, dielectric_thickness_t=7e-9, relative_permittivity=4.0)
+DESIGN = CapacitorDesign(dielectric_thickness_t=7e-9, relative_permittivity=4.0)
+AREA = 1e-10  # 100 um^2
 
 
 # --- stable special function -------------------------------------------------
@@ -57,55 +59,55 @@ def test_ln_2_plus_2cosh_scalar_and_array_agree():
 def test_quantum_capacitance_zero_bias_value():
     # direct evaluation: ln[2(1+cosh 0)] = ln 4, i.e. half of ln 16
     expected = 2.0 * E**2 * KB * 1.0 * math.log(4.0) / (math.pi * (HBAR * VF) ** 2)
-    got = quantum_capacitance(DESIGN, OperatingPoint(1.0, 0.0))
+    got = quantum_capacitance(1.0, 0.0)
     assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert got == pytest.approx(2.816361713774626e-05, rel=1e-12, abs=0.0)
-    assert got == pytest.approx(linear_capacitance_C0(DESIGN, 1.0) / 2.0, rel=1e-14, abs=0.0)
+    assert got == pytest.approx(linear_capacitance_C0(1.0) / 2.0, rel=1e-14, abs=0.0)
 
 
 def test_quantum_capacitance_even_in_voltage():
     rng = np.random.default_rng(30)
     for T in (0.25, 1.0, 4.0):
         for v in rng.uniform(0.0, 0.2, size=40):
-            a = quantum_capacitance(DESIGN, OperatingPoint(T, v))
-            b = quantum_capacitance(DESIGN, OperatingPoint(T, -v))
+            a = quantum_capacitance(T, v)
+            b = quantum_capacitance(T, -v)
             assert a == pytest.approx(b, rel=1e-15, abs=0.0)
 
 
 def test_quantum_capacitance_large_bias_approaches_linear_form():
     v = 0.1
-    finite = quantum_capacitance(DESIGN, OperatingPoint(1.0, v))
-    limit = quantum_capacitance_T0(DESIGN, v)
+    finite = quantum_capacitance(1.0, v)
+    limit = quantum_capacitance_T0(v)
     assert finite == pytest.approx(limit, rel=0.01, abs=0.0)
 
 
 def test_quantum_capacitance_rejects_nonpositive_temperature():
     with pytest.raises(NonPositiveTemperature):
-        quantum_capacitance(DESIGN, OperatingPoint(0.0, 0.0))
+        quantum_capacitance(0.0, 0.0)
 
 
 def test_quantum_capacitance_rejects_nan_temperature():
     with pytest.raises(NonPositiveTemperature):
-        quantum_capacitance(DESIGN, OperatingPoint(math.nan, 0.0))
+        quantum_capacitance(math.nan, 0.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(NonPositiveTemperature):
-            linear_capacitance_C0(DESIGN, bad)
+            linear_capacitance_C0(bad)
         with pytest.raises(NonPositiveTemperature):
             capacitance_sweep(DESIGN, [bad], np.array([0.0]))
 
 
 def test_quantum_capacitance_T0_zero_and_parity():
-    assert quantum_capacitance_T0(DESIGN, 0.0) == 0.0
+    assert quantum_capacitance_T0(0.0) == 0.0
     rng = np.random.default_rng(31)
     for v in rng.uniform(0.0, 1.0, size=20):
-        assert quantum_capacitance_T0(DESIGN, v) == quantum_capacitance_T0(DESIGN, -v)
+        assert quantum_capacitance_T0(v) == quantum_capacitance_T0(-v)
 
 
 def test_quantum_capacitance_T0_is_millikelvin_limit():
     v = 0.05
-    t0 = quantum_capacitance_T0(DESIGN, v)
+    t0 = quantum_capacitance_T0(v)
     assert t0 == pytest.approx(E**3 * v / (math.pi * (HBAR * VF) ** 2), rel=1e-14, abs=0.0)
-    cold = quantum_capacitance(DESIGN, OperatingPoint(1e-3, v))
+    cold = quantum_capacitance(1e-3, v)
     assert cold == pytest.approx(t0, rel=1e-3, abs=0.0)
 
 
@@ -118,16 +120,16 @@ def test_geometric_capacitance_published_value():
 
 
 def test_geometric_capacitance_inverse_thickness_scaling():
-    double_t = CapacitorDesign(area_S=1e-10, dielectric_thickness_t=14e-9)
+    double_t = CapacitorDesign(dielectric_thickness_t=14e-9)
     assert geometric_capacitance(double_t) == pytest.approx(
-        geometric_capacitance(CapacitorDesign(area_S=1e-10, dielectric_thickness_t=7e-9)) / 2.0,
+        geometric_capacitance(CapacitorDesign(dielectric_thickness_t=7e-9)) / 2.0,
         rel=1e-15, abs=0.0,
     )
 
 
 def test_geometric_capacitance_vacuum_reference():
     design = CapacitorDesign(
-        area_S=1e-10, dielectric_thickness_t=8.854e-9, relative_permittivity=1.0
+        dielectric_thickness_t=8.854e-9, relative_permittivity=1.0
     )
     assert f_per_m2_to_ff_per_um2(geometric_capacitance(design)) == pytest.approx(
         1.0, rel=1e-4, abs=0.0
@@ -136,21 +138,19 @@ def test_geometric_capacitance_vacuum_reference():
 
 def test_nonpositive_thickness_rejected():
     with pytest.raises(NonPositiveThickness):
-        CapacitorDesign(area_S=1e-10, dielectric_thickness_t=0.0)
+        CapacitorDesign(dielectric_thickness_t=0.0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize(
     "field,error",
     [
-        ("area_S", NonPositiveArea),
         ("dielectric_thickness_t", NonPositiveThickness),
         ("relative_permittivity", ValueError),
     ],
 )
 def test_non_finite_design_rejected(field, error, value):
-    fields = {"area_S": 1e-10, "dielectric_thickness_t": 7e-9,
-              "relative_permittivity": 4.0, field: value}
+    fields = {"dielectric_thickness_t": 7e-9, "relative_permittivity": 4.0, field: value}
     with pytest.raises(error):
         CapacitorDesign(**fields)
 
@@ -167,22 +167,26 @@ def test_non_finite_design_rejected(field, error, value):
     ],
 )
 def test_operating_point_validation(T, V, error):
-    OperatingPoint(0.0, -0.05)
-    with pytest.raises(error):
-        OperatingPoint(T, V)
+    # every scalar formula of (T, V) checks both itself
+    for formula in (quantum_capacitance, charge_series, charge_numeric):
+        formula(1.0, -0.05)
+        with pytest.raises(error):
+            formula(T, V)
+
+
+def _series(T, V):
+    return series_capacitance(geometric_capacitance(DESIGN), quantum_capacitance(T, V))
 
 
 def test_series_capacitance_below_both_components():
-    op = OperatingPoint(1.0, 0.01)
-    cs = series_capacitance(DESIGN, op)
+    cs = _series(1.0, 0.01)
     assert cs < geometric_capacitance(DESIGN)
-    assert cs < quantum_capacitance(DESIGN, op)
+    assert cs < quantum_capacitance(1.0, 0.01)
 
 
 def test_series_capacitance_zero_bias_near_quantum_value():
-    op = OperatingPoint(1.0, 0.0)
-    cs = series_capacitance(DESIGN, op)
-    cq = quantum_capacitance(DESIGN, op)
+    cs = _series(1.0, 0.0)
+    cq = quantum_capacitance(1.0, 0.0)
     cg = geometric_capacitance(DESIGN)
     assert cs == pytest.approx(cq, rel=0.012, abs=0.0)
     assert cs == pytest.approx(cq / (1.0 + cq / cg), rel=1e-14, abs=0.0)
@@ -192,7 +196,7 @@ def test_series_capacitance_approaches_geometric_at_large_bias():
     cg = geometric_capacitance(DESIGN)
     prev_dev = None
     for v in (0.5, 1.0, 2.0):
-        cs = series_capacitance(DESIGN, OperatingPoint(1.0, v))
+        cs = _series(1.0, v)
         dev = abs(cs - cg) / cg
         if prev_dev is not None:
             assert dev < prev_dev
@@ -201,22 +205,22 @@ def test_series_capacitance_approaches_geometric_at_large_bias():
 
 
 def test_series_capacitance_even_in_voltage():
-    a = series_capacitance(DESIGN, OperatingPoint(1.0, 0.03))
-    b = series_capacitance(DESIGN, OperatingPoint(1.0, -0.03))
+    a = _series(1.0, 0.03)
+    b = _series(1.0, -0.03)
     assert a == pytest.approx(b, rel=1e-15, abs=0.0)
 
 
 # --- zero-temperature charge/energy -------------------------------------------
 
 def test_charge_energy_T0_zero():
-    assert charge_energy_T0(DESIGN, 0.0) == (0.0, 0.0)
+    assert charge_energy_T0(0.0) == (0.0, 0.0)
 
 
 def test_charge_energy_T0_parity():
     rng = np.random.default_rng(32)
     for v in rng.uniform(0.0, 0.5, size=25):
-        qp, up = charge_energy_T0(DESIGN, v)
-        qm, um = charge_energy_T0(DESIGN, -v)
+        qp, up = charge_energy_T0(v)
+        qm, um = charge_energy_T0(-v)
         assert qm == -qp
         assert um == up
         assert up >= 0.0
@@ -226,7 +230,7 @@ def test_charge_energy_T0_density_form_identity():
     # U = (1/3) sqrt(2 pi) hbar v_F N^(3/2) with N = |Q|/e, on the charging branch
     rng = np.random.default_rng(33)
     for v in rng.uniform(1e-4, 0.5, size=10):
-        q, u = charge_energy_T0(DESIGN, v)
+        q, u = charge_energy_T0(v)
         n = abs(q) / E
         alt = (1.0 / 3.0) * math.sqrt(2.0 * math.pi) * HBAR * VF * math.copysign(1.0, q) * n**1.5
         assert alt == pytest.approx(u, rel=1e-10, abs=0.0)
@@ -235,10 +239,10 @@ def test_charge_energy_T0_density_form_identity():
 def test_charge_energy_T0_derivative_consistency():
     # dQ/dV equals the zero-temperature capacitance (central differences)
     v, h = 0.02, 1e-7
-    qp, _ = charge_energy_T0(DESIGN, v + h)
-    qm, _ = charge_energy_T0(DESIGN, v - h)
+    qp, _ = charge_energy_T0(v + h)
+    qm, _ = charge_energy_T0(v - h)
     assert (qp - qm) / (2 * h) == pytest.approx(
-        quantum_capacitance_T0(DESIGN, v), rel=1e-8, abs=0.0
+        quantum_capacitance_T0(v), rel=1e-8, abs=0.0
     )
 
 
@@ -248,41 +252,41 @@ def test_charge_energy_T0_derivative_consistency():
 @pytest.mark.parametrize("frac", [0.05, 0.1, 0.2])
 def test_charge_series_matches_quadrature(T, frac):
     v = frac * KB * T / E
-    series = charge_series(DESIGN, OperatingPoint(T, v))
-    oracle = charge_numeric(DESIGN, OperatingPoint(T, v))
+    series = charge_series(T, v)
+    oracle = charge_numeric(T, v)
     assert series == pytest.approx(oracle, rel=1e-4, abs=0.0)
 
 
 def test_charge_series_zero():
-    assert charge_series(DESIGN, OperatingPoint(1.0, 0.0)) == 0.0
+    assert charge_series(1.0, 0.0) == 0.0
 
 
 def test_charge_numeric_zero():
-    assert charge_numeric(DESIGN, OperatingPoint(1.0, 0.0)) == 0.0
+    assert charge_numeric(1.0, 0.0) == 0.0
 
 
 def test_charge_numeric_negative_voltage_odd():
     v = 2e-5
-    qp = charge_numeric(DESIGN, OperatingPoint(1.0, v))
-    qm = charge_numeric(DESIGN, OperatingPoint(1.0, -v))
+    qp = charge_numeric(1.0, v)
+    qm = charge_numeric(1.0, -v)
     assert qm == pytest.approx(-qp, rel=1e-10, abs=0.0)
 
 
 def test_charge_numeric_millikelvin_matches_T0_charge():
     v = 5e-3
-    quad_val = charge_numeric(DESIGN, OperatingPoint(1e-3, v))
-    closed, _ = charge_energy_T0(DESIGN, v)
+    quad_val = charge_numeric(1e-3, v)
+    closed, _ = charge_energy_T0(v)
     assert quad_val == pytest.approx(closed, rel=1e-3, abs=0.0)
 
 
 def test_quadrature_derivative_reproduces_capacitance():
     # step-size-robust central differences with Richardson extrapolation
     v0, T = 1e-3, 1.0
-    target = quantum_capacitance(DESIGN, OperatingPoint(T, v0))
+    target = quantum_capacitance(T, v0)
     for h in (4e-6, 2e-6):
         def central(step):
-            qp = charge_numeric(DESIGN, OperatingPoint(T, v0 + step))
-            qm = charge_numeric(DESIGN, OperatingPoint(T, v0 - step))
+            qp = charge_numeric(T, v0 + step)
+            qm = charge_numeric(T, v0 - step)
             return (qp - qm) / (2 * step)
 
         richardson = (4.0 * central(h / 2) - central(h)) / 3.0
@@ -293,15 +297,15 @@ def test_cubic_coefficient_by_richardson_extrapolation():
     # strip the linear part from the quadrature oracle and extrapolate the
     # cubic coefficient; it must land on the implemented expansion term
     T = 1.0
-    c_lin = quantum_capacitance(DESIGN, OperatingPoint(T, 0.0)) / E  # dN/dV at 0
+    c_lin = quantum_capacitance(T, 0.0) / E  # dN/dV at 0
     v = 0.05 * KB * T / E
 
     def cubic_estimate(vv):
-        n = charge_numeric(DESIGN, OperatingPoint(T, vv)) / E
+        n = charge_numeric(T, vv) / E
         return (n - c_lin * vv) / vv**3
 
     est = (4.0 * cubic_estimate(v / 2) - cubic_estimate(v)) / 3.0
-    assert est == pytest.approx(charge_series_cubic_coefficient(DESIGN, T), rel=1e-3, abs=0.0)
+    assert est == pytest.approx(charge_series_cubic_coefficient(T), rel=1e-3, abs=0.0)
 
 
 # --- closed-form charge vs an independent Gauss-Legendre integral ----------------
@@ -334,7 +338,7 @@ def test_charge_numeric_matches_gauss_legendre(X):
     T = 1.0
     v = 2.0 * KB * T * X / E
     expected = _charge_scale(T) * _gauss_legendre_charge_integral(X)
-    got = charge_numeric(DESIGN, OperatingPoint(T, v))
+    got = charge_numeric(T, v)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -346,7 +350,7 @@ def test_charge_numeric_low_temperature_large_bias(T, v):
     # lands 9.8e-8 (first three) and 3.9e-9 (last) low here
     X = E * abs(v) / (2.0 * KB * T)
     expected = math.copysign(_charge_scale(T) * _gauss_legendre_charge_integral(X), v)
-    got = charge_numeric(DESIGN, OperatingPoint(T, v))
+    got = charge_numeric(T, v)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -356,26 +360,26 @@ def test_charge_numeric_large_x_exact():
     T, v = 0.05, 0.05
     X = E * v / (2.0 * KB * T)
     expected = _charge_scale(T) * (0.5 * X * X + math.pi**2 / 6.0)
-    got = charge_numeric(DESIGN, OperatingPoint(T, v))
+    got = charge_numeric(T, v)
     assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_linear_capacitance_published_values():
-    c0 = linear_capacitance_C0(DESIGN, 1.0)
+    c0 = linear_capacitance_C0(1.0)
     assert f_per_m2_to_ff_per_um2(c0) == pytest.approx(0.0563, rel=0.01, abs=0.0)
     assert f_per_m2_to_ff_per_um2(c0) == pytest.approx(0.056327234275492515, rel=1e-12, abs=0.0)
-    total_fF = DESIGN.area_S * c0 * 1e15
+    total_fF = AREA * c0 * 1e15
     assert total_fF == pytest.approx(5.63, rel=0.01, abs=0.0)
 
 
 def test_linear_capacitance_linearity_in_temperature():
-    assert linear_capacitance_C0(DESIGN, 2.0) == pytest.approx(
-        2.0 * linear_capacitance_C0(DESIGN, 1.0), rel=1e-14, abs=0.0
+    assert linear_capacitance_C0(2.0) == pytest.approx(
+        2.0 * linear_capacitance_C0(1.0), rel=1e-14, abs=0.0
     )
 
 
 def test_energy_series_zero():
-    assert energy_series(DESIGN, 1.0, 0.0) == 0.0
+    assert energy_series(1.0, 0.0) == 0.0
 
 
 def test_energy_series_curvature_is_inverse_linear_capacitance():
@@ -386,15 +390,15 @@ def test_energy_series_curvature_is_inverse_linear_capacitance():
     T = 1.0
     h = 1e10  # 1/m^2
     d2 = (
-        energy_series(DESIGN, T, h) - 2.0 * energy_series(DESIGN, T, 0.0)
-        + energy_series(DESIGN, T, -h)
+        energy_series(T, h) - 2.0 * energy_series(T, 0.0)
+        + energy_series(T, -h)
     ) / h**2
     kT, hv, ln16 = KB * T, HBAR * VF, math.log(16.0)
     leading = math.pi * hv**2 / (kT * ln16)
     quartic = (math.pi * hv**2 / (2.0 * kT)) * (math.pi**2 / 4.0) * (hv / (ln16 * kT)) ** 4
     assert d2 == pytest.approx(leading - quartic * 2.0 * h**2, rel=1e-6, abs=0.0)
     assert leading == pytest.approx(
-        2.0 * E**2 / linear_capacitance_C0(DESIGN, T), rel=1e-6, abs=0.0
+        2.0 * E**2 / linear_capacitance_C0(T), rel=1e-6, abs=0.0
     )
 
 
@@ -403,13 +407,13 @@ def test_energy_series_quartic_is_twelve_times_the_charge_model(T):
     # Inverting N = c1 V + c3 V^3 and integrating U = int e V dN gives
     # U = e N^2 / 2 c1 - e c3 N^4 / 4 c1^4; energy_series keeps the quadratic
     # term and carries 12 times the quartic one (see its docstring).
-    c3 = charge_series_cubic_coefficient(DESIGN, T)
+    c3 = charge_series_cubic_coefficient(T)
     v = 1e-6 * KB * T / E  # c3 v^2 / c1 ~ 1e-14: c1 is exact to rounding
-    c1 = charge_series(DESIGN, OperatingPoint(T, v)) / (E * v) - c3 * v**2
+    c1 = charge_series(T, v) / (E * v) - c3 * v**2
     # U(n) = a n^2 - b n^4 at n = N and 2N, with N where b N^2 ~ 6 a, so that
     # neither combination below cancels more than a digit
     n = math.sqrt(c1**3 / c3)
-    u1, u2 = energy_series(DESIGN, T, n), energy_series(DESIGN, T, 2.0 * n)
+    u1, u2 = energy_series(T, n), energy_series(T, 2.0 * n)
     a = (16.0 * u1 - u2) / (12.0 * n**2)
     b = (4.0 * u1 - u2) / (12.0 * n**4)
     assert a == pytest.approx(E / (2.0 * c1), rel=1e-9, abs=0.0)
@@ -428,13 +432,13 @@ def test_design_check_published_geometry_passes():
 
 @pytest.mark.parametrize("t_nm,ok", [(2.0, False), (3.5, True), (69.0, True), (100.0, False)])
 def test_design_check_thickness_window(t_nm, ok):
-    design = CapacitorDesign(area_S=1e-10, dielectric_thickness_t=t_nm * 1e-9)
+    design = CapacitorDesign(dielectric_thickness_t=t_nm * 1e-9)
     assert design_check(design, 1.0).thickness_ok is ok
 
 
 def test_design_check_dominance_fails_when_too_thick():
     # at large t the geometric capacitance drops toward C_0 and dominance is lost
-    design = CapacitorDesign(area_S=1e-10, dielectric_thickness_t=65e-9)
+    design = CapacitorDesign(dielectric_thickness_t=65e-9)
     report = design_check(design, 10.0)
     assert not report.dominance_ok
 
@@ -458,7 +462,7 @@ def test_sweep_rows_and_invariants():
 def test_sweep_zero_temperature_branch_matches_explicit_form():
     grid = np.array([-0.02, 0.0, 0.02])
     result = capacitance_sweep(DESIGN, [0.0], grid)
-    expected = quantum_capacitance_T0(DESIGN, grid)
+    expected = quantum_capacitance_T0(grid)
     assert np.allclose(result.CQ_areal, expected, rtol=1e-14, atol=0)
 
 
@@ -466,8 +470,10 @@ def test_sweep_matches_pointwise_quantum_capacitance():
     # a cell of the sweep carries the same bits as the scalar evaluation
     volts = np.random.default_rng(1010).uniform(-5e-3, 5e-3, size=5000)
     result = capacitance_sweep(DESIGN, [1.0], volts)
-    pointwise = [quantum_capacitance(DESIGN, OperatingPoint(1.0, float(v))) for v in volts]
+    pointwise = [quantum_capacitance(1.0, float(v)) for v in volts]
     assert np.array_equal(result.CQ_areal, np.array(pointwise))
+    cg = geometric_capacitance(DESIGN)
+    assert np.array_equal(result.Cseries_areal, np.array([series_capacitance(cg, c) for c in pointwise]))
 
 
 def test_sweep_large_bias_plateau():
@@ -500,9 +506,9 @@ def test_sweep_rejects_negative_temperature():
 def test_underflowing_capacitance_scale_rejected():
     # at T = 1e-300 K the prefactor underflows and every C_Q would read 0
     with pytest.raises(ValueError, match="out of range"):
-        quantum_capacitance(DESIGN, OperatingPoint(1e-300, 0.01))
+        quantum_capacitance(1e-300, 0.01)
     with pytest.raises(ValueError, match="out of range"):
-        linear_capacitance_C0(DESIGN, 1e-300)
+        linear_capacitance_C0(1e-300)
     with pytest.raises(ValueError, match="out of range"):
         capacitance_sweep(DESIGN, [1e-300], np.array([0.0, 0.01]))
 
@@ -512,13 +518,13 @@ def test_underflowing_capacitance_scale_rejected():
 def test_random_parity_properties():
     rng = np.random.default_rng(34)
     voltages = rng.uniform(0.0, 0.3, size=200)
-    cq_p = np.asarray([quantum_capacitance(DESIGN, OperatingPoint(1.0, v)) for v in voltages])
-    cq_m = np.asarray([quantum_capacitance(DESIGN, OperatingPoint(1.0, -v)) for v in voltages])
+    cq_p = np.asarray([quantum_capacitance(1.0, v) for v in voltages])
+    cq_m = np.asarray([quantum_capacitance(1.0, -v) for v in voltages])
     assert np.allclose(cq_p, cq_m, rtol=1e-14, atol=0)
     assert np.all(cq_p > 0.0)
 
 
 def test_zero_bias_capacitance_increases_with_temperature():
     temps = np.linspace(0.05, 10.0, 50)
-    values = [quantum_capacitance(DESIGN, OperatingPoint(t, 0.0)) for t in temps]
+    values = [quantum_capacitance(t, 0.0) for t in temps]
     assert np.all(np.diff(values) > 0.0)

@@ -11,7 +11,6 @@ from qcapsim.circulator import (
     config_from_engineering_dict,
     coupling_matrix,
     langevin_matrix,
-    pump_constraint_check,
     scattering_matrix,
     sweep,
 )
@@ -34,16 +33,6 @@ def paper_config(dphi: float, frame: Frame = Frame.ROTATING) -> CirculatorConfig
 
 
 # --- pump constraint -----------------------------------------------------------
-
-def test_pump_constraint_examples():
-    assert pump_constraint_check(1.0 * GHZ, 2.0 * GHZ, 1.0 * GHZ, tol=0.0)
-    assert not pump_constraint_check(
-        1.0 * GHZ, 2.0 * GHZ + 0.01 * GHZ, 1.0 * GHZ, tol=0.001 * GHZ
-    )
-    assert pump_constraint_check(0.3, 0.8, 0.5, tol=0.0)
-    with pytest.raises(ValueError):
-        pump_constraint_check(1.0, 2.0, 1.0, tol=-1.0)
-
 
 # --- config ----------------------------------------------------------------------
 

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from qcapsim import constants
-from qcapsim.constants import CONSTANTS, fermi_energy, thermal_energy
-from qcapsim.errors import NonPositiveTemperature
+from qcapsim.constants import CONSTANTS, fermi_energy
 
 # independent copies of the CODATA 2018 values (>= 6 significant digits)
 CODATA_2018 = {
@@ -102,20 +101,6 @@ def test_fermi_energy_odd():
     rng = np.random.default_rng(21)
     for v in rng.uniform(-1.0, 1.0, size=20):
         assert fermi_energy(-v) == -fermi_energy(v)
-
-
-def test_thermal_energy_one_kelvin():
-    assert thermal_energy(1.0) == pytest.approx(1.380649e-23, rel=1e-12, abs=0.0)
-
-
-def test_thermal_energy_linearity():
-    assert thermal_energy(4.0) == pytest.approx(4.0 * thermal_energy(1.0), rel=1e-12, abs=0.0)
-
-
-@pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
-def test_thermal_energy_rejects_nonpositive(T):
-    with pytest.raises(NonPositiveTemperature):
-        thermal_energy(T)
 
 
 def test_require_positive_accepts_only_normal_floats():

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qcapsim.capacitance import CapacitorDesign, quantum_capacitance_T0
+from qcapsim.capacitance import quantum_capacitance_T0
 from qcapsim.constants import CONSTANTS, fermi_energy
 from qcapsim.errors import AmbiguousResonance, NonPositiveArea
 from qcapsim.multimode import (
     DEFAULT_RESONANCE_TOLERANCE,
     InteractionKind,
-    ModeSet,
     PumpSpec,
     classify_interaction,
     gamma_nml,
@@ -17,7 +16,7 @@ from qcapsim.multimode import (
     quantum_rc_time,
     single_photon_rate_engineering,
 )
-from qcapsim.oscillator import nonlinear_time_constant
+from qcapsim.mode import nonlinear_time_constant
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,14 +217,14 @@ def test_quantum_rc_consistency_with_capacitance_and_conductance():
     # S * C_Q(T->0)(V) / sigma_Q must equal S |E_F| / (hbar v_F^2), both
     # sides computed through independent code paths
     rng = np.random.default_rng(51)
-    design = CapacitorDesign(area_S=1e-10, dielectric_thickness_t=7e-9)
+    area = 1e-10  # 100 um^2
     sigma_q = quantum_conductance()
     assert sigma_q == pytest.approx(
         2.0 * CONSTANTS.e**2 / (math.pi * CONSTANTS.hbar), rel=1e-14, abs=0.0
     )
     for v in rng.uniform(-0.5, 0.5, size=200):
-        via_capacitance = design.area_S * quantum_capacitance_T0(design, v) / sigma_q
-        direct = quantum_rc_time(design.area_S, fermi_energy(v))
+        via_capacitance = area * quantum_capacitance_T0(v) / sigma_q
+        direct = quantum_rc_time(area, fermi_energy(v))
         assert abs(via_capacitance - direct) <= 1e-10 * max(direct, 1e-300)
 
 
@@ -251,19 +250,6 @@ def test_single_photon_rate_rejects_bad_inputs(index, bad):
 def test_single_photon_rate_rejects_out_of_range_temperature():
     with pytest.raises(ValueError, match="out of range"):
         single_photon_rate_engineering(1e300, 4.0, 2.0, 10.0, 100.0)
-
-
-def test_mode_set_validation():
-    ModeSet(frequencies=(_ghz(1.0), _ghz(2.0)), labels=("a", "b"))
-    with pytest.raises(ValueError):
-        ModeSet(frequencies=(_ghz(1.0), _ghz(2.0)), labels=("a", "a"))
-    with pytest.raises(ValueError):
-        ModeSet(frequencies=(0.0,), labels=("a",))
-    with pytest.raises(ValueError):
-        ModeSet(frequencies=(_ghz(1.0),), labels=("a", "b"))
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            ModeSet(frequencies=(_ghz(1.0), bad), labels=("a", "b"))
 
 
 def test_pump_spec_validation():

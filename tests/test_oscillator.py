@@ -4,16 +4,14 @@ import sys
 import numpy as np
 import pytest
 
-from qcapsim.capacitance import CapacitorDesign, linear_capacitance_C0
+from qcapsim.capacitor import linear_capacitance_C0
 from qcapsim.constants import CONSTANTS
 from qcapsim.errors import CutoffNotConverged, NonPositiveArea, NonPositiveTemperature, PerturbativeRegimeExceeded
-from qcapsim.mode import FOCK_CUTOFF_MAX
-from qcapsim.oscillator import (
+from qcapsim.mode import (
+    FOCK_CUTOFF_MAX,
     OscillatorSpec,
     anharmonicity_engineering,
-    fock_diagonalize,
     hamiltonian_coefficients,
-    hamiltonian_matrix,
     nonlinear_time_constant,
     photon_amplitude,
     photon_number_limit,
@@ -21,6 +19,7 @@ from qcapsim.oscillator import (
     resonant_inductance,
     suggested_fock_cutoff,
 )
+from qcapsim.oscillator import _parity_blocks, fock_diagonalize
 
 E, KB, HBAR, VF = CONSTANTS.e, CONSTANTS.k_B, CONSTANTS.hbar, CONSTANTS.v_F_default
 
@@ -43,6 +42,17 @@ def _ladder_oracle(cutoff: int) -> np.ndarray:
     idx = np.arange(cutoff - 1)
     x[idx, idx + 1] = x[idx + 1, idx] = np.sqrt(idx + 1.0)
     return x
+
+
+def hamiltonian_matrix(spec: OscillatorSpec) -> np.ndarray:
+    """Truncated Hamiltonian matrix (J): the parity blocks that
+    :func:`fock_diagonalize` solves, interleaved, with exact 0.0 between
+    states of opposite parity."""
+    n = spec.fock_cutoff
+    h = np.zeros((n, n))
+    for p, block in enumerate(_parity_blocks(spec, n)):
+        h[p::2, p::2] = block
+    return h
 
 
 def _product_oracle(spec: OscillatorSpec) -> np.ndarray:
@@ -118,17 +128,15 @@ def test_nonlinear_tau_input_validation():
 # --- resonant inductance ----------------------------------------------------------
 
 def test_resonant_inductance_round_trip():
-    design = CapacitorDesign(area_S=AREA, dielectric_thickness_t=7e-9)
-    L = resonant_inductance(design, 1.0, OMEGA)
+    L = resonant_inductance(AREA, 1.0, OMEGA)
     assert L == pytest.approx(2.8106181934452614e-07, rel=1e-12, abs=0.0)
-    c0_total = AREA * linear_capacitance_C0(design, 1.0)
+    c0_total = AREA * linear_capacitance_C0(1.0)
     assert 1.0 / math.sqrt(L * c0_total) == pytest.approx(OMEGA, rel=1e-12, abs=0.0)
 
 
 def test_resonant_inductance_quadruples_when_frequency_halves():
-    design = CapacitorDesign(area_S=AREA, dielectric_thickness_t=7e-9)
-    assert resonant_inductance(design, 1.0, OMEGA / 2) == pytest.approx(
-        4.0 * resonant_inductance(design, 1.0, OMEGA), rel=1e-14, abs=0.0
+    assert resonant_inductance(AREA, 1.0, OMEGA / 2) == pytest.approx(
+        4.0 * resonant_inductance(AREA, 1.0, OMEGA), rel=1e-14, abs=0.0
     )
 
 
@@ -391,7 +399,9 @@ def test_engineering_estimates_reject_non_finite_and_nonpositive_inputs():
             with pytest.raises(ValueError):
                 limit(1.0, bad)
         with pytest.raises(ValueError):
-            resonant_inductance(CapacitorDesign(area_S=AREA, dielectric_thickness_t=7e-9), 1.0, bad)
+            resonant_inductance(AREA, 1.0, bad)
+        with pytest.raises(NonPositiveArea):
+            resonant_inductance(bad, 1.0, OMEGA)
 
 
 def test_nonlinear_time_constant_range_is_checked_not_trapped():
@@ -418,13 +428,12 @@ def test_nonlinear_time_constant_rejects_out_of_range_scales(S, T):
 
 
 def test_scalar_formulas_reject_results_out_of_range():
-    design = CapacitorDesign(area_S=AREA, dielectric_thickness_t=7e-9)
     with pytest.raises(ValueError, match="out of range"):
         photon_number_limit_derived(1.0, 1e-300)
     with pytest.raises(ValueError, match="out of range"):
-        resonant_inductance(design, 1.0, 1e-290)
+        resonant_inductance(AREA, 1.0, 1e-290)
     with pytest.raises(ValueError, match="out of range"):
-        resonant_inductance(design, 1.0, 1e160)
+        resonant_inductance(AREA, 1.0, 1e160)
     with pytest.raises(ValueError, match="out of range"):
         anharmonicity_engineering(1e300, 4.0, 100.0)
     tiny = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=1e-300, temperature_T=1.0)
