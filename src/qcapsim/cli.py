@@ -186,6 +186,25 @@ def _emit_record(args, record: dict) -> None:
 
 # --- subcommands --------------------------------------------------------------
 
+def _setting(flag, doc: dict, key: str, default, read=config_number):
+    """A run setting: the flag's value when it is given, else the config's
+    ``key`` as ``read`` takes it, else ``default``."""
+    if flag is not None:
+        return flag
+    return read(key, doc[key]) if key in doc else default
+
+
+def _whole_number(key: str, value) -> int:
+    return config_number(key, value, whole=True)
+
+
+def _config_numbers(key: str, value) -> list[float]:
+    """A config list of numbers, each read by :func:`config_number`."""
+    if not isinstance(value, list):
+        raise ConfigError(f"config key '{key}' must be a list of numbers")
+    return [config_number(f"{key}[{i}]", v) for i, v in enumerate(value)]
+
+
 FIG2_KEYS = {"thickness_nm", "relative_permittivity", "temperatures_K", "vmax_V", "n_points"}
 
 
@@ -194,23 +213,15 @@ def _cmd_sweep_capacitance(args) -> int:
 
     from .capacitance import SWEEP_CSV_HEADER
 
-    if args.config is not None:
-        doc = _load_config(args.config, FIG2_KEYS, FIG2_KEYS)
-        thickness_nm = config_number("thickness_nm", doc["thickness_nm"])
-        epsr = config_number("relative_permittivity", doc["relative_permittivity"])
-        if not isinstance(doc["temperatures_K"], list):
-            raise ConfigError("config key 'temperatures_K' must be a list of numbers")
-        temperatures = [
-            config_number(f"temperatures_K[{i}]", t) for i, t in enumerate(doc["temperatures_K"])
-        ]
-        vmax = config_number("vmax_V", doc["vmax_V"])
-        n_points = config_number("n_points", doc["n_points"], whole=True)
-    else:
-        thickness_nm = args.thickness_nm
-        epsr = args.epsr
-        temperatures = _parse_float_list(args.T)
-        vmax = args.vmax
-        n_points = args.points
+    doc = {} if args.config is None else _load_config(args.config, FIG2_KEYS, FIG2_KEYS)
+    thickness_nm = _setting(args.thickness_nm, doc, "thickness_nm", 7.0)
+    epsr = _setting(args.epsr, doc, "relative_permittivity", 4.0)
+    temperatures = _setting(
+        None if args.T is None else _parse_float_list(args.T),
+        doc, "temperatures_K", [0.0, 0.25, 1.0, 4.0], _config_numbers,
+    )
+    vmax = _setting(args.vmax, doc, "vmax_V", 0.05)
+    n_points = _setting(args.points, doc, "n_points", 201, _whole_number)
     if not temperatures:
         raise ConfigError("at least one temperature is required")
     if n_points < 2:
@@ -318,13 +329,9 @@ def _cmd_circulator(args) -> int:
     if not isinstance(doc["circulator"], dict):
         raise ConfigError("config key 'circulator' must be an object")
     config = config_from_engineering_dict(doc["circulator"])
-
-    def file_number(key, default, whole=False):
-        return config_number(key, doc.get(key, default), whole=whole)
-
-    delta_min = args.delta_min if args.delta_min is not None else file_number("delta_min_GHz", -4.0)
-    delta_max = args.delta_max if args.delta_max is not None else file_number("delta_max_GHz", 4.0)
-    n_points = args.points if args.points is not None else file_number("n_points", 1001, whole=True)
+    delta_min = _setting(args.delta_min, doc, "delta_min_GHz", -4.0)
+    delta_max = _setting(args.delta_max, doc, "delta_max_GHz", 4.0)
+    n_points = _setting(args.points, doc, "n_points", 1001, _whole_number)
     result = _kernel("sweep")(
         config,
         ghz_to_rad_per_s(delta_min),
@@ -336,45 +343,6 @@ def _cmd_circulator(args) -> int:
 
 
 VERIFY_HEADER = ("id", "description", "printed", "computed", "rel_dev_vs_printed", "status", "note")
-VERIFY_REQUIRED = {"id", "description", "printed", "rel_tol"}
-VERIFY_KEYS = VERIFY_REQUIRED | {"expect", "consistent_with", "note"}
-
-
-def _verify_checks(name: str, doc: dict) -> list[dict]:
-    """The verify table's checks with their numbers as finite floats.
-
-    ``printed`` must be non-zero (deviations are relative to it), ``rel_tol``
-    >= 0, and a ``"flag"`` check needs ``consistent_with``; missing or unknown
-    keys and any other shape raise ConfigError naming the file.
-    """
-    checks = doc["checks"]
-    if not (isinstance(checks, list) and all(isinstance(c, dict) for c in checks)):
-        raise ConfigError(f"{name}: 'checks' must be a list of objects")
-    try:
-        for i, check in enumerate(checks):
-            missing = VERIFY_REQUIRED - set(check)
-            if missing:
-                raise ConfigError(f"check {i}: missing keys {sorted(missing)}")
-            unknown = set(check) - VERIFY_KEYS
-            if unknown:
-                raise ConfigError(f"check {i}: unknown keys {sorted(unknown)}")
-            if not all(isinstance(check.get(k, ""), str) for k in ("id", "description", "note")):
-                raise ConfigError(f"check {i}: 'id', 'description' and 'note' must be strings")
-            expect = check.setdefault("expect", "pass")
-            if expect not in ("pass", "flag"):
-                raise ConfigError(f"check {i}: 'expect' must be 'pass' or 'flag', got {expect!r}")
-            if expect == "flag" and "consistent_with" not in check:
-                raise ConfigError(f"check {i}: a 'flag' check needs 'consistent_with'")
-            for key in ("printed", "rel_tol", "consistent_with"):
-                if key in check:
-                    check[key] = config_number(f"checks[{i}].{key}", check[key])
-            if check["printed"] == 0.0:
-                raise ConfigError(f"check {i}: 'printed' must be non-zero")
-            if check["rel_tol"] < 0.0:
-                raise ConfigError(f"check {i}: 'rel_tol' must be >= 0, got {check['rel_tol']}")
-    except ConfigError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-    return checks
 
 
 def _quartic_coefficient_ratio(T: float) -> float:
@@ -396,57 +364,71 @@ def _quartic_coefficient_ratio(T: float) -> float:
     return b / (e * c3 / (4.0 * c1**4))
 
 
-def _verify_computed_values() -> dict[str, float]:
+def _verify_rows() -> tuple[tuple, ...]:
+    """The published numbers that ``verify-paper`` re-derives, one row each:
+    ``(id, description, printed, rel_tol, flagged, note, computed)``.
+
+    ``flagged`` is None for a row that must PASS, within ``rel_tol`` of
+    ``printed``.  Otherwise the published numbers disagree among themselves:
+    ``flagged`` is the value that the computation must match instead, within
+    ``rel_tol``, and the row reads FLAG.
+    """
     design = CapacitorDesign(dielectric_thickness_t=7e-9, relative_permittivity=4.0)
     g0_1k = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0)
     g0_4k = single_photon_rate_engineering(4.0, 4.0, 2.0, 10.0, 100.0)
     g0_quarter = single_photon_rate_engineering(0.25, 4.0, 2.0, 10.0, 100.0)
     two_pi = 2.0 * math.pi
-    return {
-        "cg_areal": f_per_m2_to_ff_per_um2(geometric_capacitance(design)),
-        "c0_areal_1k": f_per_m2_to_ff_per_um2(linear_capacitance_C0(1.0)),
-        "c0_total_100um2_1k": farad_to_femtofarad(um2_to_m2(100.0) * linear_capacitance_C0(1.0)),
-        "g0_1k_2pi_mhz": g0_1k.g0_printed_rad_s / (two_pi * 1e6),
-        "g0_4k_2pi_khz": g0_4k.g0_printed_rad_s / (two_pi * 1e3),
-        "g0_0p25k_2pi_ghz": g0_quarter.g0_printed_rad_s / (two_pi * 1e9),
-        "anharmonicity_0p5k_pct": anharmonicity_engineering(0.5, 4.0, 100.0).percent_printed,
-        "anharmonicity_1k_pct": anharmonicity_engineering(1.0, 4.0, 100.0).percent_printed,
-        "photon_limit_coefficient": photon_number_limit_derived(1.0, 1.0),
-        "anharmonicity_coefficient": anharmonicity_engineering(1.0, 1.0, 1.0).percent_symbolic,
-        "rate_coefficient": single_photon_rate_engineering(1.0, 1.0, 1.0, 1.0, 1.0).g0_symbolic_rad_s
-        / (3.0 * two_pi * 1e9),
-        "g0_definition_factor": g0_1k.ratio_symbolic_to_printed,
-        "quartic_coefficient_ratio": _quartic_coefficient_ratio(1.0),
-    }
+    return (
+        ("cg_areal", "geometric capacitance at eps_r=4, t=7 nm (fF/um^2)",
+         5.06, 0.005, None, "", f_per_m2_to_ff_per_um2(geometric_capacitance(design))),
+        ("c0_areal_1k", "linear quantum capacitance at T=1 K (fF/um^2)",
+         0.0563, 0.01, None, "", f_per_m2_to_ff_per_um2(linear_capacitance_C0(1.0))),
+        ("c0_total_100um2_1k", "total linear capacitance at T=1 K, S=100 um^2 (fF)", 5.63, 0.01,
+         None, "", farad_to_femtofarad(um2_to_m2(100.0) * linear_capacitance_C0(1.0))),
+        ("g0_1k_2pi_mhz",
+         "single-photon rate at T=1 K, f=4, f1=2, f2=10 GHz, S=100 um^2 (2pi x MHz)",
+         25.55, 0.005, None, "", g0_1k.g0_printed_rad_s / (two_pi * 1e6)),
+        ("g0_4k_2pi_khz", "single-photon rate at T=4 K (2pi x kHz)",
+         399.2, 0.005, None, "", g0_4k.g0_printed_rad_s / (two_pi * 1e3)),
+        ("g0_0p25k_2pi_ghz", "single-photon rate at T=0.25 K (2pi x GHz)",
+         1.635, 0.005, None, "", g0_quarter.g0_printed_rad_s / (two_pi * 1e9)),
+        ("anharmonicity_0p5k_pct", "anharmonicity at T=0.5 K, f=4 GHz, S=100 um^2 (percent)",
+         13.71, 0.01, None, "", anharmonicity_engineering(0.5, 4.0, 100.0).percent_printed),
+        ("anharmonicity_1k_pct", "anharmonicity at T=1 K, f=4 GHz, S=100 um^2 (percent)",
+         1.1714, 0.01, 1.714, "published value is internally inconsistent: the published formula "
+         "42.85 f/(S T^3) gives 1.714", anharmonicity_engineering(1.0, 4.0, 100.0).percent_printed),
+        ("photon_limit_coefficient", "photon-number limit coefficient n_max = coeff * T/f",
+         41.7, 0.01, None, "", photon_number_limit_derived(1.0, 1.0)),
+        ("anharmonicity_coefficient", "anharmonicity coefficient A = coeff * f/(S T^3) percent",
+         42.85, 0.005, None, "", anharmonicity_engineering(1.0, 1.0, 1.0).percent_symbolic),
+        ("rate_coefficient",
+         "single-photon rate coefficient g0 = 2pi x coeff f sqrt(f1 f2)/(S T^3) GHz", 0.143, 0.005,
+         None, "", single_photon_rate_engineering(1.0, 1.0, 1.0, 1.0, 1.0).g0_symbolic_rad_s
+         / (3.0 * two_pi * 1e9)),
+        ("g0_definition_factor",
+         "ratio of the defined rate 3*gamma_012 to the published coefficient formula", 1.0, 0.005,
+         3.0, "the defining relation g0 = 3*gamma_012 exceeds the published coefficient formula "
+         "by a factor of 3; the published example values all follow the coefficient",
+         g0_1k.ratio_symbolic_to_printed),
+        ("quartic_coefficient_ratio", "ratio of the quartic stored-energy coefficient to the one "
+         "implied by inverting the charge series N = c1 V + c3 V^3, at T=1 K", 1.0, 1e-9, 12.0,
+         "the stored-energy series carries 12 times the quartic term of the inverted charge "
+         "series; tau and the published coefficients 42.85 and 0.143 follow the stored-energy "
+         "series, so they carry the factor 12", _quartic_coefficient_ratio(1.0)),
+    )
 
 
 def _cmd_verify_paper(args) -> int:
-    checks = _verify_checks(args.config, _load_config(args.config, {"checks"}, {"checks"}))
-    computed_values = _verify_computed_values()
     rows = []
-    any_fail = False
-    for check in checks:
-        cid = check["id"]
-        if cid not in computed_values:
-            raise ConfigError(f"{args.config}: unknown check id {cid!r}")
-        printed = check["printed"]
-        rel_tol = check["rel_tol"]
-        computed = computed_values[cid]
+    for cid, description, printed, rel_tol, flagged, note, computed in _verify_rows():
         rel_dev = abs(computed - printed) / abs(printed)
-        if check["expect"] == "pass":
+        if flagged is None:
             status = "PASS" if rel_dev <= rel_tol else "FAIL"
         else:
-            guard = check["consistent_with"]
-            guard_ok = abs(computed - guard) <= rel_tol * abs(guard)
-            status = "FLAG" if guard_ok else "FAIL"
-        if status == "FAIL":
-            any_fail = True
-        note = check.get("note", "")
-        rows.append(
-            (cid, check["description"], printed, computed, rel_dev, status, note)
-        )
+            status = "FLAG" if abs(computed - flagged) <= rel_tol * abs(flagged) else "FAIL"
+        rows.append((cid, description, printed, computed, rel_dev, status, note))
     _emit_table(args, VERIFY_HEADER, rows)
-    return 1 if any_fail else 0
+    return 1 if any(row[5] == "FAIL" for row in rows) else 0
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -467,12 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep-capacitance", help="differential capacitance over a (T, V) grid")
-    p.add_argument("--config", default=None, help="JSON config (bundled name or path)")
-    p.add_argument("--T", default="0,0.25,1,4", help="comma-separated temperatures in K (0 = T->0 branch)")
-    p.add_argument("--vmax", type=_finite_float, default=0.05, help="voltage range bound in V")
-    p.add_argument("--points", type=int, default=201, help="voltage grid points")
-    p.add_argument("--thickness-nm", type=_finite_float, default=7.0, help="dielectric thickness in nm")
-    p.add_argument("--epsr", type=_finite_float, default=4.0, help="dielectric relative permittivity")
+    p.add_argument("--config", help="JSON config (bundled name or path); flags override it")
+    p.add_argument("--T", help="comma-separated temperatures in K, 0 = T->0 (default 0,0.25,1,4)")
+    p.add_argument("--vmax", type=_finite_float, help="voltage range bound in V (default 0.05)")
+    p.add_argument("--points", type=int, help="voltage grid points (default 201)")
+    p.add_argument("--thickness-nm", type=_finite_float, help="dielectric thickness in nm (default 7)")
+    p.add_argument("--epsr", type=_finite_float, help="dielectric relative permittivity (default 4)")
     p.add_argument(
         "--S",
         type=_finite_float,
@@ -521,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coupling)
 
     p = sub.add_parser("circulator", help="three-mode circulator scattering sweep")
-    p.add_argument("--config", required=True, help="JSON config (bundled name or path)")
+    p.add_argument("--config", required=True, help="JSON config (bundled name or path); flags override it")
     p.add_argument("--delta-min", type=_finite_float, default=None, help="override sweep start in GHz")
     p.add_argument("--delta-max", type=_finite_float, default=None, help="override sweep end in GHz")
     p.add_argument("--points", type=int, default=None, help="override grid points")
@@ -532,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-paper",
         help="recompute every published reference number and report PASS/FLAG/FAIL",
     )
-    p.add_argument("--config", default="paper_table_numbers.json", help="verification table")
     _add_common_output_flags(p)
     p.set_defaults(func=_cmd_verify_paper)
 

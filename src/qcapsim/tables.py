@@ -19,18 +19,14 @@ def format_sig(value) -> str:
     """Format a number with 12 significant digits."""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, (int,)) and not isinstance(value, bool):
+    if isinstance(value, int):
         return str(value)
     return f"{float(value):.12g}"
 
 
 def _round_sig(value):
     """Round a float to 12 significant digits (used for JSON payloads)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return value
-    if isinstance(value, int):
-        return value
-    return float(f"{value:.12g}")
+    return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

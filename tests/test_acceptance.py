@@ -34,7 +34,7 @@ from qcapsim.capacitor import (
     linear_capacitance_C0,
 )
 from qcapsim.circulator import CirculatorConfig, Frame, langevin_matrix, scattering_matrix, sweep
-from qcapsim.cli import _verify_computed_values
+from qcapsim.cli import _verify_rows
 from qcapsim.constants import CONSTANTS, f_per_m2_to_ff_per_um2, fermi_energy
 from qcapsim.linalg import solve_complex
 from qcapsim.mode import OscillatorSpec, anharmonicity_engineering, nonlinear_time_constant
@@ -98,7 +98,7 @@ def test_criterion_4_anharmonicity_values_and_flag():
 
     # T = 1 K: the published 1.1714 disagrees with the published formula
     # (1.714); the verification report must mark it FLAG, not FAIL
-    computed = _verify_computed_values()["anharmonicity_1k_pct"]
+    computed = next(row[6] for row in _verify_rows() if row[0] == "anharmonicity_1k_pct")
     flagged = (
         abs(computed - 1.714) / 1.714 <= 0.01
         and abs(computed - 1.1714) / 1.1714 > 0.01

@@ -2,12 +2,12 @@
 
 Out-of-range numbers never escape as a traceback or as a non-finite value
 in a successful run's data: every numeric flag of the flag-taking
-subcommands, and every numeric literal of the bundled fig2, circulator and
-verify-table configs, is set in turn to each value in ``EXTREMES`` in both
-output formats.  The exit code must be 0, 1 or 2 (argparse's own usage
-errors exit 2 through ``SystemExit``), and a run that exits 0 must write no
-nan or inf token.  No value here can request a large grid or cutoff:
-``int()`` rejects the non-integer spellings at the boundary.
+subcommands, and every numeric literal of every bundled config, is set in
+turn to each value in ``EXTREMES`` in both output formats.  The exit code
+must be 0, 1 or 2 (argparse's own usage errors exit 2 through
+``SystemExit``), and a run that exits 0 must write no nan or inf token.
+No value here can request a large grid or cutoff: ``int()`` rejects the
+non-integer spellings at the boundary.
 
 Every numeric flag is live: another value changes the output bytes.  And a
 wrongly typed value (``WRONG_TYPES``) at any leaf of a bundled config is a
@@ -38,11 +38,18 @@ NUMERIC_FLAGS = {
 
 BASE_ARGS = {"circulator": ("--config", "paper_fig4.json")}
 
-CONFIGS = {
-    "sweep-capacitance": "paper_fig2.json",
-    "circulator": "paper_fig4.json",
-    "verify-paper": "paper_table_numbers.json",
+# the command that reads each bundled config; _bundled_config fails on a
+# config missing here, so that no bundled config escapes the fuzz
+CONFIG_COMMANDS = {
+    "paper_fig2.json": "sweep-capacitance",
+    "paper_fig4.json": "circulator",
+    "paper_fig5.json": "circulator",
 }
+# every *.json of the package's configs, found on disk, not listed by hand
+BUNDLED_CONFIGS = sorted(
+    entry.name for entry in resources.files("qcapsim").joinpath("configs").iterdir()
+    if entry.name.endswith(".json")
+)
 
 # a value other than the default for each numeric flag
 OTHER_VALUE = {
@@ -108,6 +115,13 @@ def _key_name(path):
     return name
 
 
+def _bundled_config(name):
+    """The command that reads bundled config ``name``, and its document."""
+    assert name in CONFIG_COMMANDS, f"bundled config {name} has no command in CONFIG_COMMANDS"
+    doc = json.loads(resources.files("qcapsim").joinpath("configs", name).read_text())
+    return CONFIG_COMMANDS[name], doc
+
+
 def _with_value(doc, path, value):
     out = copy.deepcopy(doc)
     node = out
@@ -130,20 +144,22 @@ def test_numeric_flags_stay_inside_the_exit_contract(capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("command", sorted(CONFIGS))
+@pytest.mark.parametrize("command", sorted(set(CONFIG_COMMANDS.values())))
 def test_config_literals_stay_inside_the_exit_contract(capsys, tmp_path, command, fmt):
-    name = CONFIGS[command]
-    doc = json.loads(resources.files("qcapsim").joinpath("configs", name).read_text())
-    paths = list(_numeric_paths(doc))
-    assert paths
+    names = [name for name in BUNDLED_CONFIGS if _bundled_config(name)[0] == command]
+    assert names
     failures = []
-    for path in paths:
-        for value in EXTREMES:
-            config = tmp_path / name
-            # json.dumps spells nan and +-inf as NaN and +-Infinity, which json.loads reads back
-            config.write_text(json.dumps(_with_value(doc, path, float(value))))
-            argv = [command, "--config", str(config), "--format", fmt]
-            failures.append(_failure(capsys, argv, f"{command} {name} {list(path)} = {value}"))
+    for name in names:
+        doc = _bundled_config(name)[1]
+        paths = list(_numeric_paths(doc))
+        assert paths
+        for path in paths:
+            for value in EXTREMES:
+                config = tmp_path / name
+                # json.dumps spells nan and +-inf as NaN and +-Infinity, which json.loads reads back
+                config.write_text(json.dumps(_with_value(doc, path, float(value))))
+                argv = [command, "--config", str(config), "--format", fmt]
+                failures.append(_failure(capsys, argv, f"{command} {name} {list(path)} = {value}"))
     failures = [f for f in failures if f]
     assert not failures, "\n".join(failures)
 
@@ -168,19 +184,14 @@ def test_every_numeric_flag_changes_the_output(capsys):
     assert not dead, "flags that change no output byte:\n" + "\n".join(dead)
 
 
-@pytest.mark.parametrize("name", ["paper_fig2.json", "paper_fig4.json", "paper_fig5.json",
-                                  "paper_table_numbers.json"])
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
 def test_wrongly_typed_config_values_are_config_errors(capsys, tmp_path, name):
-    command = {"paper_fig2.json": "sweep-capacitance",
-               "paper_table_numbers.json": "verify-paper"}.get(name, "circulator")
-    doc = json.loads(resources.files("qcapsim").joinpath("configs", name).read_text())
+    command, doc = _bundled_config(name)
     failures = []
     for path, leaf in _leaves(doc):
         # a string leaf's message names its key, a number's the whole key path
         key = path[-1] if isinstance(leaf, str) else _key_name(path)
         for value in WRONG_TYPES:
-            if key in ("description", "note") and isinstance(value, str):
-                continue  # any string is a valid description or note
             config = tmp_path / name
             config.write_text(json.dumps(_with_value(doc, path, value)))
             label = f"{name} {_key_name(path)} = {json.dumps(value)}"

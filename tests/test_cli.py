@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -57,6 +58,46 @@ def test_verify_paper_json_format(capsys):
     assert by_id["anharmonicity_1k_pct"]["computed"] == pytest.approx(1.714, rel=1e-6, abs=0.0)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("off", ["c0_areal_1k", "g0_definition_factor"])
+def test_verify_paper_out_of_tolerance_row_fails(off, fmt, monkeypatch, capsys):
+    # one PASS row and one FLAG row, each computed 2 % off, past its 1 % or 0.5 % tolerance
+    rows = cli._verify_rows()
+
+    def one_row_off():
+        return tuple(row[:6] + (row[6] * 1.02,) if row[0] == off else row for row in rows)
+
+    monkeypatch.setattr(cli, "_verify_rows", one_row_off)
+    code, out, _ = run_cli(capsys, "verify-paper", "--format", fmt)
+    records = parse_csv(out) if fmt == "csv" else json.loads(out)
+    statuses = {r["id"]: r["status"] for r in records}
+    assert code == 1
+    assert statuses.pop(off) == "FAIL"
+    assert "FAIL" not in statuses.values() and len(statuses) == 12
+
+
+def test_verify_paper_takes_no_config(capsys):
+    # the table is in code: argparse refuses a table file
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify-paper", "--config", "table.json"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", cli._verify_rows(), ids=lambda row: row[0])
+def test_verify_rows_are_well_formed(row):
+    cid, description, printed, rel_tol, flagged, note, computed = row
+    assert [r[0] for r in cli._verify_rows()].count(cid) == 1
+    assert all(isinstance(text, str) for text in (cid, description, note))
+    assert math.isfinite(printed) and printed != 0.0
+    assert math.isfinite(rel_tol) and rel_tol >= 0.0
+    assert math.isfinite(computed)
+    if flagged is not None:
+        # a FLAG never hides a PASS: the flagged row misses its printed value
+        assert math.isfinite(flagged)
+        assert abs(computed - printed) > rel_tol * abs(printed)
+
+
 # --- tables and records -----------------------------------------------------------
 
 def test_sweep_capacitance_table(capsys):
@@ -77,6 +118,33 @@ def test_sweep_capacitance_bundled_config(capsys):
     rows = parse_csv(out)
     assert len(rows) == 4 * 201
     assert {float(r["T_K"]) for r in rows} == {0.0, 0.25, 1.0, 4.0}
+
+
+@pytest.mark.parametrize(
+    "command,config,flag,value,key,file_value",
+    [
+        ("sweep-capacitance", "paper_fig2.json", "--T", "1,2", "temperatures_K", [1.0, 2.0]),
+        ("sweep-capacitance", "paper_fig2.json", "--vmax", "0.1", "vmax_V", 0.1),
+        ("sweep-capacitance", "paper_fig2.json", "--points", "11", "n_points", 11),
+        ("sweep-capacitance", "paper_fig2.json", "--thickness-nm", "10", "thickness_nm", 10.0),
+        ("sweep-capacitance", "paper_fig2.json", "--epsr", "5", "relative_permittivity", 5.0),
+        ("circulator", "paper_fig4.json", "--delta-min", "-3", "delta_min_GHz", -3.0),
+        ("circulator", "paper_fig4.json", "--delta-max", "3", "delta_max_GHz", 3.0),
+        ("circulator", "paper_fig4.json", "--points", "11", "n_points", 11),
+    ],
+)
+def test_flag_overrides_config(command, config, flag, value, key, file_value, tmp_path, capsys):
+    # a flag next to --config wins over the file's value for its key
+    doc = json.loads(resources.files("qcapsim").joinpath("configs", config).read_text())
+    doc[key] = file_value
+    edited = tmp_path / config
+    edited.write_text(json.dumps(doc))
+    code, from_file, _ = run_cli(capsys, command, "--config", str(edited))
+    assert code == 0
+    code, from_flag, _ = run_cli(capsys, command, "--config", config, flag, value)
+    assert code == 0
+    assert from_flag == from_file
+    assert from_flag != run_cli(capsys, command, "--config", config)[1]
 
 
 def test_design_check_record(capsys):
@@ -511,49 +579,6 @@ def test_circulator_non_finite_figures_rejected(g, flags, first_bad, tmp_path):
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
         assert result.stderr.startswith("error:")
         assert f"not finite at detuning {first_bad}" in result.stderr
-
-
-DROP = object()
-
-
-@pytest.mark.parametrize(
-    "index,key,value,needle",
-    [
-        (0, "id", DROP, "missing"),
-        (0, "description", DROP, "missing"),
-        (0, "printed", DROP, "missing"),
-        (0, "rel_tol", DROP, "missing"),
-        (None, "checks", 5, "list of objects"),
-        (None, "checks", [3], "list of objects"),
-        (0, "printed", 0, "non-zero"),
-        (0, "printed", float("nan"), "finite"),
-        (0, "printed", "many", "finite"),
-        (0, "rel_tol", float("inf"), "finite"),
-        (0, "rel_tol", -0.1, ">= 0"),
-        (7, "consistent_with", float("nan"), "finite"),
-        (7, "consistent_with", DROP, "consistent_with"),
-        (0, "expect", "maybe", "expect"),
-        (0, "id", ["cg_areal"], "strings"),
-        (0, "bogus", 1, "unknown keys"),
-        (0, "id", "no_such_check", "unknown check id"),
-    ],
-    ids=lambda v: "drop" if v is DROP else None,
-)
-def test_malformed_verify_table_rejected(index, key, value, needle, tmp_path, capsys):
-    doc = json.loads(
-        resources.files("qcapsim").joinpath("configs", "paper_table_numbers.json").read_text()
-    )
-    target = doc if index is None else doc["checks"][index]
-    if value is DROP:
-        del target[key]
-    else:
-        target[key] = value
-    config = tmp_path / "table.json"
-    config.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "verify-paper", "--config", str(config))
-    assert code == 2
-    assert out == ""
-    assert "config error" in err and str(config) in err and needle in err
 
 
 # --- determinism and file output ------------------------------------------------------

@@ -16,7 +16,7 @@ from qcapsim.multimode import (
     quantum_rc_time,
     single_photon_rate_engineering,
 )
-from qcapsim.mode import nonlinear_time_constant
+from qcapsim.mode import nonlinear_time_constant, photon_number_limit_derived
 
 TWO_PI = 2.0 * math.pi
 
@@ -187,6 +187,32 @@ def test_single_photon_rate_json_shape():
         "g0_symbolic_rad_s",
         "ratio_symbolic_to_printed",
     }
+
+
+# The abstract: ultrastrong coupling "is easily reached with small number of
+# pump photons at temperatures around 1K and capacitor areas of the order of
+# 1um^2".  At T = 1 K, S = 1 um^2, a 4 GHz pump and modes at 2 and 10 GHz,
+# the pump photon number |a|^2 that makes G = 0.1 w1 (the usual ultrastrong
+# threshold), for G = 3 gamma |a|^2 (the defining relation) and G = gamma |a|^2
+# (the printed 0.143 coefficient), each with the published tau and with tau/12
+# (the quartic term that the charge model implies).
+@pytest.mark.parametrize(
+    "rate_factor,tau_divisor,photons",
+    [
+        (3.0, 1.0, 0.0260907985556),
+        (3.0, 12.0, 0.313089582667),
+        (1.0, 1.0, 0.0782723956667),
+        (1.0, 12.0, 0.939268748001),
+    ],
+)
+def test_abstract_ultrastrong_claim(rate_factor, tau_divisor, photons):
+    tau = nonlinear_time_constant(1e-12, 1.0) / tau_divisor
+    omega_1 = _ghz(2.0)
+    gamma = gamma_nml(tau, _ghz(4.0), omega_1, _ghz(10.0))
+    needed = 0.1 * omega_1 / (rate_factor * gamma)
+    assert needed == pytest.approx(photons, rel=1e-9, abs=0.0)
+    # inside the photon range of the quartic model, n_max = 2 k_B T / h f = 10.4
+    assert needed < photon_number_limit_derived(1.0, 4.0)
 
 
 # --- quantum RC time -------------------------------------------------------------------
