@@ -180,10 +180,10 @@ def scattering_matrix(config: CirculatorConfig, delta) -> np.ndarray:
     """
     deltas = np.asarray(delta, dtype=np.float64)
     m = langevin_matrix(config)
-    k = np.diag(np.sqrt(np.asarray(config.kappa, dtype=np.float64)))
+    kd = np.sqrt(np.asarray(config.kappa, dtype=np.float64))
     a = -1j * deltas[..., None, None] * np.eye(3) - m
-    x = solve_complex(a, np.broadcast_to(k.astype(np.complex128), a.shape))
-    return np.eye(3) - k @ x
+    x = solve_complex(a, np.broadcast_to(np.diag(kd).astype(np.complex128), a.shape))
+    return np.eye(3) - kd[:, None] * x  # K X with diagonal K: row i of X scaled by sqrt(kappa_i)
 
 
 # --- detuning sweep ----------------------------------------------------------

@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from importlib import import_module, resources
 from pathlib import Path
 
@@ -50,9 +51,13 @@ from .constants import (
     require_positive,
     um2_to_m2,
 )
-from .errors import ConfigError, CutoffNotConverged, NonPositiveArea, SingularSystem, config_number
+from .errors import (
+    ConfigError, CutoffNotConverged, NonPositiveArea, PerturbativeRegimeExceeded, SingularSystem,
+    config_number,
+)
 from .mode import (
     FOCK_CUTOFF_MAX,
+    STRONG_ANHARMONICITY_THRESHOLD,
     OscillatorSpec,
     anharmonicity_engineering,
     nonlinear_time_constant,
@@ -297,6 +302,9 @@ def _cmd_coupling(args) -> int:
         amplitude_abs=math.sqrt(args.pump_photons),
         phase_theta=pi_units_to_rad(args.theta_over_pi),
     )
+    if tau * pump.Omega > STRONG_ANHARMONICITY_THRESHOLD:  # as fock_diagonalize warns
+        warnings.warn(f"tau*omega = {tau * pump.Omega:.3g} > 1/12 at the pump: perturbative "
+                      "regime exceeded; the rates are first-order", PerturbativeRegimeExceeded)
     classification = classify_interaction(
         pump,
         ghz_to_rad_per_s(args.f1),

@@ -6,8 +6,8 @@ Two routines:
   symmetric matrix, from LAPACK through ``numpy.linalg.eigvalsh``.
 * :func:`solve_complex` - partial-pivoted Gaussian elimination for a stack
   of complex systems, with an enforced relative-residual contract per
-  system and column.  The elimination loops over the matrix order and
-  works on the whole stack at once, so a detuning sweep is one call.
+  system and column.  The elimination, and the residual A x - b summed one
+  column of A at a time, work on the whole stack at once: one sweep, one call.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def solve_complex(matrix, rhs) -> np.ndarray:
     a = np.array(a2, order="C", copy=True)
     x = np.array(b2, order="C", copy=True)
     _eliminate(a, x)
-    resid = np.linalg.norm(a2 @ x - b2, axis=1)
+    resid = np.linalg.norm(sum(a2[:, :, j, None] * x[:, j, None, :] for j in range(n)) - b2, axis=1)
     scale = np.linalg.norm(b2, axis=1)
     rel = resid / np.where(scale > 0.0, scale, 1.0)
     if not np.all(rel <= SOLVE_RESIDUAL_TOL):

@@ -2,16 +2,18 @@
 
 Numbers are serialized with 12 significant digits so that golden-file
 comparisons are byte-stable across runs; data files never carry
-timestamps (run metadata goes to a sidecar written by the CLI).
-``table_csv`` / ``table_json`` give the bytes of ``csv_text`` / ``json_text``
-for an all-float (n, k) array in one pass, through ndarray methods alone.
+timestamps (run metadata goes to a sidecar written by the CLI).  JSON
+spells a float as ``repr`` of it rounded to 12 digits (:func:`json_float`),
+in the ``json.dumps(indent=2)`` layout.  ``table_csv`` / ``table_json`` give
+the bytes of ``csv_text`` / ``json_text`` for an all-float (n, k) array in
+one ``%`` pass, through ndarray methods alone.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 
@@ -24,11 +26,6 @@ def format_sig(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _round_sig(value):
-    """Round a float to 12 significant digits (used for JSON payloads)."""
-    return float(f"{value:.12g}") if isinstance(value, float) else value
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Render a CSV table with \\n line endings and 12-digit numbers."""
     buf = io.StringIO()
@@ -39,21 +36,42 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _walk_round(obj):
+# json.dumps spellings of the non-finite floats, keyed by their %.12g text
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_float(value) -> str:
+    """JSON text of a float: ``repr`` of it rounded to 12 digits, from the ``%.12g`` text."""
+    text = "%.12g" % value
+    if "e" not in text:
+        return text if "." in text else _JSON_NON_FINITE.get(text) or text + ".0"
+    if "e-" in text and abs(value) >= 2.2250738585072014e-308:  # normal: repr writes the same
+        return text
+    return repr(float(text))  # e+ (repr spells it out below 1e16) and subnormals (fewer digits)
+
+
+def _json(obj, newline: str) -> str:
+    """``json.dumps(obj, indent=2)`` at the depth of ``newline``; floats by ``json_float``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (int, float)):
+        return int.__repr__(obj) if isinstance(obj, int) else json_float(obj)
+    inner = newline + "  "
     if isinstance(obj, dict):
-        return {k: _walk_round(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_walk_round(v) for v in obj]
-    return _round_sig(obj)
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(v, inner) for v in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    start, end = "{}" if isinstance(obj, dict) else "[]"
+    return start + inner + ("," + inner).join(items) + newline + end if items else start + end
 
 
 def json_text(payload) -> str:
-    """Render JSON with floats rounded to 12 significant digits."""
-    return json.dumps(_walk_round(payload), indent=2) + "\n"
-
-
-# json.dumps spellings of the non-finite floats
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    """Render JSON like ``json.dumps(indent=2)``, with floats rounded to 12 significant digits."""
+    return _json(payload, "\n") + "\n"
 
 
 def table_csv(header: Sequence[str], values) -> str:
@@ -72,12 +90,16 @@ def _respelled(flat):
 
 
 def table_json(header: Sequence[str], values) -> str:
-    """``json_text`` of one ``dict(zip(header, row))`` record per array row."""
+    """``json_text`` of one ``dict(zip(header, row))`` record per array row, in one ``%`` pass."""
     if len(values) == 0:
         return "[]\n"
-    flat = values.ravel()
-    texts = (("%.12g\n" * flat.size) % tuple(flat.tolist())).split()
-    for i in _respelled(flat).nonzero()[0].tolist():
-        texts[i] = _JSON_NON_FINITE.get(texts[i]) or repr(float(texts[i]))
-    record = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in header) + "\n  }"
-    return "[\n" + ",\n".join([record] * len(values)) % tuple(texts) + "\n]\n"
+    cells = values.ravel().tolist()
+    picked = _respelled(values.ravel())
+    for i in picked.nonzero()[0].tolist():
+        cells[i] = json_float(cells[i])
+    keys = ["    " + encode_basestring_ascii(key).replace("%", "%%") + ": " for key in header]
+    # each row's picks as bytes, which drop trailing zeros; one record template per pattern
+    rows = picked.reshape(values.shape).view(f"S{values.shape[1]}").ravel().tolist()
+    records = {row: "  {\n" + ",\n".join(key + ("%s" if s else "%.12g") for key, s in zip(
+        keys, row.ljust(len(keys), b"\0"))) + "\n  }" for row in set(rows)}
+    return "[\n" + ",\n".join(map(records.__getitem__, rows)) % tuple(cells) + "\n]\n"

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -296,3 +299,35 @@ def test_sweep_rejects_non_finite_detuning_range():
 def test_sweep_rejects_tiny_grid():
     with pytest.raises(ValueError):
         sweep(paper_config(0.0), -GHZ, GHZ, 1)
+
+
+def _bundled(name):
+    doc = json.loads(resources.files("qcapsim").joinpath("configs", name).read_text())
+    deltas = np.linspace(doc["delta_min_GHz"], doc["delta_max_GHz"], doc["n_points"]) * GHZ
+    return config_from_engineering_dict(doc["circulator"]), deltas
+
+
+def _random_configs(n):
+    rng = np.random.default_rng(2401)
+    for _ in range(n):
+        yield CirculatorConfig(
+            omega=tuple(rng.uniform(0.5, 3.0, 3) * GHZ),
+            kappa=tuple(rng.uniform(0.05, 3.0, 3) * GHZ),
+            g=tuple(rng.uniform(0.0, 2.0, 3) * GHZ),
+            phi=tuple(rng.uniform(-math.pi, math.pi, 3)),
+            detuning=tuple(rng.uniform(-0.5, 0.5, 3) * GHZ),
+        ), np.linspace(-6.0, 6.0, 401) * GHZ
+
+
+@pytest.mark.parametrize("frame", list(Frame))
+def test_row_scaled_s_is_the_matmul_s_bit_for_bit(frame):
+    # S = I - K X with diagonal K: scaling the rows of X by sqrt(kappa) must give the
+    # stacked matmul's every bit (a +0/-0 or last-bit difference would move the goldens)
+    cases = [_bundled("paper_fig4.json"), _bundled("paper_fig5.json"), *_random_configs(8)]
+    for config, deltas in cases:
+        config = dataclasses.replace(config, frame=frame)
+        k = np.diag(np.sqrt(np.asarray(config.kappa)))
+        a = -1j * deltas[:, None, None] * np.eye(3) - langevin_matrix(config)
+        x = solve_complex(a, np.broadcast_to(k.astype(np.complex128), a.shape))
+        s = scattering_matrix(config, deltas)
+        assert s.tobytes() == (np.eye(3) - k @ x).tobytes()

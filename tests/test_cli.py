@@ -13,6 +13,7 @@ import pytest
 
 from qcapsim import cli
 from qcapsim.cli import main
+from qcapsim.errors import PerturbativeRegimeExceeded
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -186,6 +187,19 @@ def test_coupling_record(capsys):
     assert doc["kind"] == "hopping"
     assert doc["g0_printed_rad_s"] == pytest.approx(1.60727761046e8, rel=1e-9, abs=0.0)
     assert doc["ratio_symbolic_to_printed"] == pytest.approx(3.0, rel=5e-3, abs=0.0)
+
+
+def test_coupling_warns_past_the_perturbative_regime(capsys):
+    # the abstract's point: 1 um^2 at 1 K puts tau*omega at the 4 GHz pump at 0.571 > 1/12;
+    # the warning goes to stderr, the record and the exit code stay as they were
+    with pytest.warns(PerturbativeRegimeExceeded, match=r"tau\*omega = 0\.571 > 1/12"):
+        code, out, _ = run_cli(
+            capsys, "coupling", "--T", "1", "--f", "4", "--f1", "2", "--f2", "10", "--S", "1"
+        )
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "1,4,2,10,1,1,hopping,0,48163993860.1,0,16072776104.6,48163993860.1,2.99661947299"
+    )
 
 
 def test_circulator_bundled_config(capsys):

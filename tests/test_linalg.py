@@ -138,3 +138,12 @@ def test_solve_non_finite_residual_raises():
     a[1, 2] = np.nan
     with pytest.raises(SingularSystem, match="residual"), np.errstate(invalid="ignore"):
         solve_complex(np.stack([np.eye(3), a]), np.ones((2, 3), dtype=np.complex128))
+
+
+def test_solve_finite_residual_above_the_bound_raises():
+    # the 12 x 12 Hilbert matrix (condition number ~1e16) solves without a zero pivot,
+    # but its residual of ~2e-9 is finite and above SOLVE_RESIDUAL_TOL
+    i = np.arange(12)
+    hilbert = (1.0 / (i[:, None] + i[None, :] + 1.0)).astype(np.complex128)
+    with pytest.raises(SingularSystem, match=r"residual \d\.\d{3}e-09 exceeds 1\.0e-10"):
+        solve_complex(hilbert, np.ones(12, dtype=np.complex128))

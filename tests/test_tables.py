@@ -5,7 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from qcapsim.tables import _respelled, csv_text, format_sig, json_text, table_csv, table_json
+from qcapsim.tables import (
+    _respelled,
+    csv_text,
+    format_sig,
+    json_float,
+    json_text,
+    table_csv,
+    table_json,
+)
 
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300,
            1e-300, -1e-300, 1.0, -1.0, 1e16, 123456789012345.0, 1.0 / 3.0]
@@ -27,6 +35,39 @@ def test_csv_text_uses_unix_line_endings():
     text = csv_text(("a",), [(1,), (2,)])
     assert "\r" not in text
     assert text.endswith("\n")
+
+
+# --- oracles: the earlier emitters, which the one-pass ones must match byte for byte ----
+
+def _oracle_walk_round(obj):
+    if isinstance(obj, dict):
+        return {k: _oracle_walk_round(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_oracle_walk_round(v) for v in obj]
+    return float(f"{obj:.12g}") if isinstance(obj, float) else obj
+
+
+def oracle_json_text(payload):
+    """Round every float to 12 digits, then ``json.dumps(indent=2)``."""
+    return json.dumps(_oracle_walk_round(payload), indent=2) + "\n"
+
+
+def oracle_table_json(header, values):
+    """Format every value with ``%.12g``, split the text, re-spell what the mask picks,
+    and format the tokens again into one record template."""
+    if len(values) == 0:
+        return "[]\n"
+    flat = values.ravel()
+    texts = (("%.12g\n" * flat.size) % tuple(flat.tolist())).split()
+    non_finite = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    for i in _respelled(flat).nonzero()[0].tolist():
+        texts[i] = non_finite.get(texts[i]) or repr(float(texts[i]))
+    record = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in header) + "\n  }"
+    return "[\n" + ",\n".join([record] * len(values)) % tuple(texts) + "\n]\n"
+
+
+def _records(header, values):
+    return [dict(zip(header, row)) for row in values.tolist()]
 
 
 def test_json_text_rounds_floats():
@@ -56,8 +97,10 @@ def test_table_emitters_match_record_emitters(n):
     header = ("T_K", "insertion_loss_dB", "ratio_13_31", "x")
     values = _table(n)
     assert table_csv(header, values) == csv_text(header, values.tolist())
-    records = [dict(zip(header, row)) for row in values.tolist()]
-    assert table_json(header, values) == json_text(records)
+    expected = oracle_table_json(header, values)
+    assert expected == oracle_json_text(_records(header, values))
+    assert table_json(header, values) == expected
+    assert json_text(_records(header, values)) == expected
 
 
 def test_table_json_empty_and_non_finite_spellings():
@@ -101,8 +144,10 @@ def test_table_json_spelling_classes(name):
     for shape in ((-1, 1), (1, -1)):
         table = values.reshape(shape)
         header = tuple(f"c{j}" for j in range(table.shape[1]))
-        records = [dict(zip(header, row)) for row in table.tolist()]
-        assert table_json(header, table) == json_text(records)
+        expected = oracle_json_text(_records(header, table))
+        assert oracle_table_json(header, table) == expected
+        assert table_json(header, table) == expected
+        assert json_text(_records(header, table)) == expected
 
 
 @pytest.mark.parametrize(
@@ -141,3 +186,105 @@ def test_values_outside_the_mask_keep_their_twelve_digit_spelling():
     for x in outside:
         text = "%.12g" % x
         assert repr(float(text)) == text, x
+
+
+# --- the one float spelling and the one-walk json_text, against the oracles -----------
+
+# every spelling class of json_float: non-finite, signed zeros, subnormals and the
+# normal/subnormal edge, near-integers, the decades where %g and repr disagree on the
+# exponent, and the small numbers that both write with a negative exponent
+ORACLE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0,
+    5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 2.2250738585071999e-308,
+    2.225073858507e-308, -2.5e-308, 1.00000000001e-307,
+    1.0, -7.0, 2.9999999999999, 0.99999999999996, 12.0000000000004, 99999999999.9,
+    *[sign * m * 10.0 ** e for e in range(11, 18) for sign in (1.0, -1.0)
+      for m in (1.0, 1.5, 1.23456789012, 9.99999999999)],
+    999999999999.6, 9999999999999999.0, 1e300, 1.7976931348623157e308,
+    1e-5, -1e-5, 1.5e-5, 1e-4, 9.99999999999e-5, 0.0001234, 1.0 / 3.0, -2.0 / 3.0,
+]
+
+
+@pytest.mark.parametrize("value", ORACLE_FLOATS, ids=repr)
+def test_json_float_is_the_rounded_repr(value):
+    assert json_float(value) == json.dumps(float("%.12g" % value))
+    assert json_float(np.float64(value)) == json_float(value)
+
+
+def test_json_float_matches_the_oracle_on_random_bit_patterns():
+    rng = np.random.default_rng(1801)
+    bits = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64).tolist()
+    near = rng.integers(-10**6, 10**6, 20000) * (1.0 + rng.choice([0, 1e-13, 1e-11], 20000))
+    for x in bits + near.tolist():
+        assert json_float(x) == json.dumps(float("%.12g" % x)), x
+
+
+ORACLE_RECORDS = {
+    "nested": {"a": {"b": {"c": [1.0 / 3.0, {"d": [2.5, []]}]}}, "e": {}},
+    "lists_and_tuples": [[1, 2.0, (3.0, -0.0)], (), [[]], ({},)],
+    "empty_dict": {},
+    "empty_list": [],
+    "scalars": {"t": True, "f": False, "n": None, "i": -12, "big": 10**30, "s": ""},
+    "non_ascii": {"Ω₁ ≈ τ": "grüße \u2603 \"quoted\" \\ \n\t", "\x00": "\x7f"},
+    "np_float64": {"x": np.float64(1.0 / 3.0), "y": [np.float64(1e16), np.float64(math.nan)]},
+    "floats": {f"v{i}": v for i, v in enumerate(ORACLE_FLOATS)},
+    "top_level_scalar": 2.9999999999999,
+    "top_level_string": "loss_%",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_RECORDS))
+def test_json_text_matches_the_oracle(name):
+    assert json_text(ORACLE_RECORDS[name]) == oracle_json_text(ORACLE_RECORDS[name])
+
+
+@pytest.mark.parametrize("value", [np.float32(1.5), np.int64(3), {1, 2}, object()], ids=repr)
+def test_json_text_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        oracle_json_text({"x": value})
+    with pytest.raises(TypeError):
+        json_text({"x": value})
+
+
+# one value the mask picks and one it leaves, per column of a 7-column table
+PICKED = [3.0, math.nan, 1e16, -0.0, 5e-324, math.inf, 12.0000000000004]
+LEFT = [1.0 / 3.0, -2.5, 1e-5, 123.456, -7.77e-200, 6.62607015e-34, 0.1]
+
+
+def test_table_json_every_pattern_of_respelled_cells():
+    header = tuple(f"c{j}" for j in range(7))
+    values = np.array([[PICKED[j] if r >> j & 1 else LEFT[j] for j in range(7)]
+                       for r in range(128)])
+    patterns = _respelled(values.ravel()).reshape(values.shape)
+    assert [sum(int(b) << j for j, b in enumerate(row)) for row in patterns.tolist()] == list(
+        range(128)
+    )
+    assert table_json(header, values) == oracle_table_json(header, values)
+    assert table_json(header, values[::-1]) == oracle_table_json(header, values[::-1])
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (1, 1), (9, 7), (0, 1), (0, 7)])
+def test_table_json_shapes_match_the_oracles(shape):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.choice(PICKED + LEFT, shape)
+    header = tuple(f"col_{j}" for j in range(shape[1]))
+    assert table_json(header, values) == oracle_table_json(header, values)
+    assert table_json(header, values) == oracle_json_text(_records(header, values))
+
+
+@pytest.mark.parametrize("key", ["loss_%", "a%sb", "%%", "100%d"])
+def test_table_json_takes_a_percent_in_a_header_key(key):
+    header = (key, "x")
+    values = np.array([[1.5, 2.5], [3.0, math.nan]])
+    assert table_json(header, values) == oracle_json_text(_records(header, values))
+    assert json_text(_records(header, values)) == oracle_json_text(_records(header, values))
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 8])
+def test_table_json_rejects_a_header_of_another_width(width):
+    header = tuple(f"c{j}" for j in range(width))
+    values = np.array([[1.0 / 3.0, 3.0, math.nan, 0.5]] * 3)
+    with pytest.raises(TypeError):
+        oracle_table_json(header, values)
+    with pytest.raises(TypeError):
+        table_json(header, values)
