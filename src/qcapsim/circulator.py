@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ghz_to_rad_per_s, pi_units_to_rad, require_positive
-from .errors import ConfigError, config_number
+from .constants import require_positive
 from .linalg import solve_complex
 
 SWEEP_CSV_HEADER = (
@@ -88,54 +87,6 @@ class CirculatorConfig:
     def gauge_flux(self) -> float:
         """Loop phase phi_1 + phi_3 - phi_2 (rad)."""
         return self.phi[0] + self.phi[2] - self.phi[1]
-
-
-CIRCULATOR_JSON_KEYS = frozenset(
-    {"omega", "kappa", "g", "phi", "frame", "detuning"}
-)
-
-
-def config_from_engineering_dict(doc: dict) -> CirculatorConfig:
-    """Build a config from a JSON document in engineering units.
-
-    Frequencies (omega, kappa, g, detuning) are in GHz; phases are in units
-    of pi (e.g. ``"phi": [0, 0.5, 0]`` means phi_2 = pi/2).  Unknown keys
-    are rejected; ``doc`` is a config file's ``circulator`` object, and
-    errors name their keys from it (``circulator.kappa[0]``).
-    """
-    unknown = set(doc) - CIRCULATOR_JSON_KEYS
-    if unknown:
-        raise ConfigError(
-            f"unknown circulator config keys: {sorted(unknown)} "
-            f"(allowed: {sorted(CIRCULATOR_JSON_KEYS)})"
-        )
-    missing = {"omega", "kappa", "g", "phi"} - set(doc)
-    if missing:
-        raise ConfigError(f"missing circulator config keys: {sorted(missing)}")
-
-    def triple(name, convert):
-        values = doc[name] if name in doc else [0.0, 0.0, 0.0]
-        if not isinstance(values, (list, tuple)) or len(values) != 3:
-            raise ConfigError(f"config key 'circulator.{name}' must be a list of 3 numbers")
-        return tuple(
-            convert(config_number(f"circulator.{name}[{i}]", v)) for i, v in enumerate(values)
-        )
-
-    frame_name = str(doc.get("frame", "rotating")).lower()
-    try:
-        frame = Frame(frame_name)
-    except ValueError:
-        raise ConfigError(
-            f"config key 'circulator.frame' must be 'lab' or 'rotating', got {frame_name!r}"
-        )
-    return CirculatorConfig(
-        omega=triple("omega", ghz_to_rad_per_s),
-        kappa=triple("kappa", ghz_to_rad_per_s),
-        g=triple("g", ghz_to_rad_per_s),
-        phi=triple("phi", pi_units_to_rad),
-        frame=frame,
-        detuning=triple("detuning", ghz_to_rad_per_s),
-    )
 
 
 def coupling_matrix(config: CirculatorConfig) -> np.ndarray:

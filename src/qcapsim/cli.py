@@ -53,7 +53,6 @@ from .constants import (
 )
 from .errors import (
     ConfigError, CutoffNotConverged, NonPositiveArea, PerturbativeRegimeExceeded, SingularSystem,
-    config_number,
 )
 from .mode import (
     FOCK_CUTOFF_MAX,
@@ -109,23 +108,51 @@ def _locate_config(name_or_path: str) -> Path:
     )
 
 
+def _config_object(where: str, doc, allowed: set[str], required: set[str]) -> dict:
+    """``doc`` when it is a JSON object with only ``allowed`` keys and every
+    ``required`` one; else ConfigError naming ``where``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+    missing = required - set(doc)
+    if missing:
+        raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+    return doc
+
+
 def _load_config(name_or_path: str, allowed: set[str], required: set[str]) -> dict:
     path = _locate_config(name_or_path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top-level JSON value must be an object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})"
-        )
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"{path}: missing required keys {sorted(missing)}")
-    return doc
+    return _config_object(str(path), doc, allowed, required)
+
+
+def config_number(key: str, value, *, whole: bool = False):
+    """A config-file number: an int or a float but not a bool, finite, and
+    whole (returned as an int) when ``whole``; else ConfigError (exit 2)."""
+    try:
+        number = float(value) if type(value) in (int, float) else None
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    finite = number is not None and math.isfinite(number)
+    if not finite or (whole and number % 1):
+        kind = "a whole number" if whole and (finite or number is None) else "a finite number"
+        got = f"{value} ({type(value).__name__})"
+        raise ConfigError(f"config key '{key}' must be {kind}, got {got}")
+    return int(number) if whole else number
+
+
+def _config_numbers(key: str, value, length: int | None = None) -> list[float]:
+    """A config list of numbers, each read by :func:`config_number`, with
+    ``length`` entries when it is given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        what = "numbers" if length is None else f"{length} numbers"
+        raise ConfigError(f"config key '{key}' must be a list of {what}")
+    return [config_number(f"{key}[{i}]", v) for i, v in enumerate(value)]
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -199,15 +226,23 @@ def _setting(flag, doc: dict, key: str, default, read=config_number):
     return read(key, doc[key]) if key in doc else default
 
 
-def _whole_number(key: str, value) -> int:
-    return config_number(key, value, whole=True)
+# the most grid cells one sweep computes: circulator points, or sweep-capacitance
+# points times temperatures; a sweep's time and memory grow linearly with its cells
+SWEEP_POINTS_MAX = 1_000_000
 
 
-def _config_numbers(key: str, value) -> list[float]:
-    """A config list of numbers, each read by :func:`config_number`."""
-    if not isinstance(value, list):
-        raise ConfigError(f"config key '{key}' must be a list of numbers")
-    return [config_number(f"{key}[{i}]", v) for i, v in enumerate(value)]
+def _sweep_points(args, doc: dict, default: int, rows: int = 1) -> int:
+    """A sweep's grid points: --points, else the config's whole ``n_points``,
+    else ``default``.  At least 2, and ``rows`` rows of them at most
+    SWEEP_POINTS_MAX cells, checked before any array is allocated."""
+    n_points = _setting(args.points, doc, "n_points", default,
+                        lambda key, value: config_number(key, value, whole=True))
+    if n_points < 2:
+        raise ConfigError(f"n_points must be >= 2, got {n_points}")
+    if n_points * rows > SWEEP_POINTS_MAX:
+        raise ConfigError(f"n_points = {n_points} makes {n_points * rows} grid cells, more "
+                          f"than the sweep maximum of {SWEEP_POINTS_MAX}")
+    return n_points
 
 
 FIG2_KEYS = {"thickness_nm", "relative_permittivity", "temperatures_K", "vmax_V", "n_points"}
@@ -226,11 +261,9 @@ def _cmd_sweep_capacitance(args) -> int:
         doc, "temperatures_K", [0.0, 0.25, 1.0, 4.0], _config_numbers,
     )
     vmax = _setting(args.vmax, doc, "vmax_V", 0.05)
-    n_points = _setting(args.points, doc, "n_points", 201, _whole_number)
     if not temperatures:
         raise ConfigError("at least one temperature is required")
-    if n_points < 2:
-        raise ConfigError(f"n_points must be >= 2, got {n_points}")
+    n_points = _sweep_points(args, doc, 201, len(temperatures))
     # the sweep is per unit area: --S is validated but not read
     require_positive(um2_to_m2(args.S), "area_S", NonPositiveArea)
     design = CapacitorDesign(
@@ -290,7 +323,12 @@ def _cmd_qubit(args) -> int:
     if not args.skip_spectrum:
         spectrum = _kernel("fock_diagonalize")(spec)
         record["anharmonicity_percent_fock"] = spectrum.anharmonicity_A * 100.0
-        record["spectrum"] = spectrum.to_json_dict()
+        record["spectrum"] = {
+            "eigenvalues_J": spectrum.eigenvalues.tolist(),
+            "omega10_rad_s": spectrum.omega_10,
+            "omega21_rad_s": spectrum.omega_21,
+            "anharmonicity_fraction": spectrum.anharmonicity_A,
+        }
     _emit_record(args, record)
     return 0
 
@@ -320,31 +358,63 @@ def _cmd_coupling(args) -> int:
         "f2_GHz": args.f2,
         "S_um2": args.S,
         "pump_photons": args.pump_photons,
-        **classification.to_json_dict(),
-        **rate.to_json_dict(),
+        "kind": classification.kind.value,
+        "detuning_rad_s": classification.detuning,
+        "G_rad_s": classification.G,
+        "theta_rad": classification.theta,
+        "g0_printed_rad_s": rate.g0_printed_rad_s,
+        "g0_symbolic_rad_s": rate.g0_symbolic_rad_s,
+        "ratio_symbolic_to_printed": rate.ratio_symbolic_to_printed,
     }
     _emit_record(args, record)
     return 0
 
 
 CIRC_FILE_KEYS = {"circulator", "delta_min_GHz", "delta_max_GHz", "n_points"}
+CIRC_KEYS = {"omega", "kappa", "g", "phi", "frame", "detuning"}
+
+
+def _circulator_config(doc):
+    """The SI ``CirculatorConfig`` of a config file's ``circulator`` object:
+    omega, kappa, g and detuning in GHz, phases in units of pi (``"phi": [0,
+    0.5, 0]`` puts phi_2 at pi/2), frame ``"rotating"`` (default) or ``"lab"``."""
+    from .circulator import CirculatorConfig, Frame
+
+    doc = _config_object(
+        "config key 'circulator'", doc, CIRC_KEYS, CIRC_KEYS - {"frame", "detuning"}
+    )
+
+    def triple(name, convert):
+        values = _config_numbers(f"circulator.{name}", doc.get(name, [0.0, 0.0, 0.0]), length=3)
+        return tuple(convert(v) for v in values)
+
+    frame_name = str(doc.get("frame", "rotating")).lower()
+    try:
+        frame = Frame(frame_name)
+    except ValueError:
+        raise ConfigError(
+            f"config key 'circulator.frame' must be 'lab' or 'rotating', got {frame_name!r}"
+        )
+    return CirculatorConfig(
+        omega=triple("omega", ghz_to_rad_per_s),
+        kappa=triple("kappa", ghz_to_rad_per_s),
+        g=triple("g", ghz_to_rad_per_s),
+        phi=triple("phi", pi_units_to_rad),
+        frame=frame,
+        detuning=triple("detuning", ghz_to_rad_per_s),
+    )
 
 
 def _cmd_circulator(args) -> int:
-    from .circulator import SWEEP_CSV_HEADER, config_from_engineering_dict
+    from .circulator import SWEEP_CSV_HEADER
 
     doc = _load_config(args.config, CIRC_FILE_KEYS, {"circulator"})
-    if not isinstance(doc["circulator"], dict):
-        raise ConfigError("config key 'circulator' must be an object")
-    config = config_from_engineering_dict(doc["circulator"])
+    config = _circulator_config(doc["circulator"])
     delta_min = _setting(args.delta_min, doc, "delta_min_GHz", -4.0)
     delta_max = _setting(args.delta_max, doc, "delta_max_GHz", 4.0)
-    n_points = _setting(args.points, doc, "n_points", 1001, _whole_number)
+    n_points = _sweep_points(args, doc, 1001)
     result = _kernel("sweep")(
-        config,
-        ghz_to_rad_per_s(delta_min),
-        ghz_to_rad_per_s(delta_max),
-        n_points,
+        config, ghz_to_rad_per_s(delta_min), ghz_to_rad_per_s(delta_max), n_points
     )
     _emit_columns(args, SWEEP_CSV_HEADER, result.columns())
     return 0

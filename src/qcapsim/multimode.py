@@ -63,14 +63,6 @@ class InteractionClassification:
     G: float         # rad/s, pump-enhanced interaction rate
     theta: float     # rad, pump phase
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "detuning_rad_s": float(self.detuning),
-            "G_rad_s": float(self.G),
-            "theta_rad": float(self.theta),
-        }
-
 
 def gamma_nml(tau: float, omega_n: float, omega_m: float, omega_l: float) -> float:
     """Three-mode coupling coefficient tau * w_n * sqrt(w_m w_l) (rad/s).
@@ -136,13 +128,6 @@ class SinglePhotonRate:
     g0_printed_rad_s: float
     g0_symbolic_rad_s: float   # 3 * gamma_012 from SI constants
     ratio_symbolic_to_printed: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g0_printed_rad_s": float(self.g0_printed_rad_s),
-            "g0_symbolic_rad_s": float(self.g0_symbolic_rad_s),
-            "ratio_symbolic_to_printed": float(self.ratio_symbolic_to_printed),
-        }
 
 
 def single_photon_rate_engineering(

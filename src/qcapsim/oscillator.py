@@ -36,14 +36,6 @@ class SpectrumResult:
     omega_21: float           # rad/s
     anharmonicity_A: float    # dimensionless fraction |1 - w21/w10|
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues_J": [float(v) for v in self.eigenvalues],
-            "omega10_rad_s": float(self.omega_10),
-            "omega21_rad_s": float(self.omega_21),
-            "anharmonicity_fraction": float(self.anharmonicity_A),
-        }
-
 
 # --- Fock-basis oracle -------------------------------------------------------
 

@@ -6,18 +6,16 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qcapsim import circulator
+from qcapsim import circulator, cli
 from qcapsim.circulator import (
     SWEEP_CSV_HEADER,
     CirculatorConfig,
     Frame,
-    config_from_engineering_dict,
     coupling_matrix,
     langevin_matrix,
     scattering_matrix,
     sweep,
 )
-from qcapsim.errors import ConfigError
 from qcapsim.linalg import solve_complex
 
 TWO_PI = 2.0 * math.pi
@@ -65,37 +63,6 @@ def test_config_validation():
         for name in ("omega", "kappa", "g", "phi", "detuning"):
             with pytest.raises(ValueError):
                 CirculatorConfig(**{**ok, name: (bad, GHZ, GHZ)})
-
-
-def test_config_from_engineering_dict():
-    config = config_from_engineering_dict(
-        {
-            "omega": [1.0, 1.05, 2.05],
-            "kappa": [2.0, 2.0, 2.0],
-            "g": [1.0, 1.0, 1.0],
-            "phi": [0.0, 0.5, 0.0],
-            "frame": "rotating",
-        }
-    )
-    assert config.omega[1] == pytest.approx(1.05 * GHZ, rel=1e-14, abs=0.0)
-    assert config.phi[1] == pytest.approx(math.pi / 2, rel=1e-14, abs=0.0)
-    assert config.frame is Frame.ROTATING
-
-
-def test_config_rejects_unknown_and_missing_keys():
-    with pytest.raises(ConfigError):
-        config_from_engineering_dict({"omega": [1, 1, 1], "oops": 3})
-    with pytest.raises(ConfigError):
-        config_from_engineering_dict({"omega": [1, 1, 1]})
-    with pytest.raises(ConfigError):
-        config_from_engineering_dict(
-            {"omega": [1, 1, 1], "kappa": [1, 1, 1], "g": [1, 1, 1], "phi": [0, 0], "frame": "lab"}
-        )
-    for value in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ConfigError, match="finite"):
-            config_from_engineering_dict(
-                {"omega": [1, 1, 1], "kappa": [1, 1, 1], "g": [1, 1, 1], "phi": [0, value, 0]}
-            )
 
 
 # --- Langevin matrix ----------------------------------------------------------------
@@ -304,7 +271,7 @@ def test_sweep_rejects_tiny_grid():
 def _bundled(name):
     doc = json.loads(resources.files("qcapsim").joinpath("configs", name).read_text())
     deltas = np.linspace(doc["delta_min_GHz"], doc["delta_max_GHz"], doc["n_points"]) * GHZ
-    return config_from_engineering_dict(doc["circulator"]), deltas
+    return cli._circulator_config(doc["circulator"]), deltas
 
 
 def _random_configs(n):

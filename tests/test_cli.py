@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 from qcapsim import cli
 from qcapsim.cli import main
+from qcapsim.constants import CONSTANTS
 from qcapsim.errors import PerturbativeRegimeExceeded
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -166,6 +168,39 @@ def test_qubit_record_with_spectrum(capsys):
     assert len(doc["spectrum"]["eigenvalues_J"]) == doc["fock_cutoff"]
 
 
+def test_record_keys_and_their_order(capsys):
+    # no golden pins the spectrum record: its keys and their order are pinned here
+    code, out, _ = run_cli(capsys, "qubit", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == [
+        "T_K", "f_GHz", "S_um2", "fock_cutoff", "tau_s", "tau_omega", "chi_per_m2_sqrt_s",
+        "psi_per_m2", "tank_inductance_H", "anharmonicity_percent_printed",
+        "anharmonicity_percent_symbolic", "n_max_printed", "n_max_derived",
+        "anharmonicity_percent_fock", "spectrum",
+    ]
+    spectrum = doc["spectrum"]
+    assert list(spectrum) == [
+        "eigenvalues_J", "omega10_rad_s", "omega21_rad_s", "anharmonicity_fraction",
+    ]
+    levels = spectrum["eigenvalues_J"]
+    assert len(levels) == doc["fock_cutoff"]
+    hbar = CONSTANTS.hbar
+    assert spectrum["omega10_rad_s"] == pytest.approx(
+        (levels[1] - levels[0]) / hbar, rel=1e-9, abs=0.0)
+    assert spectrum["omega21_rad_s"] == pytest.approx(
+        (levels[2] - levels[1]) / hbar, rel=1e-9, abs=0.0)
+    assert 100.0 * spectrum["anharmonicity_fraction"] == pytest.approx(
+        doc["anharmonicity_percent_fock"], rel=1e-9, abs=0.0)
+    code, out, _ = run_cli(capsys, "coupling", "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "T_K", "f_GHz", "f1_GHz", "f2_GHz", "S_um2", "pump_photons", "kind", "detuning_rad_s",
+        "G_rad_s", "theta_rad", "g0_printed_rad_s", "g0_symbolic_rad_s",
+        "ratio_symbolic_to_printed",
+    ]
+
+
 def test_qubit_nonconvergent_regime_exits_one(capsys):
     code, _, err = run_cli(capsys, "qubit", "--T", "0.5")
     assert code == 1
@@ -239,18 +274,19 @@ def test_json_records_are_the_csv_rows(argv, capsys):
 
 # Perfbench's layer spans wrap these names on qcapsim.cli; each subcommand
 # must call through them when it runs.
-SPAN_NAMES = ("capacitance_sweep", "sweep", "fock_diagonalize", "csv_text", "json_text")
+SPAN_NAMES = ("capacitance_sweep", "sweep", "fock_diagonalize", "csv_text", "json_text",
+              "table_csv", "table_json")
 
 
 @pytest.mark.parametrize(
     "argv,called",
     [
-        (("sweep-capacitance", "--T", "0,1", "--points", "3"), ("capacitance_sweep",)),
+        (("sweep-capacitance", "--T", "0,1", "--points", "3"), ("capacitance_sweep", "table_csv")),
         (("sweep-capacitance", "--T", "0,1", "--points", "3", "--format", "json"),
-         ("capacitance_sweep",)),
-        (("circulator", "--config", "paper_fig4.json", "--points", "3"), ("sweep",)),
+         ("capacitance_sweep", "table_json")),
+        (("circulator", "--config", "paper_fig4.json", "--points", "3"), ("sweep", "table_csv")),
         (("circulator", "--config", "paper_fig4.json", "--points", "3", "--format", "json"),
-         ("sweep",)),
+         ("sweep", "table_json")),
         (("qubit", "--T", "4"), ("fock_diagonalize", "csv_text")),
         (("qubit", "--T", "4", "--format", "json"), ("fock_diagonalize", "json_text")),
         (("verify-paper",), ("csv_text",)),
@@ -401,9 +437,65 @@ def test_unknown_nested_key_rejected(tmp_path, capsys):
             }
         )
     )
-    code, _, err = run_cli(capsys, "circulator", "--config", str(bad))
-    assert code == 2
+    code, out, err = run_cli(capsys, "circulator", "--config", str(bad))
+    assert (code, out) == (2, "")
     assert "extra" in err
+
+
+def _fig4_with(edit, tmp_path):
+    """Path of a copy of paper_fig4.json that ``edit`` changed in place."""
+    doc = json.loads(resources.files("qcapsim").joinpath("configs", "paper_fig4.json").read_text())
+    edit(doc)
+    config = tmp_path / "edited.json"
+    # json.dumps spells nan and +-inf as NaN and +-Infinity, which json.loads reads back
+    config.write_text(json.dumps(doc))
+    return str(config)
+
+
+@pytest.mark.parametrize(
+    "edit,named",
+    [
+        (lambda doc: doc["circulator"].pop("g"), "circulator': missing required keys ['g']"),
+        (lambda doc: doc["circulator"].update(phi=[0, 0.5]), "'circulator.phi' must be a list of 3"),
+        (lambda doc: doc["circulator"].update(phi=[0, math.nan, 0]), "'circulator.phi[1]'"),
+        (lambda doc: doc["circulator"].update(phi=[0, math.inf, 0]), "'circulator.phi[1]'"),
+        (lambda doc: doc["circulator"].update(phi=[0, -math.inf, 0]), "'circulator.phi[1]'"),
+        (lambda doc: doc.update(circulator=[1, 1, 1]), "'circulator' must be a JSON object"),
+        (lambda doc: doc["circulator"].update(frame="diagonal"), "'circulator.frame'"),
+    ],
+    ids=["missing-key", "two-phases", "nan-phase", "inf-phase", "minus-inf-phase", "not-object",
+         "unknown-frame"],
+)
+def test_circulator_config_rejected(edit, named, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "circulator", "--config", _fig4_with(edit, tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and named in err
+
+
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+def test_circulator_config_units(frame, tmp_path, capsys):
+    # the file gives frequencies in GHz and phases in units of pi; the sweep runs in SI
+    from qcapsim.circulator import CirculatorConfig, Frame, sweep
+
+    def edit(doc):
+        doc["circulator"] = {"omega": [1.0, 1.05, 2.05], "kappa": [2.0, 1.5, 2.0],
+                             "g": [1.0, 0.8, 1.0], "phi": [0.0, 0.5, 0.0], "frame": frame,
+                             "detuning": [0.1, 0.0, -0.2]}
+        doc["n_points"] = 21
+
+    code, out, _ = run_cli(capsys, "circulator", "--config", _fig4_with(edit, tmp_path))
+    assert code == 0
+    ghz = 2.0 * math.pi * 1e9
+    config = CirculatorConfig(
+        omega=(1.0 * ghz, 1.05 * ghz, 2.05 * ghz), kappa=(2.0 * ghz, 1.5 * ghz, 2.0 * ghz),
+        g=(1.0 * ghz, 0.8 * ghz, 1.0 * ghz), phi=(0.0, math.pi / 2.0, 0.0), frame=Frame(frame),
+        detuning=(0.1 * ghz, 0.0, -0.2 * ghz),
+    )
+    expected = sweep(config, -4.0 * ghz, 4.0 * ghz, 21).columns().tolist()
+    got = [[float(value) for value in row.values()] for row in parse_csv(out)]
+    assert len(got) == 21
+    for got_row, expected_row in zip(got, expected):
+        assert got_row == pytest.approx(expected_row, rel=1e-9, abs=1e-12)
 
 
 def test_malformed_json_rejected(tmp_path, capsys):
@@ -562,6 +654,35 @@ def test_qubit_cutoff_above_maximum_rejected():
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error:") and str(FOCK_CUTOFF_MAX) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("circulator", "--config", "paper_fig4.json", "--points", str(cli.SWEEP_POINTS_MAX + 1)),
+        ("sweep-capacitance", "--T", "0,0.25,1,4", "--points", str(cli.SWEEP_POINTS_MAX // 4 + 1)),
+    ],
+    ids=["circulator", "sweep-capacitance"],
+)
+def test_sweep_above_maximum_rejected_before_allocating(argv, monkeypatch, capsys):
+    # only the first size past the maximum, and never the maximum itself: a huge sweep
+    # takes seconds and gigabytes.  The kernels' modules load outside the traced window.
+    from qcapsim import capacitance, circulator  # noqa: F401
+
+    def kernel(*args, **kwargs):
+        pytest.fail("a sweep past SWEEP_POINTS_MAX reached its kernel")
+
+    monkeypatch.setattr(cli, "capacitance_sweep", kernel)
+    monkeypatch.setattr(cli, "sweep", kernel)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and f"maximum of {cli.SWEEP_POINTS_MAX}" in err
+    assert peak < 1_000_000  # the detuning or voltage grid alone would take 2 to 8 MB
 
 
 @pytest.mark.parametrize(

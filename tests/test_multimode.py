@@ -129,13 +129,6 @@ def test_classification_rejects_non_finite_strength():
     assert classify_interaction(silent, _ghz(2.0), _ghz(10.0), TAU).G == 0.0
 
 
-def test_classification_json_shape():
-    pump = PumpSpec(Omega=_ghz(4.0), amplitude_abs=1.0, phase_theta=0.1)
-    doc = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU).to_json_dict()
-    assert set(doc) == {"kind", "detuning_rad_s", "G_rad_s", "theta_rad"}
-    assert doc["kind"] == "hopping"
-
-
 def test_default_tolerance_is_one_megahertz():
     assert DEFAULT_RESONANCE_TOLERANCE == pytest.approx(TWO_PI * 1e6, rel=1e-14, abs=0.0)
 
@@ -178,15 +171,6 @@ def test_symbolic_rate_is_thrice_the_printed_formula():
     ratios = np.asarray(ratios)
     assert np.all(np.abs(ratios / 3.0 - 1.0) < 5e-3)
     assert np.max(ratios) - np.min(ratios) < 1e-12 * 3.0
-
-
-def test_single_photon_rate_json_shape():
-    doc = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0).to_json_dict()
-    assert set(doc) == {
-        "g0_printed_rad_s",
-        "g0_symbolic_rad_s",
-        "ratio_symbolic_to_printed",
-    }
 
 
 # The abstract: ultrastrong coupling "is easily reached with small number of

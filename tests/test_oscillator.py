@@ -301,22 +301,6 @@ def test_suggested_fock_cutoff():
     assert result.eigenvalues[0] == pytest.approx(0.49562463 * HBAR * OMEGA, rel=1e-6, abs=0.0)
 
 
-def test_spectrum_json_shape():
-    result = fock_diagonalize(_spec(1e-4, cutoff=30))
-    doc = result.to_json_dict()
-    assert set(doc) == {
-        "eigenvalues_J",
-        "omega10_rad_s",
-        "omega21_rad_s",
-        "anharmonicity_fraction",
-    }
-    assert len(doc["eigenvalues_J"]) == 30
-    assert doc["anharmonicity_fraction"] == pytest.approx(result.anharmonicity_A, rel=1e-6, abs=0.0)
-    assert result.omega_10 == pytest.approx(
-        (result.eigenvalues[1] - result.eigenvalues[0]) / HBAR, rel=1e-14, abs=0.0
-    )
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=9)
