@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from qcapsim.capacitance import quantum_capacitance_T0
-from qcapsim.constants import CONSTANTS, fermi_energy
+from qcapsim.cli import main
+from qcapsim.constants import CONSTANTS, fermi_energy, ghz_to_rad_per_s
 from qcapsim.errors import AmbiguousResonance, NonPositiveArea
 from qcapsim.multimode import (
     DEFAULT_RESONANCE_TOLERANCE,
@@ -129,6 +131,27 @@ def test_classification_rejects_non_finite_strength():
     assert classify_interaction(silent, _ghz(2.0), _ghz(10.0), TAU).G == 0.0
 
 
+def _coupling_record(capsys):
+    # no golden pins the coupling record's keys: `coupling` writes them itself
+    assert main(["coupling", "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_classification_json_shape(capsys):
+    doc = _coupling_record(capsys)
+    assert list(doc) == [
+        "T_K", "f_GHz", "f1_GHz", "f2_GHz", "S_um2", "pump_photons", "kind", "detuning_rad_s",
+        "G_rad_s", "theta_rad", "g0_printed_rad_s", "g0_symbolic_rad_s",
+        "ratio_symbolic_to_printed",
+    ]
+    pump = PumpSpec(Omega=ghz_to_rad_per_s(4.0), amplitude_abs=1.0, phase_theta=0.0)
+    expected = classify_interaction(pump, ghz_to_rad_per_s(2.0), ghz_to_rad_per_s(10.0), TAU)
+    assert doc["kind"] == expected.kind.value == "hopping"
+    assert doc["detuning_rad_s"] == pytest.approx(expected.detuning, rel=1e-11, abs=0.0)
+    assert doc["G_rad_s"] == pytest.approx(expected.G, rel=1e-11, abs=0.0)
+    assert doc["theta_rad"] == pytest.approx(expected.theta, rel=1e-11, abs=0.0)
+
+
 def test_default_tolerance_is_one_megahertz():
     assert DEFAULT_RESONANCE_TOLERANCE == pytest.approx(TWO_PI * 1e6, rel=1e-14, abs=0.0)
 
@@ -171,6 +194,13 @@ def test_symbolic_rate_is_thrice_the_printed_formula():
     ratios = np.asarray(ratios)
     assert np.all(np.abs(ratios / 3.0 - 1.0) < 5e-3)
     assert np.max(ratios) - np.min(ratios) < 1e-12 * 3.0
+
+
+def test_single_photon_rate_json_shape(capsys):
+    doc = _coupling_record(capsys)
+    rate = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0)
+    for key in ("g0_printed_rad_s", "g0_symbolic_rad_s", "ratio_symbolic_to_printed"):
+        assert doc[key] == pytest.approx(getattr(rate, key), rel=1e-11, abs=0.0)
 
 
 # The abstract: ultrastrong coupling "is easily reached with small number of

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcapsim.capacitor import linear_capacitance_C0
+from qcapsim.cli import main
 from qcapsim.constants import CONSTANTS
 from qcapsim.errors import CutoffNotConverged, NonPositiveArea, NonPositiveTemperature, PerturbativeRegimeExceeded
 from qcapsim.mode import (
@@ -299,6 +301,30 @@ def test_suggested_fock_cutoff():
         OscillatorSpec(omega=OMEGA, tau=tau, area_S=AREA, temperature_T=1.0, fock_cutoff=cutoff)
     )
     assert result.eigenvalues[0] == pytest.approx(0.49562463 * HBAR * OMEGA, rel=1e-6, abs=0.0)
+
+
+def test_spectrum_json_shape(capsys):
+    # no golden pins the spectrum record: `qubit` writes its keys, pinned in order here
+    assert main(["qubit", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == [
+        "T_K", "f_GHz", "S_um2", "fock_cutoff", "tau_s", "tau_omega", "chi_per_m2_sqrt_s",
+        "psi_per_m2", "tank_inductance_H", "anharmonicity_percent_printed",
+        "anharmonicity_percent_symbolic", "n_max_printed", "n_max_derived",
+        "anharmonicity_percent_fock", "spectrum",
+    ]
+    spectrum = doc["spectrum"]
+    assert list(spectrum) == [
+        "eigenvalues_J", "omega10_rad_s", "omega21_rad_s", "anharmonicity_fraction",
+    ]
+    levels = spectrum["eigenvalues_J"]
+    assert len(levels) == doc["fock_cutoff"]
+    assert spectrum["omega10_rad_s"] == pytest.approx(
+        (levels[1] - levels[0]) / HBAR, rel=1e-9, abs=0.0)
+    assert spectrum["omega21_rad_s"] == pytest.approx(
+        (levels[2] - levels[1]) / HBAR, rel=1e-9, abs=0.0)
+    assert 100.0 * spectrum["anharmonicity_fraction"] == pytest.approx(
+        doc["anharmonicity_percent_fock"], rel=1e-9, abs=0.0)
 
 
 def test_spec_validation():
