@@ -57,8 +57,8 @@ def _eliminate(a, b) -> None:
         a[:, k + 1:, k + 1:] -= lam[:, :, None] * a[:, k, None, k + 1:]
         b[:, k + 1:] -= lam[:, :, None] * b[:, k, None, :]
     for k in range(n - 1, -1, -1):
-        if k < n - 1:
-            b[:, k] -= np.matmul(a[:, k, None, k + 1:], b[:, k + 1:])[:, 0]
+        for j in range(k + 1, n):  # elementwise, not matmul: BLAS kernels round differently
+            b[:, k] -= a[:, k, j, None] * b[:, j]
         b[:, k] /= a[:, k, k, None]
 
 
@@ -86,7 +86,7 @@ def solve_complex(matrix, rhs) -> np.ndarray:
     x = np.array(b2, order="C", copy=True)
     _eliminate(a, x)
     resid = np.linalg.norm(sum(a2[:, :, j, None] * x[:, j, None, :] for j in range(n)) - b2, axis=1)
-    scale = np.linalg.norm(b2, axis=1)
+    scale = np.linalg.norm(b2[:1] if b2.strides[0] == 0 else b2, axis=1)  # a broadcast rhs once
     rel = resid / np.where(scale > 0.0, scale, 1.0)
     if not np.all(rel <= SOLVE_RESIDUAL_TOL):
         raise SingularSystem(

@@ -1,7 +1,12 @@
 import dataclasses
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,3 +303,39 @@ def test_row_scaled_s_is_the_matmul_s_bit_for_bit(frame):
         x = solve_complex(a, np.broadcast_to(k.astype(np.complex128), a.shape))
         s = scattering_matrix(config, deltas)
         assert s.tobytes() == (np.eye(3) - k @ x).tobytes()
+
+
+BLAS_PROBE = """
+import hashlib, numpy as np
+from qcapsim.circulator import CirculatorConfig, scattering_matrix
+rng, digest = np.random.default_rng(2020), hashlib.sha256()
+for _ in range(40):
+    config = CirculatorConfig(*(tuple(rng.uniform(lo, hi, 3) * 2e9 * np.pi) for lo, hi in
+                                ((0.5, 3.0), (0.5, 3.0), (0.2, 2.0))), phi=tuple(rng.uniform(-np.pi, np.pi, 3)))
+    digest.update(scattering_matrix(config, np.linspace(-6.0, 6.0, 300) * 2e9 * np.pi).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _openblas_on_x86_64():
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return False
+    return "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs numpy on OpenBLAS on x86_64")
+def test_sweep_bytes_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its zgemm kernel by CPU; the solve must not go through it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_CORETYPE", None)
+    digests = []
+    for run_env in (env, dict(env, OPENBLAS_CORETYPE="Prescott")):
+        result = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True, env=run_env)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]

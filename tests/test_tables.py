@@ -1,12 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qcapsim import cli
 from qcapsim.tables import (
-    _respelled,
+    _BLOCK_CELLS,
+    _kernel_tables,
     csv_text,
     format_sig,
     json_float,
@@ -52,6 +59,14 @@ def oracle_json_text(payload):
     return json.dumps(_oracle_walk_round(payload), indent=2) + "\n"
 
 
+def _respelled(flat):
+    """Where ``repr`` may spell a value otherwise than ``%.12g``, elsewhere the shortest text
+    that reads back: nan, +-inf, subnormals, and within 1e-11 of an integer, as all |x| >= 1e11 are."""
+    mag = abs(flat)
+    mag[~(mag <= 1.7976931348623157e308)] = 0.0  # nan, +-inf: no inf - inf, re-spelled as 0 is
+    return (abs(mag - mag.round()) <= 1e-11 * mag) | (mag < 1e-307)
+
+
 def oracle_table_json(header, values):
     """Format every value with ``%.12g``, split the text, re-spell what the mask picks,
     and format the tokens again into one record template."""
@@ -64,6 +79,29 @@ def oracle_table_json(header, values):
         texts[i] = non_finite.get(texts[i]) or repr(float(texts[i]))
     record = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in header) + "\n  }"
     return "[\n" + ",\n".join([record] * len(values)) % tuple(texts) + "\n]\n"
+
+
+def percent_table_csv(header, values):
+    """The earlier ``table_csv``: one ``%.12g`` conversion per cell in one ``%`` pass."""
+    n, k = values.shape
+    row = ",".join(["%.12g"] * k) + "\n"
+    return csv_text(header, ()) + (row * n) % tuple(values.ravel().tolist())
+
+
+def percent_table_json(header, values):
+    """The earlier ``table_json``: one ``%`` pass through one record template per pattern
+    of re-spelled cells."""
+    if len(values) == 0:
+        return "[]\n"
+    cells = values.ravel().tolist()
+    picked = _respelled(values.ravel())
+    for i in picked.nonzero()[0].tolist():
+        cells[i] = json_float(cells[i])
+    keys = ["    " + encode_basestring_ascii(key).replace("%", "%%") + ": " for key in header]
+    rows = picked.reshape(values.shape).view(f"S{values.shape[1]}").ravel().tolist()
+    records = {row: "  {\n" + ",\n".join(key + ("%s" if s else "%.12g") for key, s in zip(
+        keys, row.ljust(len(keys), b"\0"))) + "\n  }" for row in set(rows)}
+    return "[\n" + ",\n".join(map(records.__getitem__, rows)) % tuple(cells) + "\n]\n"
 
 
 def _records(header, values):
@@ -292,3 +330,83 @@ def test_table_json_rejects_a_header_of_another_width(width):
         oracle_table_json(header, values)
     with pytest.raises(TypeError):
         table_json(header, values)
+
+
+# --- the numpy kernel of table_csv / table_json against Python's own spelling -----------
+
+def _kernel_corpus():
+    """Seeded random bit patterns over every exponent, and every class the kernel leaves
+    to Python or must carry: subnormals, signed zeros, nan, +-inf, powers of ten and their
+    neighbours, near-ties, carries into the next decade, integers, and |x| >= 1e12."""
+    rng = np.random.default_rng(2020)
+    n = 4000
+    tens = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    mantissas = rng.integers(10**11, 10**12, n).astype(float)
+    values = np.concatenate([
+        rng.integers(0, 2**64, 3 * n, dtype=np.uint64).view(np.float64),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        (mantissas + 0.5) * 10.0 ** rng.integers(-320, 290, n),  # ties at the 13th digit
+        (mantissas * 10 + rng.choice([4.0, 5.0, 6.0], n)) / 10.0 ** rng.integers(0, 25, n),
+        [9.999999999995e-5, 999999999999.5, 9.9999999999995e11, 99999999999.95, 0.99999999999951,
+         2.0 ** -986, np.nextafter(2.0 ** -986, 0.0), 2.2250738585072014e-308, 1.7976931348623157e308],
+        rng.integers(-10**17, 10**17, n).astype(float),  # integral, and |x| >= 1e12
+        rng.integers(-10**6, 10**6, n) / 10.0 ** rng.integers(0, 12, n),  # short decimals
+        rng.integers(1, 10**6, n) * 5e-324,  # subnormals down to the smallest
+        [0.0, math.nan, math.inf, 1e16, 1e300],
+    ])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_spells_every_cell_as_python_does(fmt):
+    values = _kernel_corpus()
+    if fmt == "csv":
+        expected = "x\n" + "".join("%.12g\n" % v for v in values.tolist())
+        assert table_csv(("x",), values[:, None]) == expected
+    else:
+        expected = "[\n" + ",\n".join(f'  {{\n    "x": {json_float(v)}\n  }}' for v in values.tolist()) + "\n]\n"
+        assert table_json(("x",), values[:, None]) == expected
+
+
+def test_kernel_powers_of_ten_are_within_one_ulp():
+    # the exactness argument of the kernel assumes it; Python parses 1e<j> correctly rounded
+    scale = _kernel_tables().scale[:-1]  # 10**(11 - e) for e = -297..308
+    exact = np.array([float(f"1e{j}") for j in range(308, -298, -1)])
+    assert np.max(np.abs(scale.view(np.int64) - exact.view(np.int64))) <= 1
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_table_emitters_match_the_percent_pass_across_blocks(k):
+    block = _BLOCK_CELLS // k
+    rng = np.random.default_rng(k)
+    header = tuple(f"c{j}" for j in range(k))
+    for n in (0, 1, block - 1, block, block + 1):
+        values = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 14, (n, k))
+        values.ravel()[::97] = rng.choice(PICKED + LEFT, values.ravel()[::97].shape)
+        assert table_csv(header, values) == percent_table_csv(header, values)
+        assert table_json(header, values) == percent_table_json(header, values)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command,config", [("sweep-capacitance", "paper_fig2.json"),
+                                            ("circulator", "paper_fig4.json"),
+                                            ("circulator", "paper_fig5.json")])
+def test_bundled_sweeps_match_the_percent_pass(command, config, fmt, monkeypatch, capsys):
+    emitted = []
+    emitter = getattr(cli, f"table_{fmt}")
+    monkeypatch.setattr(cli, f"table_{fmt}", lambda header, values: (
+        emitted.append((header, values)) or emitter(header, values)))
+    assert cli.main([command, "--config", config, "--format", fmt]) == 0
+    [(header, values)] = emitted
+    oracle = percent_table_csv if fmt == "csv" else percent_table_json
+    assert capsys.readouterr().out == oracle(header, values)
+
+
+def test_importing_tables_loads_no_numpy_and_builds_no_table():
+    probe = ("import sys, qcapsim.tables as t\n"
+             "print('numpy' in sys.modules, t._kernel_tables.cache_info().currsize)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "0"]
