@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .constants import (
     CONSTANTS,
     f_per_m2_to_ff_per_um2,
+    m_to_nm,
     require_positive,
     require_positive_temperature,
 )
@@ -231,7 +232,7 @@ def design_check(design: CapacitorDesign, T: float) -> DesignReport:
     ratio = c0 / cg
     thickness_ok = THICKNESS_MIN < design.dielectric_thickness_t < THICKNESS_MAX
     dominance_ok = ratio <= DOMINANCE_MAX_RATIO
-    t_nm = design.dielectric_thickness_t * 1e9
+    t_nm = m_to_nm(design.dielectric_thickness_t)
     messages = [
         f"C_G = {f_per_m2_to_ff_per_um2(cg):.4g} fF/um^2, "
         f"C_0 = {f_per_m2_to_ff_per_um2(c0):.4g} fF/um^2 at T = {T:g} K "

@@ -19,9 +19,11 @@ Reported scalar amplitudes use path naming: S13 is the 1 -> 3 conversion
 amplitude, i.e. entry (3,1) of the matrix S in the a_out = S a_in
 convention, and S31 is entry (1,3).
 
-A detuning sweep builds the (n, 3, 3) stack -i delta I - M and solves it
-with one call of :func:`qcapsim.linalg.solve_complex`, which enforces the
-1e-10 relative-residual contract on every point.
+A detuning sweep solves A = -i delta I - M at every point with one call of
+:func:`cramer_solve`: Cramer's rule on the real and imaginary parts of A,
+with the 1e-10 relative-residual contract checked on every point and column.
+Its only arithmetic is real +, -, * and /, so its bits depend neither on the
+BLAS kernel nor on numpy's SIMD level.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import require_positive
-from .linalg import solve_complex
+from .errors import SingularSystem
+
+# largest accepted relative residual ||A x - b|| / ||b|| of a solved column
+SOLVE_RESIDUAL_TOL = 1e-10
 
 SWEEP_CSV_HEADER = (
     "delta_rad_s",
@@ -120,21 +125,77 @@ def langevin_matrix(config: CirculatorConfig) -> np.ndarray:
     return -1j * h - np.diag(np.asarray(config.kappa, dtype=np.float64)) / 2.0
 
 
+def _mul(xr, xi, yr, yi):
+    """Real and imaginary parts of the product (xr + i xi)(yr + i yi)."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+_SHIFT = {1: np.array([1, 2, 0]), 2: np.array([2, 0, 1])}  # _SHIFT[d][i] = (i + d) mod 3
+
+
+def cramer_solve(a_re, a_im, k) -> np.ndarray:
+    """X = A^-1 diag(k) for a stack of complex 3 x 3 matrices A = a_re + i a_im.
+
+    ``a_re`` and ``a_im`` are (3, 3, n), entry first so that each operation
+    runs over the n points; X is (n, 3, 3) complex.  Each A is scaled, exactly,
+    by the power of two that brings its largest part into [0.5, 1), so that no
+    cofactor or determinant overflows.  Cramer's rule in real +, -, * and /:
+    with indices mod 3 the cofactor of (i, j) is
+    A[i+1, j+1] A[i+2, j+2] - A[i+1, j+2] A[i+2, j+1].  Raises
+    :class:`SingularSystem` when a determinant is zero or not finite, or when
+    a column's relative residual ||A x - b|| / ||b|| (b = k_j e_j) is above
+    ``SOLVE_RESIDUAL_TOL`` or not finite.
+    """
+    biggest = np.maximum(np.abs(a_re), np.abs(a_im)).max(axis=(0, 1))
+    scale = np.ldexp(1.0, -np.frexp(biggest)[1])
+    ar, ai = a_re * scale, a_im * scale
+
+    def shifted(di, dj):  # entry (i + di, j + dj) mod 3 at every (i, j)
+        rows, cols = _SHIFT[di][:, None], _SHIFT[dj]
+        return ar[rows, cols], ai[rows, cols]
+
+    p_re, p_im = _mul(*shifted(1, 1), *shifted(2, 2))
+    q_re, q_im = _mul(*shifted(1, 2), *shifted(2, 1))
+    c_re, c_im = p_re - q_re, p_im - q_im  # the nine signed cofactors
+    t_re, t_im = _mul(ar[0], ai[0], c_re[0], c_im[0])  # det A along row 0
+    det_re, det_im = t_re[0] + t_re[1] + t_re[2], t_im[0] + t_im[1] + t_im[2]
+    det2 = det_re * det_re + det_im * det_im
+    if not np.all(np.isfinite(det2) & (det2 > 0.0)):
+        raise SingularSystem("zero or non-finite determinant in the 3 x 3 solve")
+    w_re, w_im = det_re / det2 * k[:, None], -det_im / det2 * k[:, None]  # k_j / det, (3, n)
+    x_re, x_im = _mul(c_re.transpose(1, 0, 2), c_im.transpose(1, 0, 2), w_re, w_im)
+    r_re, r_im = -np.diag(k)[:, :, None], 0.0
+    for m in range(3):  # A x - b, one column of A at a time
+        p_re, p_im = _mul(ar[:, m, None], ai[:, m, None], x_re[None, m], x_im[None, m])
+        r_re, r_im = r_re + p_re, r_im + p_im
+    rel = np.sqrt((r_re * r_re + r_im * r_im).sum(axis=0)) / k[:, None]
+    if not np.all(rel <= SOLVE_RESIDUAL_TOL):
+        raise SingularSystem(
+            f"solve residual {float(np.max(rel)):.3e} exceeds {SOLVE_RESIDUAL_TOL:.1e}"
+        )
+    x = np.empty((scale.size, 3, 3), dtype=np.complex128)
+    x.real = (x_re * scale).transpose(2, 0, 1)  # (s A)^-1 = A^-1 / s
+    x.imag = (x_im * scale).transpose(2, 0, 1)
+    return x
+
+
 def scattering_matrix(config: CirculatorConfig, delta) -> np.ndarray:
     """Scattering matrix S(delta) = I - K (-i delta I - M)^(-1) K.
 
     ``delta`` is one detuning (result (3, 3)) or a 1-d array of n
-    detunings (result (n, 3, 3)), solved as one stack.  K = diag(sqrt(kappa));
-    every column comes from a residual-checked pivoted solve
-    (:class:`SingularSystem` on failure).  Matrix convention: a_out = S a_in,
-    so S[i, j] connects input j to output i.
+    detunings (result (n, 3, 3)), solved as one stack by :func:`cramer_solve`
+    (:class:`SingularSystem` on failure).  K = diag(sqrt(kappa)).  Matrix
+    convention: a_out = S a_in, so S[i, j] connects input j to output i.
     """
     deltas = np.asarray(delta, dtype=np.float64)
-    m = langevin_matrix(config)
+    a = -langevin_matrix(config)
     kd = np.sqrt(np.asarray(config.kappa, dtype=np.float64))
-    a = -1j * deltas[..., None, None] * np.eye(3) - m
-    x = solve_complex(a, np.broadcast_to(np.diag(kd).astype(np.complex128), a.shape))
-    return np.eye(3) - kd[:, None] * x  # K X with diagonal K: row i of X scaled by sqrt(kappa_i)
+    a_re = np.broadcast_to(a.real[:, :, None], (3, 3, deltas.size))
+    a_im = np.repeat(a.imag[:, :, None], deltas.size, axis=2)
+    a_im[[0, 1, 2], [0, 1, 2]] -= deltas.reshape(-1)  # only the diagonal moves with delta
+    x = cramer_solve(a_re, a_im, kd)
+    s = np.eye(3) - kd[:, None] * x  # K X with diagonal K: row i of X scaled by sqrt(kappa_i)
+    return s.reshape(deltas.shape + (3, 3))
 
 
 # --- detuning sweep ----------------------------------------------------------
@@ -176,8 +237,8 @@ def sweep(
     """Scattering over a uniform detuning grid (rad/s).
 
     All points are solved as one stack; :class:`SingularSystem` is raised
-    when any point hits a zero pivot or a relative solve residual above
-    ``linalg.SOLVE_RESIDUAL_TOL``.  Returns the full complex matrices along
+    when any point has a zero or non-finite determinant or a relative solve
+    residual above ``SOLVE_RESIDUAL_TOL``.  Returns the full complex matrices
     with the 1 -> 3 / 3 -> 1 asymmetry ratio and the insertion loss of the
     forward path; :class:`ValueError` names the first detuning where either
     is not finite (|S13| or |S31| is 0.0 or underflows).
@@ -188,11 +249,13 @@ def sweep(
         raise ValueError(f"detunings out of range: [{delta_min}, {delta_max}] rad/s must be finite")
     deltas = np.linspace(delta_min, delta_max, n_points)
     s_out = scattering_matrix(config, deltas)
-    s13 = np.abs(s_out[:, 2, 0])
-    s31 = np.abs(s_out[:, 0, 2])
+    # complex np.abs rounds differently per SIMD level and np.hypot does not;
+    # the loss keeps np.abs until it gets a SIMD-independent route of its own
+    s13 = np.hypot(s_out[:, 2, 0].real, s_out[:, 2, 0].imag)
+    s31 = np.hypot(s_out[:, 0, 2].real, s_out[:, 0, 2].imag)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = s13 / s31
-        insertion_loss = -10.0 * np.log10(s13**2)
+        insertion_loss = -10.0 * np.log10(np.abs(s_out[:, 2, 0]) ** 2)
     bad = ~(np.isfinite(ratio) & np.isfinite(insertion_loss))
     if bad.any():
         i = int(np.argmax(bad))

@@ -45,11 +45,16 @@ CONSTANTS = PhysicalConstants()
 TWO_PI = 2.0 * math.pi
 
 
-# --- engineering-unit conversions (only the directions the CLI uses) ------
+# --- engineering-unit conversions (only the directions the package uses) --
 
 def ghz_to_rad_per_s(f_ghz):
     """Frequency in GHz -> angular frequency in rad/s."""
     return TWO_PI * 1e9 * f_ghz
+
+
+def ghz_to_hz(f_ghz):
+    """Frequency in GHz -> Hz."""
+    return f_ghz * 1e9
 
 
 def um2_to_m2(area_um2):
@@ -60,6 +65,11 @@ def um2_to_m2(area_um2):
 def nm_to_m(t_nm):
     """Length in nm -> m."""
     return t_nm * 1e-9
+
+
+def m_to_nm(t_m):
+    """Length in m -> nm."""
+    return t_m * 1e9
 
 
 def f_per_m2_to_ff_per_um2(c_areal):

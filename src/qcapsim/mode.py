@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .capacitor import linear_capacitance_C0
 from .constants import (
     CONSTANTS,
+    ghz_to_hz,
     ghz_to_rad_per_s,
     require_positive,
     require_positive_temperature,
@@ -220,7 +221,7 @@ def photon_number_limit_derived(T: float, f: float) -> float:
     """n_max = 2 k_B T / (h f) re-derived from constants (T in K, f in GHz)."""
     require_positive_temperature(T)
     require_positive(f, "frequency (GHz)")
-    hf = CONSTANTS.h * f * 1e9
+    hf = CONSTANTS.h * ghz_to_hz(f)
     require_positive(hf, "photon energy h f (J)")
     n_max = 2.0 * CONSTANTS.k_B * T / hf
     require_positive(n_max, "derived photon-number limit")

@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, require_positive
+from .constants import CONSTANTS, ghz_to_rad_per_s, require_positive, um2_to_m2
 from .errors import AmbiguousResonance, NonPositiveArea
 from .mode import nonlinear_time_constant
 
@@ -142,14 +142,12 @@ def single_photon_rate_engineering(
     """
     for name, value in (("T", T), ("f", f), ("f1", f1), ("f2", f2), ("S", S)):
         require_positive(value, name)
-    tau = nonlinear_time_constant(S * 1e-12, T)  # first: it checks the range of S and T
+    tau = nonlinear_time_constant(um2_to_m2(S), T)  # first: it checks the range of S and T
     printed = (
         2.0 * math.pi * SINGLE_PHOTON_RATE_COEFF_PRINTED
         * f * math.sqrt(f1 * f2) / (S * T**3) * 1e9
     )
-    symbolic = 3.0 * gamma_nml(
-        tau, 2.0 * math.pi * f * 1e9, 2.0 * math.pi * f1 * 1e9, 2.0 * math.pi * f2 * 1e9
-    )
+    symbolic = 3.0 * gamma_nml(tau, ghz_to_rad_per_s(f), ghz_to_rad_per_s(f1), ghz_to_rad_per_s(f2))
     return SinglePhotonRate(
         g0_printed_rad_s=printed,
         g0_symbolic_rad_s=symbolic,

@@ -33,10 +33,16 @@ from qcapsim.capacitor import (
     geometric_capacitance,
     linear_capacitance_C0,
 )
-from qcapsim.circulator import CirculatorConfig, Frame, langevin_matrix, scattering_matrix, sweep
+from qcapsim.circulator import (
+    CirculatorConfig,
+    Frame,
+    cramer_solve,
+    langevin_matrix,
+    scattering_matrix,
+    sweep,
+)
 from qcapsim.cli import _verify_rows
 from qcapsim.constants import CONSTANTS, f_per_m2_to_ff_per_um2, fermi_energy
-from qcapsim.linalg import solve_complex
 from qcapsim.mode import OscillatorSpec, anharmonicity_engineering, nonlinear_time_constant
 from qcapsim.multimode import quantum_conductance, quantum_rc_time, single_photon_rate_engineering
 from qcapsim.oscillator import fock_diagonalize
@@ -307,13 +313,23 @@ def test_criterion_9_property_suites():
         assert np.max(np.abs(generator - generator.conj().T)) <= 1e-14 * np.max(np.abs(generator))
         instances += 1
 
-    # solver residuals (300 random complex systems)
+    # solver residuals (300 random circulator configs and detunings through the closed
+    # form), each recomputed here and checked against numpy.linalg.solve
     for _ in range(300):
-        n = int(rng.integers(2, 8))
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x = solve_complex(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+        config = CirculatorConfig(
+            omega=tuple(rng.uniform(0.5, 5.0) * GHZ for _ in range(3)),
+            kappa=tuple(rng.uniform(0.1, 3.0) * GHZ for _ in range(3)),
+            g=tuple(rng.uniform(0.0, 2.0) * GHZ for _ in range(3)),
+            phi=tuple(rng.uniform(-math.pi, math.pi) for _ in range(3)),
+            frame=Frame.LAB if rng.uniform() < 0.5 else Frame.ROTATING,
+        )
+        a = -1j * rng.uniform(-6.0, 6.0) * GHZ * np.eye(3) - langevin_matrix(config)
+        k = np.sqrt(np.asarray(config.kappa))
+        x = cramer_solve(a.real[:, :, None], a.imag[:, :, None], k)[0]
+        b = np.diag(k)
+        assert np.all(np.linalg.norm(a @ x - b, axis=0) <= 1e-10 * np.linalg.norm(b, axis=0))
+        ref = np.linalg.solve(a, b)
+        assert np.all(np.linalg.norm(x - ref, axis=0) <= 1e-10 * np.linalg.norm(ref, axis=0))
         instances += 1
 
     elapsed = time.perf_counter() - start

@@ -17,11 +17,11 @@ from qcapsim.circulator import (
     CirculatorConfig,
     Frame,
     coupling_matrix,
+    cramer_solve,
     langevin_matrix,
     scattering_matrix,
     sweep,
 )
-from qcapsim.linalg import solve_complex
 
 TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e9
@@ -254,13 +254,13 @@ def test_sweep_solves_one_stack(monkeypatch):
     # one solve per sweep, looked up on the circulator module at call time
     calls = []
 
-    def counting_solve(matrix, rhs):
-        calls.append(np.shape(matrix))
-        return solve_complex(matrix, rhs)
+    def counting_solve(a_re, a_im, k):
+        calls.append((np.shape(a_re), np.shape(a_im)))
+        return cramer_solve(a_re, a_im, k)
 
-    monkeypatch.setattr(circulator, "solve_complex", counting_solve)
+    monkeypatch.setattr(circulator, "cramer_solve", counting_solve)
     sweep(paper_config(math.pi / 2), -GHZ, GHZ, 57)
-    assert calls == [(57, 3, 3)]
+    assert calls == [((3, 3, 57), (3, 3, 57))]
 
 
 def test_sweep_rejects_non_finite_detuning_range():
@@ -291,28 +291,59 @@ def _random_configs(n):
         ), np.linspace(-6.0, 6.0, 401) * GHZ
 
 
+def eliminate(a, b):
+    """Solve each a[i] x = b[i] of (n, 3, 3) complex stacks by partial-pivoted
+    Gaussian elimination: the general solver the closed form replaced, kept as
+    an oracle."""
+    a, x = np.array(a, dtype=np.complex128), np.array(b, dtype=np.complex128)
+    rows = np.arange(len(a))
+    for k in range(3):
+        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        for arr in (a, x):
+            row_k = arr[:, k].copy()
+            arr[:, k] = arr[rows, piv]
+            arr[rows, piv] = row_k
+        lam = a[:, k + 1:, k] / a[:, k, k, None]
+        a[:, k + 1:, k + 1:] -= lam[:, :, None] * a[:, k, None, k + 1:]
+        x[:, k + 1:] -= lam[:, :, None] * x[:, k, None, :]
+    for k in range(2, -1, -1):
+        for j in range(k + 1, 3):
+            x[:, k] -= a[:, k, j, None] * x[:, j]
+        x[:, k] /= a[:, k, k, None]
+    return x
+
+
 @pytest.mark.parametrize("frame", list(Frame))
-def test_row_scaled_s_is_the_matmul_s_bit_for_bit(frame):
-    # S = I - K X with diagonal K: scaling the rows of X by sqrt(kappa) must give the
-    # stacked matmul's every bit (a +0/-0 or last-bit difference would move the goldens)
+def test_row_scaled_s_is_the_matmul_s_bit_for_bit(frame, monkeypatch):
+    # S = I - K X with diagonal K: scaling the rows of the closed form's X by sqrt(kappa)
+    # must give the stacked matmul's every bit, and S must agree with the pivoted elimination
+    solved = []
+
+    def recording_solve(a_re, a_im, k):
+        solved.append(cramer_solve(a_re, a_im, k))
+        return solved[-1]
+
+    monkeypatch.setattr(circulator, "cramer_solve", recording_solve)
     cases = [_bundled("paper_fig4.json"), _bundled("paper_fig5.json"), *_random_configs(8)]
     for config, deltas in cases:
         config = dataclasses.replace(config, frame=frame)
         k = np.diag(np.sqrt(np.asarray(config.kappa)))
-        a = -1j * deltas[:, None, None] * np.eye(3) - langevin_matrix(config)
-        x = solve_complex(a, np.broadcast_to(k.astype(np.complex128), a.shape))
         s = scattering_matrix(config, deltas)
-        assert s.tobytes() == (np.eye(3) - k @ x).tobytes()
+        assert s.tobytes() == (np.eye(3) - k @ solved[-1]).tobytes()
+        a = -1j * deltas[:, None, None] * np.eye(3) - langevin_matrix(config)
+        x = eliminate(a, np.broadcast_to(k.astype(np.complex128), a.shape))
+        assert np.max(np.abs(s - (np.eye(3) - k @ x))) <= 1e-14
 
 
 BLAS_PROBE = """
 import hashlib, numpy as np
-from qcapsim.circulator import CirculatorConfig, scattering_matrix
+from qcapsim.circulator import CirculatorConfig, sweep
 rng, digest = np.random.default_rng(2020), hashlib.sha256()
 for _ in range(40):
     config = CirculatorConfig(*(tuple(rng.uniform(lo, hi, 3) * 2e9 * np.pi) for lo, hi in
                                 ((0.5, 3.0), (0.5, 3.0), (0.2, 2.0))), phi=tuple(rng.uniform(-np.pi, np.pi, 3)))
-    digest.update(scattering_matrix(config, np.linspace(-6.0, 6.0, 300) * 2e9 * np.pi).tobytes())
+    result = sweep(config, -12e9 * np.pi, 12e9 * np.pi, 300)
+    digest.update(result.smatrices.tobytes() + result.ratio_13_31.tobytes())
 print(digest.hexdigest())
 """
 
@@ -329,13 +360,18 @@ def _openblas_on_x86_64():
 
 @pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs numpy on OpenBLAS on x86_64")
 def test_sweep_bytes_do_not_depend_on_the_blas_kernel():
-    # OpenBLAS picks its zgemm kernel by CPU; the solve must not go through it
+    # OpenBLAS picks its zgemm kernel by CPU, and numpy its SIMD loops; neither may
+    # move a bit of S or of the 1->3/3->1 ratio (the loss still moves: it takes complex
+    # np.abs and np.log10).  The third child holds numpy to its X86_V2 baseline; this
+    # numpy accepts exactly these four names, and the older names raise an ImportWarning
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("OPENBLAS_CORETYPE", None)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
     digests = []
-    for run_env in (env, dict(env, OPENBLAS_CORETYPE="Prescott")):
+    for run_env in (env, dict(env, OPENBLAS_CORETYPE="Prescott"),
+                    dict(env, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR X86_V3")):
         result = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True, env=run_env)
         assert result.returncode == 0, result.stderr
         digests.append(result.stdout)
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1] == digests[2]

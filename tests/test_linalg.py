@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from qcapsim.circulator import cramer_solve
 from qcapsim.errors import SingularSystem
-from qcapsim.linalg import solve_complex, symmetric_eigenvalues
+from qcapsim.linalg import symmetric_eigenvalues
 
 
 def test_eigenvalues_match_reference_on_random_matrices():
@@ -53,97 +54,80 @@ def test_eigenvalues_rejects_vectors_and_stacks(shape):
         symmetric_eigenvalues(np.zeros(shape))
 
 
+# --- the circulator's closed-form 3 x 3 solve --------------------------------------
+
+def solve(a, k):
+    """``cramer_solve`` on an (n, 3, 3) complex stack: X = A^-1 diag(k), (n, 3, 3)."""
+    a = np.moveaxis(np.asarray(a, dtype=np.complex128), 0, -1)
+    return cramer_solve(a.real, a.imag, np.asarray(k, dtype=np.float64))
+
+
+def _random_stack(rng, k):
+    return rng.normal(size=(k, 3, 3)) + 1j * rng.normal(size=(k, 3, 3))
+
+
 def test_solve_identity_returns_rhs():
-    b = np.array([1.0 + 2.0j, -3.0j, 0.5])
-    x = solve_complex(np.eye(3, dtype=np.complex128), b)
-    assert np.allclose(x, b, rtol=0, atol=1e-15)
+    k = np.array([1.0, 2.0, 0.5])
+    x = solve(np.eye(3)[None], k)
+    assert np.allclose(x[0], np.diag(k), rtol=0, atol=1e-15)
 
 
 def test_solve_diagonal_inverse():
-    a = np.diag([2.0, 4.0j, -1.0]).astype(np.complex128)
-    b = np.array([1.0 + 1.0j, 2.0, 3.0 - 1.0j])
-    x = solve_complex(a, b)
-    expected = np.array([b[0] / 2.0, -0.25j * b[1], -b[2]])
-    assert np.allclose(x, expected, rtol=1e-14, atol=0)
+    a = np.diag([2.0, 4.0j, -1.0])
+    k = np.array([1.5, 2.0, 3.0])
+    x = solve(a[None], k)
+    expected = np.diag([k[0] / 2.0, -0.25j * k[1], -k[2]])
+    assert np.allclose(x[0], expected, rtol=1e-14, atol=0)
 
 
 def test_solve_random_residuals():
     rng = np.random.default_rng(103)
-    for _ in range(300):
-        n = int(rng.integers(2, 9))
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x = solve_complex(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
-
-
-def test_solve_multiple_rhs():
-    rng = np.random.default_rng(104)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    b = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    x = solve_complex(a, b)
-    assert x.shape == (5, 3)
-    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+    a = _random_stack(rng, 300)
+    k = rng.uniform(0.1, 3.0, size=3)
+    x = solve(a, k)
+    for ai, xi in zip(a, x):
+        assert np.linalg.norm(ai @ xi - np.diag(k)) <= 1e-12 * np.linalg.norm(k)
 
 
 def test_solve_singular_raises():
-    a = np.zeros((3, 3), dtype=np.complex128)
     with pytest.raises(SingularSystem):
-        solve_complex(a, np.ones(3, dtype=np.complex128))
+        solve(np.zeros((1, 3, 3)), np.ones(3))
 
 
 def test_solve_rank_deficient_raises():
-    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]], dtype=np.complex128)
+    a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]])
     with pytest.raises(SingularSystem):
-        solve_complex(a, np.ones(3, dtype=np.complex128))
+        solve(a[None], np.ones(3))
 
 
-def _random_stack(rng, k, n):
-    return rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
-
-
-@pytest.mark.parametrize("n", [1, 3, 6])
-def test_solve_stack_equals_each_member(n):
-    rng = np.random.default_rng(105 + n)
-    a = _random_stack(rng, 40, n)
-    b = rng.normal(size=(40, n, 2)) + 1j * rng.normal(size=(40, n, 2))
-    x = solve_complex(a, b)
+def test_solve_stack_equals_each_member():
+    rng = np.random.default_rng(108)
+    a = _random_stack(rng, 40)
+    k = rng.uniform(0.1, 3.0, size=3)
+    x = solve(a, k)
     for i in range(40):
-        assert np.array_equal(x[i], solve_complex(a[i], b[i]))
-
-
-def test_solve_stack_keeps_rhs_shapes():
-    rng = np.random.default_rng(106)
-    a = _random_stack(rng, 6, 4).reshape(2, 3, 4, 4)
-    vec = rng.normal(size=(2, 3, 4)) + 0j
-    mat = rng.normal(size=(2, 3, 4, 5)) + 0j
-    assert solve_complex(a, vec).shape == (2, 3, 4)
-    assert solve_complex(a, mat).shape == (2, 3, 4, 5)
-    x = solve_complex(a, vec)
-    assert np.linalg.norm(np.einsum("...ij,...j->...i", a, x) - vec) <= 1e-12 * np.linalg.norm(vec)
-    with pytest.raises(ValueError):
-        solve_complex(a, vec[:, :2])
+        assert np.array_equal(x[i], solve(a[i:i + 1], k)[0])
 
 
 def test_solve_stack_with_one_singular_member_raises():
     rng = np.random.default_rng(107)
-    a = _random_stack(rng, 9, 3)
+    a = _random_stack(rng, 9)
     a[4] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
-    with pytest.raises(SingularSystem, match="zero pivot"):
-        solve_complex(a, np.ones((9, 3), dtype=np.complex128))
+    with pytest.raises(SingularSystem, match="determinant"):
+        solve(a, np.ones(3))
 
 
 def test_solve_non_finite_residual_raises():
-    a = np.eye(3, dtype=np.complex128)
-    a[1, 2] = np.nan
-    with pytest.raises(SingularSystem, match="residual"), np.errstate(invalid="ignore"):
-        solve_complex(np.stack([np.eye(3), a]), np.ones((2, 3), dtype=np.complex128))
+    # det A = 2**-400 is finite and nonzero, but k_3 / det A overflows, so X holds inf and nan
+    a = np.stack([np.eye(3), np.diag([1.0, 1.0, 2.0**-400])])
+    with pytest.raises(SingularSystem, match="residual nan"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            solve(a, [1.0, 1.0, 2.0**700])
 
 
 def test_solve_finite_residual_above_the_bound_raises():
-    # the 12 x 12 Hilbert matrix (condition number ~1e16) solves without a zero pivot,
-    # but its residual of ~2e-9 is finite and above SOLVE_RESIDUAL_TOL
-    i = np.arange(12)
-    hilbert = (1.0 / (i[:, None] + i[None, :] + 1.0)).astype(np.complex128)
+    # det A = -3e-5 is not zero, but A is so close to singular (condition number ~1e7)
+    # that the cofactors' rounding leaves a residual of ~1e-9, above SOLVE_RESIDUAL_TOL
+    a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0 + 1e-5]])
     with pytest.raises(SingularSystem, match=r"residual \d\.\d{3}e-09 exceeds 1\.0e-10"):
-        solve_complex(hilbert, np.ones(12, dtype=np.complex128))
+        solve(a[None], np.ones(3))
