@@ -43,6 +43,7 @@ from .capacitor import (
 )
 from .constants import (
     CONSTANTS,
+    TWO_PI,
     f_per_m2_to_ff_per_um2,
     farad_to_femtofarad,
     ghz_to_rad_per_s,
@@ -157,7 +158,7 @@ def _config_numbers(key: str, value, length: int | None = None) -> list[float]:
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",")]  # float("") raises: no entry is skipped
     except ValueError as exc:
         raise ConfigError(f"expected a comma-separated number list, got {text!r}") from exc
     if not all(math.isfinite(v) for v in values):
@@ -300,10 +301,8 @@ def _cmd_qubit(args) -> int:
     area = um2_to_m2(args.S)
     tau = nonlinear_time_constant(area, args.T)
     cutoff = args.cutoff if args.cutoff is not None else suggested_fock_cutoff(tau * omega)
-    spec = OscillatorSpec(
-        omega=omega, tau=tau, area_S=area, temperature_T=args.T, fock_cutoff=cutoff
-    )
-    chi, psi = photon_amplitude(spec)
+    spec = OscillatorSpec(omega=omega, tau=tau, fock_cutoff=cutoff)
+    chi, psi = photon_amplitude(area, args.T, omega)
     anh = anharmonicity_engineering(args.T, args.f, args.S)
     record = {
         "T_K": args.T,
@@ -337,7 +336,7 @@ def _cmd_coupling(args) -> int:
     tau = nonlinear_time_constant(um2_to_m2(args.S), args.T)
     pump = PumpSpec(
         Omega=ghz_to_rad_per_s(args.f),
-        amplitude_abs=math.sqrt(args.pump_photons),
+        photon_number=args.pump_photons,
         phase_theta=pi_units_to_rad(args.theta_over_pi),
     )
     if tau * pump.Omega > STRONG_ANHARMONICITY_THRESHOLD:  # as fock_diagonalize warns
@@ -348,7 +347,7 @@ def _cmd_coupling(args) -> int:
         ghz_to_rad_per_s(args.f1),
         ghz_to_rad_per_s(args.f2),
         tau,
-        tolerance=2.0 * math.pi * 1e6 * args.tolerance_mhz,
+        tolerance=TWO_PI * 1e6 * args.tolerance_mhz,
     )
     rate = single_photon_rate_engineering(args.T, args.f, args.f1, args.f2, args.S)
     record = {
@@ -455,7 +454,6 @@ def _verify_rows() -> tuple[tuple, ...]:
     g0_1k = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0)
     g0_4k = single_photon_rate_engineering(4.0, 4.0, 2.0, 10.0, 100.0)
     g0_quarter = single_photon_rate_engineering(0.25, 4.0, 2.0, 10.0, 100.0)
-    two_pi = 2.0 * math.pi
     return (
         ("cg_areal", "geometric capacitance at eps_r=4, t=7 nm (fF/um^2)",
          5.06, 0.005, None, "", f_per_m2_to_ff_per_um2(geometric_capacitance(design))),
@@ -465,11 +463,11 @@ def _verify_rows() -> tuple[tuple, ...]:
          None, "", farad_to_femtofarad(um2_to_m2(100.0) * linear_capacitance_C0(1.0))),
         ("g0_1k_2pi_mhz",
          "single-photon rate at T=1 K, f=4, f1=2, f2=10 GHz, S=100 um^2 (2pi x MHz)",
-         25.55, 0.005, None, "", g0_1k.g0_printed_rad_s / (two_pi * 1e6)),
+         25.55, 0.005, None, "", g0_1k.g0_printed_rad_s / (TWO_PI * 1e6)),
         ("g0_4k_2pi_khz", "single-photon rate at T=4 K (2pi x kHz)",
-         399.2, 0.005, None, "", g0_4k.g0_printed_rad_s / (two_pi * 1e3)),
+         399.2, 0.005, None, "", g0_4k.g0_printed_rad_s / (TWO_PI * 1e3)),
         ("g0_0p25k_2pi_ghz", "single-photon rate at T=0.25 K (2pi x GHz)",
-         1.635, 0.005, None, "", g0_quarter.g0_printed_rad_s / (two_pi * 1e9)),
+         1.635, 0.005, None, "", g0_quarter.g0_printed_rad_s / (TWO_PI * 1e9)),
         ("anharmonicity_0p5k_pct", "anharmonicity at T=0.5 K, f=4 GHz, S=100 um^2 (percent)",
          13.71, 0.01, None, "", anharmonicity_engineering(0.5, 4.0, 100.0).percent_printed),
         ("anharmonicity_1k_pct", "anharmonicity at T=1 K, f=4 GHz, S=100 um^2 (percent)",
@@ -482,7 +480,7 @@ def _verify_rows() -> tuple[tuple, ...]:
         ("rate_coefficient",
          "single-photon rate coefficient g0 = 2pi x coeff f sqrt(f1 f2)/(S T^3) GHz", 0.143, 0.005,
          None, "", single_photon_rate_engineering(1.0, 1.0, 1.0, 1.0, 1.0).g0_symbolic_rad_s
-         / (3.0 * two_pi * 1e9)),
+         / (3.0 * TWO_PI * 1e9)),
         ("g0_definition_factor",
          "ratio of the defined rate 3*gamma_012 to the published coefficient formula", 1.0, 0.005,
          3.0, "the defining relation g0 = 3*gamma_012 exceeds the published coefficient formula "

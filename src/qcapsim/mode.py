@@ -27,7 +27,7 @@ from .constants import (
     require_positive_temperature,
     um2_to_m2,
 )
-from .errors import NonPositiveArea, NonPositiveTemperature
+from .errors import NonPositiveArea
 
 # printed engineering coefficients (T in K, f in GHz, S in um^2)
 ANHARMONICITY_COEFF_PRINTED = 42.85   # percent: A = 42.85 * f / (S T^3)
@@ -47,20 +47,17 @@ FOCK_CUTOFF_MAX = 1000
 
 @dataclass(frozen=True)
 class OscillatorSpec:
-    """One quantized mode of the nonlinear capacitor."""
+    """One quantized mode of the nonlinear capacitor: what the Fock oracle reads.
+    The cutoff has no default; :func:`suggested_fock_cutoff` is the cutoff rule."""
 
     omega: float          # rad/s
     tau: float            # s, nonlinear time constant
-    area_S: float         # m^2
-    temperature_T: float  # K
-    fock_cutoff: int = 120
+    fock_cutoff: int
 
     def __post_init__(self):
         require_positive(self.omega, "omega")
         if not (self.tau >= 0.0 and math.isfinite(self.tau)):  # also rejects NaN
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
-        require_positive(self.area_S, "area_S", NonPositiveArea)
-        require_positive(self.temperature_T, "temperature_T", NonPositiveTemperature)
         if not 10 <= self.fock_cutoff <= FOCK_CUTOFF_MAX:
             raise ValueError(
                 f"fock_cutoff must be in [10, {FOCK_CUTOFF_MAX}], got {self.fock_cutoff}"
@@ -89,17 +86,21 @@ class AnharmonicityEstimate:
 
 # --- photon amplitude and nonlinear time constant ---------------------------
 
-def photon_amplitude(spec: OscillatorSpec):
-    """Single-photon number-density fluctuation scale of the mode.
+def photon_amplitude(area_S: float, temperature_T: float, omega: float):
+    """Single-photon number-density fluctuation scale of a mode at omega
+    (rad/s) on a capacitor of area S (m^2) at temperature T (K).
 
     Returns (chi, psi) with chi = sqrt(k_B T ln16 / 2 pi S hbar v_F^2)
     in (1/m^2) sqrt(s) and psi = chi*sqrt(omega) in 1/m^2.
     """
-    den = 2.0 * math.pi * spec.area_S * CONSTANTS.hbar * CONSTANTS.v_F_default**2
+    require_positive(area_S, "area_S", NonPositiveArea)
+    require_positive_temperature(temperature_T)
+    require_positive(omega, "omega")
+    den = 2.0 * math.pi * area_S * CONSTANTS.hbar * CONSTANTS.v_F_default**2
     require_positive(den, "2 pi S hbar v_F^2")
-    chi = math.sqrt(CONSTANTS.k_B * spec.temperature_T * math.log(16.0) / den)
+    chi = math.sqrt(CONSTANTS.k_B * temperature_T * math.log(16.0) / den)
     require_positive(chi, "photon amplitude chi")
-    return chi, chi * math.sqrt(spec.omega)
+    return chi, chi * math.sqrt(omega)
 
 
 def nonlinear_time_constant(area_S: float, temperature_T: float) -> float:

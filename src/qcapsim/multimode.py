@@ -5,10 +5,10 @@ mixes them with coefficients gamma_nml = tau * w_n * sqrt(w_m w_l).  A
 strong coherent pump on mode 0 at Omega selects, under the rotating-wave
 approximation, either a hopping (beam-splitter) interaction when
 2*Omega = w1 - w2 or a parametric (pair-creation) interaction when
-2*Omega = w1 + w2, with pump-enhanced strength G = 3*gamma_012*|a|^2.
-This module classifies that selection, evaluates the published
-single-photon rate formula next to its SI re-derivation, and provides the
-quantum RC charging time.
+2*Omega = w1 + w2, with pump-enhanced strength G = 3*gamma_012*n at pump
+photon number n = |a|^2.  This module classifies that selection, evaluates
+the published single-photon rate formula next to its SI re-derivation, and
+provides the quantum RC charging time.
 """
 
 from __future__ import annotations
@@ -17,33 +17,33 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, ghz_to_rad_per_s, require_positive, um2_to_m2
+from .constants import CONSTANTS, TWO_PI, ghz_to_rad_per_s, require_positive, um2_to_m2
 from .errors import AmbiguousResonance, NonPositiveArea
 from .mode import nonlinear_time_constant
 
 # printed engineering coefficient: g0 = 2 pi x 0.143 f sqrt(f1 f2)/(S T^3) GHz
 SINGLE_PHOTON_RATE_COEFF_PRINTED = 0.143
 
-DEFAULT_RESONANCE_TOLERANCE = 2.0 * math.pi * 1e6  # rad/s, ~typical linewidth
+DEFAULT_RESONANCE_TOLERANCE = TWO_PI * 1e6  # rad/s, ~typical linewidth
 
 
 @dataclass(frozen=True)
 class PumpSpec:
     """Strong coherent drive on the pump mode.
 
-    ``amplitude_abs`` is |a|, the square root of the pump photon number;
-    ``phase_theta`` is the drive phase that ends up doubled in the selected
-    interaction.
+    ``photon_number`` is n = |a|^2, the mean pump photon number that G
+    scales with; ``phase_theta`` is the drive phase that ends up doubled in
+    the selected interaction.
     """
 
     Omega: float           # rad/s
-    amplitude_abs: float   # dimensionless
+    photon_number: float   # dimensionless
     phase_theta: float     # rad
 
     def __post_init__(self):
         require_positive(self.Omega, "Omega")
-        if not (self.amplitude_abs >= 0.0 and math.isfinite(self.amplitude_abs)):
-            raise ValueError(f"amplitude_abs must be finite and >= 0, got {self.amplitude_abs}")
+        if not (self.photon_number >= 0.0 and math.isfinite(self.photon_number)):
+            raise ValueError(f"photon_number must be finite and >= 0, got {self.photon_number}")
         if not math.isfinite(self.phase_theta):
             raise ValueError(f"phase_theta must be finite, got {self.phase_theta}")
 
@@ -95,7 +95,7 @@ def classify_interaction(
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     d_hop = abs(2.0 * pump.Omega - abs(omega_1 - omega_2))
     d_par = abs(2.0 * pump.Omega - (omega_1 + omega_2))
-    strength = 3.0 * gamma_nml(tau, pump.Omega, omega_1, omega_2) * pump.amplitude_abs**2
+    strength = 3.0 * gamma_nml(tau, pump.Omega, omega_1, omega_2) * pump.photon_number
     if not math.isfinite(strength):
         raise ValueError(f"interaction rate G out of range: {strength} rad/s is not finite")
     hop = d_hop <= tolerance

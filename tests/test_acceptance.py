@@ -120,9 +120,7 @@ def test_criterion_4_anharmonicity_values_and_flag():
 @pytest.mark.parametrize("tau_omega", [1e-5, 1e-4, 1e-3])
 def test_criterion_5_fock_anharmonicity(tau_omega):
     omega = TWO_PI * 4e9
-    spec = OscillatorSpec(
-        omega=omega, tau=tau_omega / omega, area_S=1e-10, temperature_T=1.0, fock_cutoff=80
-    )
+    spec = OscillatorSpec(omega=omega, tau=tau_omega / omega, fock_cutoff=80)
     start = time.perf_counter()
     result = fock_diagonalize(spec)
     elapsed = time.perf_counter() - start
@@ -145,9 +143,7 @@ def test_criterion_5_fock_anharmonicity(tau_omega):
 @pytest.mark.parametrize("tau_omega", [1e-5, 1e-4, 1e-3])
 def test_criterion_5_fock_energies(tau_omega):
     omega = TWO_PI * 4e9
-    spec = OscillatorSpec(
-        omega=omega, tau=tau_omega / omega, area_S=1e-10, temperature_T=1.0, fock_cutoff=80
-    )
+    spec = OscillatorSpec(omega=omega, tau=tau_omega / omega, fock_cutoff=80)
     start = time.perf_counter()
     result = fock_diagonalize(spec)
     elapsed = time.perf_counter() - start

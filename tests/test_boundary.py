@@ -9,7 +9,8 @@ must be 0, 1 or 2 (argparse's own usage errors exit 2 through
 No value here can request a large grid or cutoff: ``int()`` rejects the
 non-integer spellings at the boundary.
 
-Every numeric flag is live: another value changes the output bytes.  And a
+Every numeric flag and every bundled config number is live: another value
+changes the output bytes, save the few listed dead with their reason.  And a
 wrongly typed value (``WRONG_TYPES``) at any leaf of a bundled config is a
 config error that names its key.
 """
@@ -63,6 +64,12 @@ OTHER_VALUE = {
 LIVENESS_ARGS = {("coupling", "--tolerance-mhz"): ("--f2", "10.005")}
 # the capacitance sweep is per unit area: --S is validated but not read
 DEAD_FLAGS = {("sweep-capacitance", "--S")}
+# both circulator configs are in the rotating frame, whose Langevin diagonal
+# reads the detunings: their mode frequencies are validated but not read
+DEAD_CONFIG_KEYS = {
+    (name, f"circulator.omega[{i}]")
+    for name in ("paper_fig4.json", "paper_fig5.json") for i in range(3)
+}
 
 WRONG_TYPES = (True, False, "2", None, [], {}, [1.0], "nan")
 
@@ -100,11 +107,11 @@ def _leaves(node, path=()):
         yield path, node
 
 
-def _numeric_paths(doc):
-    """Key paths of every number (not bool) in a JSON document."""
+def _numeric_leaves(doc):
+    """(key path, value) of every number (not bool) in a JSON document."""
     for path, value in _leaves(doc):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield path
+            yield path, value
 
 
 def _key_name(path):
@@ -151,7 +158,7 @@ def test_config_literals_stay_inside_the_exit_contract(capsys, tmp_path, command
     failures = []
     for name in names:
         doc = _bundled_config(name)[1]
-        paths = list(_numeric_paths(doc))
+        paths = [path for path, _ in _numeric_leaves(doc)]
         assert paths
         for path in paths:
             for value in EXTREMES:
@@ -182,6 +189,24 @@ def test_every_numeric_flag_changes_the_output(capsys):
             if _stdout(capsys, base) == _stdout(capsys, other):
                 dead.append(" ".join(other))
     assert not dead, "flags that change no output byte:\n" + "\n".join(dead)
+
+
+def test_every_bundled_config_number_changes_the_output(capsys, tmp_path):
+    # each number moves by +1 (a whole one, so that n_points stays whole) or by +0.25
+    wrong = []
+    for name in BUNDLED_CONFIGS:
+        command, doc = _bundled_config(name)
+        base = _stdout(capsys, [command, "--config", name])
+        for path, value in _numeric_leaves(doc):
+            config = tmp_path / name
+            other = value + 1 if isinstance(value, int) else value + 0.25
+            config.write_text(json.dumps(_with_value(doc, path, other)))
+            changed = _stdout(capsys, [command, "--config", str(config)]) != base
+            if changed == ((name, _key_name(path)) in DEAD_CONFIG_KEYS):
+                wrong.append(f"{name} {_key_name(path)} = {other}: "
+                             + ("changes the output, yet is listed dead" if changed
+                                else "changes no output byte"))
+    assert not wrong, "\n".join(wrong)
 
 
 @pytest.mark.parametrize("name", BUNDLED_CONFIGS)

@@ -203,6 +203,12 @@ def test_coupling_warns_past_the_perturbative_regime(capsys):
     )
 
 
+def test_coupling_rejects_a_negative_pump_photon_number(capsys):
+    code, out, err = run_cli(capsys, "coupling", "--pump-photons", "-1")
+    assert (code, out) == (2, "")
+    assert "photon" in err
+
+
 def test_circulator_bundled_config(capsys):
     code, out, _ = run_cli(capsys, "circulator", "--config", "paper_fig4.json")
     assert code == 0
@@ -562,6 +568,9 @@ def test_non_finite_capacitance_config_rejected(key, value, tmp_path):
         (None, None, ("--points", "1")),
         (None, None, ("--points", "0")),
         (None, None, ("--T", "")),
+        (None, None, ("--T", "1,,2")),
+        (None, None, ("--T", "1,")),
+        (None, None, ("--T", ",")),
     ],
 )
 def test_capacitance_grid_shape_rejected(key, value, flags, tmp_path):
@@ -583,6 +592,8 @@ def test_capacitance_grid_shape_rejected(key, value, flags, tmp_path):
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert "config error" in result.stderr
+    if flags[:1] == ("--T",):  # the message quotes the list as given
+        assert repr(flags[1]) in result.stderr
 
 
 @pytest.mark.parametrize("command", ["circulator", "sweep-capacitance"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -67,7 +68,7 @@ TAU = nonlinear_time_constant(1e-10, 1.0)
 
 
 def test_classify_hopping_published_example():
-    pump = PumpSpec(Omega=_ghz(4.0), amplitude_abs=1.0, phase_theta=0.3)
+    pump = PumpSpec(Omega=_ghz(4.0), photon_number=1.0, phase_theta=0.3)
     result = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU)
     assert result.kind is InteractionKind.HOPPING
     assert result.detuning == pytest.approx(0.0, abs=1e-3)
@@ -75,13 +76,13 @@ def test_classify_hopping_published_example():
 
 
 def test_classify_parametric():
-    pump = PumpSpec(Omega=_ghz(6.0), amplitude_abs=1.0, phase_theta=0.0)
+    pump = PumpSpec(Omega=_ghz(6.0), photon_number=1.0, phase_theta=0.0)
     result = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU)
     assert result.kind is InteractionKind.PARAMETRIC
 
 
 def test_classify_off_resonant():
-    pump = PumpSpec(Omega=_ghz(5.0), amplitude_abs=1.0, phase_theta=0.0)
+    pump = PumpSpec(Omega=_ghz(5.0), photon_number=1.0, phase_theta=0.0)
     result = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU, tolerance=TWO_PI * 1e6)
     assert result.kind is InteractionKind.OFF_RESONANT
     assert result.detuning == pytest.approx(_ghz(2.0), rel=1e-12, abs=0.0)
@@ -90,17 +91,18 @@ def test_classify_off_resonant():
 def test_classify_ambiguous_raises():
     tol = TWO_PI * 1e6
     omega_2 = tol / 4.0
-    pump = PumpSpec(Omega=_ghz(1.0), amplitude_abs=1.0, phase_theta=0.0)
+    pump = PumpSpec(Omega=_ghz(1.0), photon_number=1.0, phase_theta=0.0)
     with pytest.raises(AmbiguousResonance):
         classify_interaction(pump, 2.0 * pump.Omega, omega_2, TAU, tolerance=tol)
 
 
 def test_classification_strength_quadratic_in_pump():
-    def strength(amp):
-        pump = PumpSpec(Omega=_ghz(4.0), amplitude_abs=amp, phase_theta=0.0)
+    # G = 3 gamma_012 |a|^2 is quadratic in the pump amplitude |a|: linear in n = |a|^2
+    def strength(n):
+        pump = PumpSpec(Omega=_ghz(4.0), photon_number=n, phase_theta=0.0)
         return classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU).G
 
-    assert strength(2.0) == pytest.approx(4.0 * strength(1.0), rel=1e-14, abs=0.0)
+    assert strength(4.0) == 4.0 * strength(1.0)
     assert strength(1.0) == pytest.approx(
         3.0 * gamma_nml(TAU, _ghz(4.0), _ghz(2.0), _ghz(10.0)), rel=1e-14, abs=0.0
     )
@@ -114,7 +116,7 @@ def test_classification_mutually_exclusive_for_separated_modes():
     for _ in range(100):
         omega_1 = float(rng.uniform(10 * tol, _ghz(12.0)))
         omega_2 = float(rng.uniform(10 * tol, _ghz(12.0)))
-        pump = PumpSpec(Omega=float(rng.uniform(_ghz(0.5), _ghz(12.0))), amplitude_abs=1.0, phase_theta=0.0)
+        pump = PumpSpec(Omega=float(rng.uniform(_ghz(0.5), _ghz(12.0))), photon_number=1.0, phase_theta=0.0)
         result = classify_interaction(pump, omega_1, omega_2, TAU, tolerance=tol)
         assert result.kind in (
             InteractionKind.HOPPING,
@@ -124,10 +126,10 @@ def test_classification_mutually_exclusive_for_separated_modes():
 
 
 def test_classification_rejects_non_finite_strength():
-    pump = PumpSpec(Omega=_ghz(4.0), amplitude_abs=1e150, phase_theta=0.0)
+    pump = PumpSpec(Omega=_ghz(4.0), photon_number=1e300, phase_theta=0.0)
     with pytest.raises(ValueError, match="out of range"):
         classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU)
-    silent = PumpSpec(Omega=_ghz(4.0), amplitude_abs=0.0, phase_theta=0.0)
+    silent = PumpSpec(Omega=_ghz(4.0), photon_number=0.0, phase_theta=0.0)
     assert classify_interaction(silent, _ghz(2.0), _ghz(10.0), TAU).G == 0.0
 
 
@@ -144,7 +146,7 @@ def test_classification_json_shape(capsys):
         "G_rad_s", "theta_rad", "g0_printed_rad_s", "g0_symbolic_rad_s",
         "ratio_symbolic_to_printed",
     ]
-    pump = PumpSpec(Omega=ghz_to_rad_per_s(4.0), amplitude_abs=1.0, phase_theta=0.0)
+    pump = PumpSpec(Omega=ghz_to_rad_per_s(4.0), photon_number=1.0, phase_theta=0.0)
     expected = classify_interaction(pump, ghz_to_rad_per_s(2.0), ghz_to_rad_per_s(10.0), TAU)
     assert doc["kind"] == expected.kind.value == "hopping"
     assert doc["detuning_rad_s"] == pytest.approx(expected.detuning, rel=1e-11, abs=0.0)
@@ -292,15 +294,25 @@ def test_single_photon_rate_rejects_out_of_range_temperature():
         single_photon_rate_engineering(1e300, 4.0, 2.0, 10.0, 100.0)
 
 
+def test_pump_spec_carries_the_photon_number():
+    fields = [f.name for f in dataclasses.fields(PumpSpec)]
+    assert fields == ["Omega", "photon_number", "phase_theta"]
+    # exactly 3 gamma n: n is used as given, never through |a| = sqrt(n)
+    gamma = gamma_nml(TAU, _ghz(4.0), _ghz(2.0), _ghz(10.0))
+    for n in (2.0, 0.1, 1e-3, 7.3e3):
+        pump = PumpSpec(Omega=_ghz(4.0), photon_number=n, phase_theta=0.0)
+        assert classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU).G == 3.0 * gamma * n
+
+
 def test_pump_spec_validation():
     with pytest.raises(ValueError):
-        PumpSpec(Omega=0.0, amplitude_abs=1.0, phase_theta=0.0)
+        PumpSpec(Omega=0.0, photon_number=1.0, phase_theta=0.0)
     with pytest.raises(ValueError):
-        PumpSpec(Omega=_ghz(1.0), amplitude_abs=-1.0, phase_theta=0.0)
+        PumpSpec(Omega=_ghz(1.0), photon_number=-1.0, phase_theta=0.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            PumpSpec(Omega=bad, amplitude_abs=1.0, phase_theta=0.0)
+            PumpSpec(Omega=bad, photon_number=1.0, phase_theta=0.0)
         with pytest.raises(ValueError):
-            PumpSpec(Omega=_ghz(1.0), amplitude_abs=bad, phase_theta=0.0)
+            PumpSpec(Omega=_ghz(1.0), photon_number=bad, phase_theta=0.0)
         with pytest.raises(ValueError):
-            PumpSpec(Omega=_ghz(1.0), amplitude_abs=1.0, phase_theta=bad)
+            PumpSpec(Omega=_ghz(1.0), photon_number=1.0, phase_theta=bad)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -33,9 +34,7 @@ TAU_100UM2_1K = 2.2733510880631623e-13
 
 
 def _spec(tau_omega: float, cutoff: int = 80) -> OscillatorSpec:
-    return OscillatorSpec(
-        omega=OMEGA, tau=tau_omega / OMEGA, area_S=AREA, temperature_T=1.0, fock_cutoff=cutoff
-    )
+    return OscillatorSpec(omega=OMEGA, tau=tau_omega / OMEGA, fock_cutoff=cutoff)
 
 
 def _ladder_oracle(cutoff: int) -> np.ndarray:
@@ -68,10 +67,7 @@ def _product_oracle(spec: OscillatorSpec) -> np.ndarray:
 # --- photon amplitude ---------------------------------------------------------
 
 def test_photon_amplitude_direct_value():
-    spec = OscillatorSpec(
-        omega=OMEGA, tau=TAU_100UM2_1K, area_S=AREA, temperature_T=1.0, fock_cutoff=40
-    )
-    chi, psi = photon_amplitude(spec)
+    chi, psi = photon_amplitude(AREA, 1.0, OMEGA)
     expected_chi = math.sqrt(KB * 1.0 * math.log(16.0) / (2.0 * math.pi * AREA * HBAR * VF**2))
     assert chi == pytest.approx(expected_chi, rel=1e-14, abs=0.0)
     assert chi == pytest.approx(24052.316207695065, rel=1e-12, abs=0.0)
@@ -79,21 +75,28 @@ def test_photon_amplitude_direct_value():
 
 
 def test_photon_amplitude_scalings():
-    base = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
-    quad = OscillatorSpec(omega=4 * OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
-    big = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=4 * AREA, temperature_T=1.0, fock_cutoff=40)
-    assert photon_amplitude(quad)[1] == pytest.approx(
-        2.0 * photon_amplitude(base)[1], rel=1e-14, abs=0.0
+    base = photon_amplitude(AREA, 1.0, OMEGA)
+    assert photon_amplitude(AREA, 1.0, 4 * OMEGA)[1] == pytest.approx(
+        2.0 * base[1], rel=1e-14, abs=0.0
     )
-    assert photon_amplitude(big)[0] == pytest.approx(
-        photon_amplitude(base)[0] / 2.0, rel=1e-14, abs=0.0
+    assert photon_amplitude(4 * AREA, 1.0, OMEGA)[0] == pytest.approx(
+        base[0] / 2.0, rel=1e-14, abs=0.0
     )
+
+
+def test_photon_amplitude_validation():
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveArea):
+            photon_amplitude(bad, 1.0, OMEGA)
+        with pytest.raises(NonPositiveTemperature):
+            photon_amplitude(AREA, bad, OMEGA)
+        with pytest.raises(ValueError, match="omega"):
+            photon_amplitude(AREA, 1.0, bad)
 
 
 def test_photon_amplitude_consistent_with_time_constant():
     # chi^4 = 2 ln^4(16) (k_B T)^5 tau / (pi^3 S hbar^5 v_F^6)
-    spec = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
-    chi, _ = photon_amplitude(spec)
+    chi, _ = photon_amplitude(AREA, 1.0, OMEGA)
     tau = nonlinear_time_constant(AREA, 1.0)
     kT = KB * 1.0
     ln16 = math.log(16.0)
@@ -145,12 +148,12 @@ def test_resonant_inductance_quadruples_when_frequency_halves():
 # --- Hamiltonian coefficients -------------------------------------------------------
 
 def test_hamiltonian_coefficients():
-    harmonic = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
+    harmonic = OscillatorSpec(omega=OMEGA, tau=0.0, fock_cutoff=40)
     linear, quartic = hamiltonian_coefficients(harmonic)
     assert linear == HBAR * OMEGA and quartic == 0.0
 
     tau = nonlinear_time_constant(AREA, 1.0)
-    spec = OscillatorSpec(omega=OMEGA, tau=tau, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
+    spec = OscillatorSpec(omega=OMEGA, tau=tau, fock_cutoff=40)
     linear, quartic = hamiltonian_coefficients(spec)
     assert quartic / linear == pytest.approx(tau * OMEGA / 4.0, rel=1e-14, abs=0.0)
     assert quartic / linear == pytest.approx(1.428e-3, rel=1e-3, abs=0.0)
@@ -210,7 +213,7 @@ def test_parity_blocked_spectrum_matches_eigvalsh(cutoff, tau_omega):
 
 
 def test_harmonic_limit_exact_spectrum():
-    spec = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
+    spec = OscillatorSpec(omega=OMEGA, tau=0.0, fock_cutoff=40)
     result = fock_diagonalize(spec)
     expected = HBAR * OMEGA * (np.arange(40) + 0.5)
     assert np.max(np.abs(result.eigenvalues - expected)) <= 1e-12 * HBAR * OMEGA
@@ -298,7 +301,7 @@ def test_suggested_fock_cutoff():
     tau = nonlinear_time_constant(AREA, 1.0)
     cutoff = suggested_fock_cutoff(tau * OMEGA)
     result = fock_diagonalize(
-        OscillatorSpec(omega=OMEGA, tau=tau, area_S=AREA, temperature_T=1.0, fock_cutoff=cutoff)
+        OscillatorSpec(omega=OMEGA, tau=tau, fock_cutoff=cutoff)
     )
     assert result.eigenvalues[0] == pytest.approx(0.49562463 * HBAR * OMEGA, rel=1e-6, abs=0.0)
 
@@ -327,29 +330,28 @@ def test_spectrum_json_shape(capsys):
         doc["anharmonicity_percent_fock"], rel=1e-9, abs=0.0)
 
 
+def test_spec_carries_only_what_the_fock_oracle_reads():
+    fields = dataclasses.fields(OscillatorSpec)
+    assert [f.name for f in fields] == ["omega", "tau", "fock_cutoff"]
+    # no default cutoff: suggested_fock_cutoff is the one cutoff rule
+    assert all(f.default is dataclasses.MISSING for f in fields)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
-        OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=9)
-    OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=FOCK_CUTOFF_MAX)
+        OscillatorSpec(omega=OMEGA, tau=0.0, fock_cutoff=9)
+    OscillatorSpec(omega=OMEGA, tau=0.0, fock_cutoff=FOCK_CUTOFF_MAX)
     with pytest.raises(ValueError, match=str(FOCK_CUTOFF_MAX)):
-        OscillatorSpec(
-            omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=FOCK_CUTOFF_MAX + 1
-        )
+        OscillatorSpec(omega=OMEGA, tau=0.0, fock_cutoff=FOCK_CUTOFF_MAX + 1)
     with pytest.raises(ValueError):
-        OscillatorSpec(omega=0.0, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
+        OscillatorSpec(omega=0.0, tau=0.0, fock_cutoff=40)
     with pytest.raises(ValueError):
-        OscillatorSpec(omega=OMEGA, tau=-1e-15, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
-    with pytest.raises(NonPositiveTemperature):
-        OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=0.0, fock_cutoff=40)
+        OscillatorSpec(omega=OMEGA, tau=-1e-15, fock_cutoff=40)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            OscillatorSpec(omega=bad, tau=0.0, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
+            OscillatorSpec(omega=bad, tau=0.0, fock_cutoff=40)
         with pytest.raises(ValueError):
-            OscillatorSpec(omega=OMEGA, tau=bad, area_S=AREA, temperature_T=1.0, fock_cutoff=40)
-        with pytest.raises(NonPositiveArea):
-            OscillatorSpec(omega=OMEGA, tau=0.0, area_S=bad, temperature_T=1.0, fock_cutoff=40)
-        with pytest.raises(NonPositiveTemperature):
-            OscillatorSpec(omega=OMEGA, tau=0.0, area_S=AREA, temperature_T=bad, fock_cutoff=40)
+            OscillatorSpec(omega=OMEGA, tau=bad, fock_cutoff=40)
 
 
 # --- engineering estimates ------------------------------------------------------------
@@ -446,9 +448,8 @@ def test_scalar_formulas_reject_results_out_of_range():
         resonant_inductance(AREA, 1.0, 1e160)
     with pytest.raises(ValueError, match="out of range"):
         anharmonicity_engineering(1e300, 4.0, 100.0)
-    tiny = OscillatorSpec(omega=OMEGA, tau=0.0, area_S=1e-300, temperature_T=1.0)
     with pytest.raises(ValueError, match="out of range"):
-        photon_amplitude(tiny)
+        photon_amplitude(1e-300, 1.0, OMEGA)
 
 
 def test_photon_number_limit_derived_matches_printed_coefficient():
