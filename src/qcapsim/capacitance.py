@@ -13,7 +13,6 @@ boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .capacitor import (
     _require_operating_point,
     geometric_capacitance,
 )
-from .constants import CONSTANTS, f_per_m2_to_ff_per_um2, require_positive_temperature
+from .constants import E, K_B, PI_HBAR_VF_SQ, f_per_m2_to_ff_per_um2, require_positive_temperature
 
 SWEEP_CSV_HEADER = ("T_K", "V_volt", "CQ_fF_per_um2", "Cseries_fF_per_um2")
 
@@ -46,7 +45,7 @@ def ln_2_plus_2cosh(x):
 
 def _cq_areal(T: float, V):
     """Quantum capacitance per unit area; V may be a scalar or array."""
-    x = CONSTANTS.e * np.asarray(V, dtype=np.float64) / (2.0 * CONSTANTS.k_B * T)
+    x = E * np.asarray(V, dtype=np.float64) / (2.0 * K_B * T)
     return _cq_prefactor(T) * ln_2_plus_2cosh(x)
 
 
@@ -64,7 +63,7 @@ def quantum_capacitance_T0(voltage: float):
     """Zero-temperature limit e^3 |V| / pi (hbar v_F)^2 of the quantum
     capacitance per unit area.  Piecewise linear, vanishing at V = 0."""
     V = np.asarray(voltage, dtype=np.float64)
-    out = CONSTANTS.e**3 * np.abs(V) / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
+    out = E**3 * np.abs(V) / PI_HBAR_VF_SQ
     return float(out) if out.ndim == 0 else out
 
 

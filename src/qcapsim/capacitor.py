@@ -16,10 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import (
-    CONSTANTS,
-    f_per_m2_to_ff_per_um2,
-    m_to_nm,
-    require_positive,
+    E, EPSILON_0, HBAR, K_B, PI_HBAR_VF_SQ, V_F, f_per_m2_to_ff_per_um2, m_to_nm, require_positive,
     require_positive_temperature,
 )
 from .errors import NonPositiveThickness
@@ -66,10 +63,7 @@ def _cq_prefactor(T: float) -> float:
     Raises :class:`ValueError` when the scale is not a finite, normal float
     (T so small that it underflows, and every capacitance would read 0).
     """
-    scale = (
-        2.0 * CONSTANTS.e**2 * CONSTANTS.k_B * T
-        / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
-    )
+    scale = 2.0 * E**2 * K_B * T / PI_HBAR_VF_SQ
     require_positive(scale, "capacitance scale 2 e^2 k_B T / pi (hbar v_F)^2")
     return scale
 
@@ -84,7 +78,7 @@ def _require_operating_point(T: float, V: float) -> None:
 
 def geometric_capacitance(design: CapacitorDesign) -> float:
     """Parallel-plate capacitance eps0 * eps_r / t per unit area (F/m^2)."""
-    return CONSTANTS.epsilon_0 * design.relative_permittivity / design.dielectric_thickness_t
+    return EPSILON_0 * design.relative_permittivity / design.dielectric_thickness_t
 
 
 def linear_capacitance_C0(T: float) -> float:
@@ -104,13 +98,18 @@ def charge_energy_T0(voltage: float) -> tuple[float, float]:
     finite-T path: both are non-analytic at V = 0 and must not be expanded
     around it.
     """
-    denom = math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2
-    q = CONSTANTS.e**3 * abs(voltage) * voltage / (2.0 * denom)
-    u = CONSTANTS.e**3 * abs(voltage) ** 3 / (6.0 * denom)
+    q = E**3 * abs(voltage) * voltage / (2.0 * PI_HBAR_VF_SQ)
+    u = E**3 * abs(voltage) ** 3 / (6.0 * PI_HBAR_VF_SQ)
     return q, u
 
 
 # --- low-voltage series expansions ------------------------------------------
+
+def _charge_series_scale(T: float) -> tuple[float, float]:
+    """k_B T and the charge-series prefactor 4 e k_B T / pi (hbar v_F)^2."""
+    kT = K_B * T
+    return kT, 4.0 * E * kT / PI_HBAR_VF_SQ
+
 
 def charge_series(T: float, V: float) -> float:
     """Cubic-order charge density e*N (C/m^2) from the low-voltage expansion.
@@ -120,18 +119,16 @@ def charge_series(T: float, V: float) -> float:
     e|V| <= 0.2 k_B T; see :func:`charge_numeric` for the oracle.
     """
     _require_operating_point(T, V)
-    kT = CONSTANTS.k_B * T
-    pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
-    n_density = pref * (math.log(2.0) * V + CONSTANTS.e**2 * V**3 / (96.0 * kT**2))
-    return CONSTANTS.e * n_density
+    kT, pref = _charge_series_scale(T)
+    n_density = pref * (math.log(2.0) * V + E**2 * V**3 / (96.0 * kT**2))
+    return E * n_density
 
 
 def charge_series_cubic_coefficient(T: float) -> float:
     """d^3N/dV^3 / 6 of the expansion behind :func:`charge_series` (1/(m^2 V^3))."""
     require_positive_temperature(T)
-    kT = CONSTANTS.k_B * T
-    pref = 4.0 * CONSTANTS.e * kT / (math.pi * (CONSTANTS.hbar * CONSTANTS.v_F_default) ** 2)
-    return pref * CONSTANTS.e**2 / (96.0 * kT**2)
+    kT, pref = _charge_series_scale(T)
+    return pref * E**2 / (96.0 * kT**2)
 
 
 def energy_series(T: float, n_density: float) -> float:
@@ -156,12 +153,12 @@ def energy_series(T: float, n_density: float) -> float:
     factor 12, and ``verify-paper`` flags it as ``quartic_coefficient_ratio``.
     """
     require_positive_temperature(T)
-    kT = CONSTANTS.k_B * T
-    hv = CONSTANTS.hbar * CONSTANTS.v_F_default
+    kT = K_B * T
+    hv = HBAR * V_F
     ln16 = math.log(16.0)
     quadratic = n_density**2 / ln16
     quartic = (math.pi**2 / 4.0) * (hv / (ln16 * kT)) ** 4 * n_density**4
-    return (math.pi * hv**2 / (2.0 * kT)) * (quadratic - quartic)
+    return (PI_HBAR_VF_SQ / (2.0 * kT)) * (quadratic - quartic)
 
 
 # --- charge: closed-form integral of the capacitance ---------------------------
@@ -211,9 +208,9 @@ def charge_numeric(T: float, V: float) -> float:
     voltage and temperature; odd in V.  The oracle for the series forms.
     """
     _require_operating_point(T, V)
-    kT = CONSTANTS.k_B * T
-    X = CONSTANTS.e * abs(V) / (2.0 * kT)
-    q = _cq_prefactor(T) * (2.0 * kT / CONSTANTS.e) * _charge_integral(X)
+    kT = K_B * T
+    X = E * abs(V) / (2.0 * kT)
+    q = _cq_prefactor(T) * (2.0 * kT / E) * _charge_integral(X)
     return math.copysign(q, V)
 
 

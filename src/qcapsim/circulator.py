@@ -28,7 +28,6 @@ BLAS kernel nor on numpy's SIMD level.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -51,36 +50,30 @@ SWEEP_CSV_HEADER = (
 )
 
 
-class Frame(enum.Enum):
-    LAB = "lab"
-    ROTATING = "rotating"
-
-
 @dataclass(frozen=True)
 class CirculatorConfig:
     """Three modes plus the three loop couplings.
 
     Couplings are indexed opposite their mode pair: g[2] (=g_3) couples
     modes 1 and 2, g[0] (=g_1) couples 2 and 3, g[1] (=g_2) couples 3 and 1;
-    same for the phases.  In the rotating frame the Langevin diagonal uses
-    ``detuning`` (default zero: every mode on resonance in its own frame)
-    and the swept probe detuning is applied globally; in the lab frame the
-    diagonal carries the absolute mode frequencies.
+    same for the phases.  ``detuning`` is the Langevin diagonal: each mode's
+    frequency in the frame that the swept probe detuning delta is measured
+    in.  In a frame rotating at the probe's reference frequency these are
+    the mode detunings (default zero: every mode on resonance); in the lab
+    frame they are the absolute mode frequencies and delta is the absolute
+    probe frequency.  The frame is the caller's choice: the CLI resolves a
+    config file's ``frame`` into this field.
     """
 
-    omega: tuple[float, float, float]   # rad/s
     kappa: tuple[float, float, float]   # rad/s
     g: tuple[float, float, float]       # rad/s
     phi: tuple[float, float, float]     # rad
-    frame: Frame = Frame.ROTATING
     detuning: tuple[float, float, float] = (0.0, 0.0, 0.0)  # rad/s
 
     def __post_init__(self):
-        for name in ("omega", "kappa", "g", "phi", "detuning"):
+        for name in ("kappa", "g", "phi", "detuning"):
             if len(getattr(self, name)) != 3:
                 raise ValueError(f"{name} must have exactly 3 entries")
-        for w in self.omega:
-            require_positive(w, "mode frequency (rad/s)")
         for k in self.kappa:
             require_positive(k, "decay rate (rad/s)")
         if not all(gi >= 0.0 and math.isfinite(gi) for gi in self.g):  # also rejects NaN
@@ -116,12 +109,11 @@ def coupling_matrix(config: CirculatorConfig) -> np.ndarray:
 def langevin_matrix(config: CirculatorConfig) -> np.ndarray:
     """Drift matrix M of d a/dt = M a + sqrt(kappa) a_in (rad/s).
 
-    Diagonal entries are -(i w_n + kappa_n/2) in the lab frame or
-    -(i delta_n + kappa_n/2) in the rotating frame; the coupling block is
-    -i h, so i M + (i/2) diag(kappa) is Hermitian for any phases.
+    Diagonal entries are -(i delta_n + kappa_n/2), with delta_n the
+    config's ``detuning``; the coupling block is -i h, so
+    i M + (i/2) diag(kappa) is Hermitian for any phases.
     """
-    diag_freqs = config.omega if config.frame is Frame.LAB else config.detuning
-    h = coupling_matrix(config) + np.diag(np.asarray(diag_freqs, dtype=np.float64))
+    h = coupling_matrix(config) + np.diag(np.asarray(config.detuning, dtype=np.float64))
     return -1j * h - np.diag(np.asarray(config.kappa, dtype=np.float64)) / 2.0
 
 

@@ -22,12 +22,12 @@ timestamps); when ``--out`` is given, run metadata goes to a
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
 import math
 import sys
-import warnings
 from importlib import import_module, resources
 from pathlib import Path
 
@@ -42,7 +42,8 @@ from .capacitor import (
     linear_capacitance_C0,
 )
 from .constants import (
-    CONSTANTS,
+    E,
+    K_B,
     TWO_PI,
     f_per_m2_to_ff_per_um2,
     farad_to_femtofarad,
@@ -52,12 +53,9 @@ from .constants import (
     require_positive,
     um2_to_m2,
 )
-from .errors import (
-    ConfigError, CutoffNotConverged, NonPositiveArea, PerturbativeRegimeExceeded, SingularSystem,
-)
+from .errors import ConfigError, CutoffNotConverged, NonPositiveArea, SingularSystem
 from .mode import (
     FOCK_CUTOFF_MAX,
-    STRONG_ANHARMONICITY_THRESHOLD,
     OscillatorSpec,
     anharmonicity_engineering,
     nonlinear_time_constant,
@@ -66,6 +64,7 @@ from .mode import (
     photon_number_limit_derived,
     resonant_inductance,
     suggested_fock_cutoff,
+    warn_if_strongly_anharmonic,
 )
 from .multimode import PumpSpec, classify_interaction, single_photon_rate_engineering
 from .tables import csv_text, json_text, table_csv, table_json
@@ -179,18 +178,14 @@ def _finite_float(text: str) -> float:
 
 # --- output emission ----------------------------------------------------------
 
-def _emit(args, text: str, metadata: dict) -> None:
+def _emit(args, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text)
         return
     out = Path(args.out)
     out.write_text(text)
-    metadata = dict(metadata)
-    metadata.update(
-        tool="qcap-sim",
-        version=__version__,
-        created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
+    metadata = {"command": args.command, "tool": "qcap-sim", "version": __version__,
+                "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     Path(str(out) + ".meta.json").write_text(json.dumps(metadata, indent=2) + "\n")
 
 
@@ -199,12 +194,12 @@ def _emit_table(args, header, rows) -> None:
         text = csv_text(header, rows)
     else:
         text = json_text([dict(zip(header, row)) for row in rows])
-    _emit(args, text, {"command": args.command})
+    _emit(args, text)
 
 
 def _emit_columns(args, header, values) -> None:
     text = table_csv(header, values) if args.format == "csv" else table_json(header, values)
-    _emit(args, text, {"command": args.command})
+    _emit(args, text)
 
 
 def _emit_record(args, record: dict) -> None:
@@ -214,7 +209,7 @@ def _emit_record(args, record: dict) -> None:
         text = csv_text(keys, rows)
     else:
         text = json_text(record)
-    _emit(args, text, {"command": args.command})
+    _emit(args, text)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -339,9 +334,7 @@ def _cmd_coupling(args) -> int:
         photon_number=args.pump_photons,
         phase_theta=pi_units_to_rad(args.theta_over_pi),
     )
-    if tau * pump.Omega > STRONG_ANHARMONICITY_THRESHOLD:  # as fock_diagonalize warns
-        warnings.warn(f"tau*omega = {tau * pump.Omega:.3g} > 1/12 at the pump: perturbative "
-                      "regime exceeded; the rates are first-order", PerturbativeRegimeExceeded)
+    warn_if_strongly_anharmonic(tau * pump.Omega, "the rates are first-order", " at the pump")
     classification = classify_interaction(
         pump,
         ghz_to_rad_per_s(args.f1),
@@ -360,7 +353,7 @@ def _cmd_coupling(args) -> int:
         "kind": classification.kind.value,
         "detuning_rad_s": classification.detuning,
         "G_rad_s": classification.G,
-        "theta_rad": classification.theta,
+        "theta_rad": pump.phase_theta,
         "g0_printed_rad_s": rate.g0_printed_rad_s,
         "g0_symbolic_rad_s": rate.g0_symbolic_rad_s,
         "ratio_symbolic_to_printed": rate.ratio_symbolic_to_printed,
@@ -376,8 +369,10 @@ CIRC_KEYS = {"omega", "kappa", "g", "phi", "frame", "detuning"}
 def _circulator_config(doc):
     """The SI ``CirculatorConfig`` of a config file's ``circulator`` object:
     omega, kappa, g and detuning in GHz, phases in units of pi (``"phi": [0,
-    0.5, 0]`` puts phi_2 at pi/2), frame ``"rotating"`` (default) or ``"lab"``."""
-    from .circulator import CirculatorConfig, Frame
+    0.5, 0]`` puts phi_2 at pi/2), frame ``"rotating"`` (default) or ``"lab"``.
+    The frame picks the Langevin diagonal, ``detuning`` or ``omega``; either
+    frame requires omega > 0 and finite detunings."""
+    from .circulator import CirculatorConfig
 
     doc = _config_object(
         "config key 'circulator'", doc, CIRC_KEYS, CIRC_KEYS - {"frame", "detuning"}
@@ -387,21 +382,20 @@ def _circulator_config(doc):
         values = _config_numbers(f"circulator.{name}", doc.get(name, [0.0, 0.0, 0.0]), length=3)
         return tuple(convert(v) for v in values)
 
-    frame_name = str(doc.get("frame", "rotating")).lower()
-    try:
-        frame = Frame(frame_name)
-    except ValueError:
+    frame = str(doc.get("frame", "rotating")).lower()
+    if frame not in ("lab", "rotating"):
         raise ConfigError(
-            f"config key 'circulator.frame' must be 'lab' or 'rotating', got {frame_name!r}"
+            f"config key 'circulator.frame' must be 'lab' or 'rotating', got {frame!r}"
         )
-    return CirculatorConfig(
-        omega=triple("omega", ghz_to_rad_per_s),
-        kappa=triple("kappa", ghz_to_rad_per_s),
-        g=triple("g", ghz_to_rad_per_s),
-        phi=triple("phi", pi_units_to_rad),
-        frame=frame,
-        detuning=triple("detuning", ghz_to_rad_per_s),
-    )
+    omega = triple("omega", ghz_to_rad_per_s)
+    kappa = triple("kappa", ghz_to_rad_per_s)
+    g = triple("g", ghz_to_rad_per_s)
+    phi = triple("phi", pi_units_to_rad)
+    detuning = triple("detuning", ghz_to_rad_per_s)
+    for w in omega:
+        require_positive(w, "mode frequency (rad/s)")
+    config = CirculatorConfig(kappa=kappa, g=g, phi=phi, detuning=detuning)  # checks detuning
+    return config if frame == "rotating" else dataclasses.replace(config, detuning=omega)
 
 
 def _cmd_circulator(args) -> int:
@@ -431,14 +425,13 @@ def _quartic_coefficient_ratio(T: float) -> float:
     at n = N and 2N, with b N^2 ~ 6 a so that the difference cancels no more
     than a digit.
     """
-    e = CONSTANTS.e
     c3 = charge_series_cubic_coefficient(T)
-    v = 1e-6 * CONSTANTS.k_B * T / e
-    c1 = charge_series(T, v) / (e * v) - c3 * v**2
+    v = 1e-6 * K_B * T / E
+    c1 = charge_series(T, v) / (E * v) - c3 * v**2
     n = math.sqrt(c1**3 / c3)
     u1, u2 = energy_series(T, n), energy_series(T, 2.0 * n)
     b = (4.0 * u1 - u2) / (12.0 * n**4)
-    return b / (e * c3 / (4.0 * c1**4))
+    return b / (E * c3 / (4.0 * c1**4))
 
 
 def _verify_rows() -> tuple[tuple, ...]:

@@ -1,46 +1,32 @@
 """Physical constants and unit conversions.
 
-Every other module computes in SI internally; the engineering units used
-for I/O (GHz, fF/um^2, um^2, nm, phases in units of pi) are converted at
-the boundary with the helpers below.  Constants are CODATA 2018.
+The constants are plain module floats, CODATA 2018, plus the graphene
+Fermi velocity convention v_F = c/300; nothing sets them.  Every other
+module computes in SI internally; the engineering units used for I/O (GHz,
+fF/um^2, um^2, nm, phases in units of pi) are converted at the boundary
+with the helpers below.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import NonPositiveTemperature
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA 2018 constants plus the graphene Fermi velocity convention.
-
-    ``v_F_default`` is fixed to c/300 exactly and is the one Fermi velocity
-    every formula reads; it enters squared in the nonlinear time constant
-    and the coupling rates, so the convention matters for every derived
-    number.
-    """
-
-    e: float = 1.602176634e-19        # elementary charge, C (exact)
-    k_B: float = 1.380649e-23         # Boltzmann constant, J/K (exact)
-    hbar: float = 1.054571817e-34     # reduced Planck constant, J*s
-    h: float = 6.62607015e-34         # Planck constant, J*s (exact)
-    c: float = SPEED_OF_LIGHT         # speed of light, m/s (exact)
-    epsilon_0: float = 8.8541878128e-12  # vacuum permittivity, F/m
-    v_F_default: float = SPEED_OF_LIGHT / 300.0  # graphene Fermi velocity, m/s
-
-    def __post_init__(self):
-        for name in ("e", "k_B", "hbar", "h", "c", "epsilon_0", "v_F_default"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"constant {name} must be positive")
-
-
-CONSTANTS = PhysicalConstants()
+E = 1.602176634e-19           # elementary charge, C (exact)
+K_B = 1.380649e-23            # Boltzmann constant, J/K (exact)
+HBAR = 1.054571817e-34        # reduced Planck constant, J*s
+H = 6.62607015e-34            # Planck constant, J*s (exact)
+EPSILON_0 = 8.8541878128e-12  # vacuum permittivity, F/m
+# graphene Fermi velocity, fixed to c/300 exactly: it enters squared in the
+# nonlinear time constant and the coupling rates, so every derived number
+# rests on this convention
+V_F = SPEED_OF_LIGHT / 300.0  # m/s
+# pi (hbar v_F)^2 (J^2 m^2): graphene's density of states per unit area is
+# 2|E| / PI_HBAR_VF_SQ, and the capacitance, charge and energy formulas carry it
+PI_HBAR_VF_SQ = math.pi * (HBAR * V_F) ** 2
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,4 +97,4 @@ def fermi_energy(voltage: float) -> float:
 
     Odd in V; negative bias gives a negative Fermi energy.
     """
-    return CONSTANTS.e * voltage / 2.0
+    return E * voltage / 2.0

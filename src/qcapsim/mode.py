@@ -16,18 +16,15 @@ The Fock-basis oracle, which needs matrices, is in :mod:`qcapsim.oscillator`.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 from .capacitor import linear_capacitance_C0
 from .constants import (
-    CONSTANTS,
-    ghz_to_hz,
-    ghz_to_rad_per_s,
-    require_positive,
-    require_positive_temperature,
+    H, HBAR, K_B, V_F, ghz_to_hz, ghz_to_rad_per_s, require_positive, require_positive_temperature,
     um2_to_m2,
 )
-from .errors import NonPositiveArea
+from .errors import NonPositiveArea, PerturbativeRegimeExceeded
 
 # printed engineering coefficients (T in K, f in GHz, S in um^2)
 ANHARMONICITY_COEFF_PRINTED = 42.85   # percent: A = 42.85 * f / (S T^3)
@@ -63,11 +60,6 @@ class OscillatorSpec:
                 f"fock_cutoff must be in [10, {FOCK_CUTOFF_MAX}], got {self.fock_cutoff}"
             )
 
-    @property
-    def strongly_anharmonic(self) -> bool:
-        """True when tau*omega exceeds 1/12 (perturbative formulas unreliable)."""
-        return self.tau * self.omega > STRONG_ANHARMONICITY_THRESHOLD
-
 
 @dataclass(frozen=True)
 class AnharmonicityEstimate:
@@ -81,7 +73,24 @@ class AnharmonicityEstimate:
 
     percent_printed: float
     percent_symbolic: float
-    ratio_printed_to_symbolic: float
+
+
+def warn_if_strongly_anharmonic(
+    tau_omega: float, consequence: str, where: str = "", stacklevel: int = 1
+) -> None:
+    """Warn :class:`PerturbativeRegimeExceeded` when tau*omega exceeds 1/12.
+
+    The message reads "tau*omega = <value> > 1/12<where>: perturbative
+    regime exceeded; <consequence>".  ``stacklevel`` counts from the caller:
+    1 attributes the warning to the calling line, 2 to its caller.
+    """
+    if tau_omega > STRONG_ANHARMONICITY_THRESHOLD:
+        warnings.warn(
+            f"tau*omega = {tau_omega:.3g} > 1/12{where}: perturbative regime exceeded; "
+            f"{consequence}",
+            PerturbativeRegimeExceeded,
+            stacklevel=stacklevel + 1,
+        )
 
 
 # --- photon amplitude and nonlinear time constant ---------------------------
@@ -96,9 +105,9 @@ def photon_amplitude(area_S: float, temperature_T: float, omega: float):
     require_positive(area_S, "area_S", NonPositiveArea)
     require_positive_temperature(temperature_T)
     require_positive(omega, "omega")
-    den = 2.0 * math.pi * area_S * CONSTANTS.hbar * CONSTANTS.v_F_default**2
+    den = 2.0 * math.pi * area_S * HBAR * V_F**2
     require_positive(den, "2 pi S hbar v_F^2")
-    chi = math.sqrt(CONSTANTS.k_B * temperature_T * math.log(16.0) / den)
+    chi = math.sqrt(K_B * temperature_T * math.log(16.0) / den)
     require_positive(chi, "photon amplitude chi")
     return chi, chi * math.sqrt(omega)
 
@@ -115,23 +124,22 @@ def nonlinear_time_constant(area_S: float, temperature_T: float) -> float:
     """
     require_positive(area_S, "area_S", NonPositiveArea)
     require_positive_temperature(temperature_T)
-    kT = CONSTANTS.k_B * temperature_T
+    kT = K_B * temperature_T
     ln16 = math.log(16.0)
-    v_F = CONSTANTS.v_F_default
     try:  # float ** raises on overflow, and / on an underflowed divisor
         kT3, kT5 = kT**3, kT**5
-        chi_sq = kT * ln16 / (2.0 * math.pi * area_S * CONSTANTS.hbar * v_F**2)
+        chi_sq = kT * ln16 / (2.0 * math.pi * area_S * HBAR * V_F**2)
         chi4 = chi_sq**2
     except (OverflowError, ZeroDivisionError):
         kT3 = kT5 = chi4 = math.inf
     den_closed = 8.0 * ln16**2 * area_S * kT3
     # S enters the chi form after the constants, so no partial product of
     # it leaves the normal range unless chi^4 itself does
-    num_chi = math.pi**3 * CONSTANTS.hbar**5 * v_F**6 * area_S * chi4
+    num_chi = math.pi**3 * HBAR**5 * V_F**6 * area_S * chi4
     den_chi = 2.0 * ln16**4 * kT5
     for value in (kT3, kT5, chi4, den_closed, num_chi, den_chi):
         require_positive(value, "an intermediate of the nonlinear time constant")
-    closed = math.pi * CONSTANTS.hbar**3 * v_F**2 / den_closed
+    closed = math.pi * HBAR**3 * V_F**2 / den_closed
     require_positive(closed, "nonlinear time constant (s)")
     if abs(closed - num_chi / den_chi) > 1e-10 * abs(closed):
         raise ArithmeticError(
@@ -163,7 +171,7 @@ def hamiltonian_coefficients(spec: OscillatorSpec) -> tuple[float, float]:
     ``linear`` multiplies (n + 1/2); ``quartic`` multiplies (a + a^dag)^4
     and enters H with an overall minus sign (softening nonlinearity).
     """
-    return CONSTANTS.hbar * spec.omega, CONSTANTS.hbar * spec.tau * spec.omega**2 / 4.0
+    return HBAR * spec.omega, HBAR * spec.tau * spec.omega**2 / 4.0
 
 
 def suggested_fock_cutoff(tau_omega: float) -> int:
@@ -197,12 +205,9 @@ def anharmonicity_engineering(T: float, f: float, S: float) -> AnharmonicityEsti
     require_positive(f, "frequency (GHz)")
     require_positive(S, "area (um^2)")
     tau = nonlinear_time_constant(um2_to_m2(S), T)  # first: it checks the range of S and T
-    printed = ANHARMONICITY_COEFF_PRINTED * f / (S * T**3)
-    symbolic = 3.0 * tau * ghz_to_rad_per_s(f) * 100.0
     return AnharmonicityEstimate(
-        percent_printed=printed,
-        percent_symbolic=symbolic,
-        ratio_printed_to_symbolic=printed / symbolic,
+        percent_printed=ANHARMONICITY_COEFF_PRINTED * f / (S * T**3),
+        percent_symbolic=3.0 * tau * ghz_to_rad_per_s(f) * 100.0,
     )
 
 
@@ -222,8 +227,8 @@ def photon_number_limit_derived(T: float, f: float) -> float:
     """n_max = 2 k_B T / (h f) re-derived from constants (T in K, f in GHz)."""
     require_positive_temperature(T)
     require_positive(f, "frequency (GHz)")
-    hf = CONSTANTS.h * ghz_to_hz(f)
+    hf = H * ghz_to_hz(f)
     require_positive(hf, "photon energy h f (J)")
-    n_max = 2.0 * CONSTANTS.k_B * T / hf
+    n_max = 2.0 * K_B * T / hf
     require_positive(n_max, "derived photon-number limit")
     return n_max

@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, TWO_PI, ghz_to_rad_per_s, require_positive, um2_to_m2
+from .constants import E, HBAR, TWO_PI, V_F, ghz_to_rad_per_s, require_positive, um2_to_m2
 from .errors import AmbiguousResonance, NonPositiveArea
 from .mode import nonlinear_time_constant
 
@@ -61,7 +61,6 @@ class InteractionClassification:
     kind: InteractionKind
     detuning: float  # rad/s, residual mismatch of the matched (or nearest) condition
     G: float         # rad/s, pump-enhanced interaction rate
-    theta: float     # rad, pump phase
 
 
 def gamma_nml(tau: float, omega_n: float, omega_m: float, omega_l: float) -> float:
@@ -110,9 +109,7 @@ def classify_interaction(
         kind, detuning = InteractionKind.PARAMETRIC, d_par
     else:
         kind, detuning = InteractionKind.OFF_RESONANT, min(d_hop, d_par)
-    return InteractionClassification(
-        kind=kind, detuning=detuning, G=strength, theta=pump.phase_theta
-    )
+    return InteractionClassification(kind=kind, detuning=detuning, G=strength)
 
 
 @dataclass(frozen=True)
@@ -162,9 +159,9 @@ def quantum_rc_time(S: float, E_F: float) -> float:
     sigma_Q = 2 e^2 / pi hbar; vanishes at zero bias.
     """
     require_positive(S, "area (m^2)", NonPositiveArea)
-    return S * abs(E_F) / (CONSTANTS.hbar * CONSTANTS.v_F_default**2)
+    return S * abs(E_F) / (HBAR * V_F**2)
 
 
 def quantum_conductance() -> float:
     """Zero-bias quantum conductance sigma_Q = 2 e^2 / pi hbar (S)."""
-    return 2.0 * CONSTANTS.e**2 / (math.pi * CONSTANTS.hbar)
+    return 2.0 * E**2 / (math.pi * HBAR)

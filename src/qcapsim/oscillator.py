@@ -14,15 +14,16 @@ estimates and the photon-number limit) are in the numpy-free
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .constants import CONSTANTS
-from .errors import CutoffNotConverged, PerturbativeRegimeExceeded
-from .mode import CONVERGENCE_CUTOFF_STEP, OscillatorSpec, hamiltonian_coefficients
+from .constants import HBAR
+from .errors import CutoffNotConverged
+from .mode import (
+    CONVERGENCE_CUTOFF_STEP, OscillatorSpec, hamiltonian_coefficients, warn_if_strongly_anharmonic,
+)
 
 CONVERGENCE_RTOL = 1e-9
 
@@ -96,13 +97,9 @@ def fock_diagonalize(spec: OscillatorSpec) -> SpectrumResult:
     :class:`PerturbativeRegimeExceeded` warning is emitted past
     tau*omega = 1/12).
     """
-    if spec.strongly_anharmonic:
-        warnings.warn(
-            f"tau*omega = {spec.tau * spec.omega:.3g} > 1/12: perturbative regime "
-            "exceeded; truncated-basis spectrum may not converge",
-            PerturbativeRegimeExceeded,
-            stacklevel=2,
-        )
+    warn_if_strongly_anharmonic(
+        spec.tau * spec.omega, "truncated-basis spectrum may not converge", stacklevel=2
+    )
     evals = _parity_block_eigenvalues(spec, spec.fock_cutoff)
     evals_check = _parity_block_eigenvalues(spec, spec.fock_cutoff + CONVERGENCE_CUTOFF_STEP)
     for k in range(3):
@@ -113,8 +110,8 @@ def fock_diagonalize(spec: OscillatorSpec) -> SpectrumResult:
                 f"relative when the cutoff grew from {spec.fock_cutoff} to "
                 f"{spec.fock_cutoff + CONVERGENCE_CUTOFF_STEP}"
             )
-    omega_10 = (evals[1] - evals[0]) / CONSTANTS.hbar
-    omega_21 = (evals[2] - evals[1]) / CONSTANTS.hbar
+    omega_10 = (evals[1] - evals[0]) / HBAR
+    omega_21 = (evals[2] - evals[1]) / HBAR
     return SpectrumResult(
         eigenvalues=evals,
         omega_10=omega_10,

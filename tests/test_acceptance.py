@@ -18,6 +18,7 @@ is left against second order is the third-order residue (at most
 3.3e-4 on A and 5.2e-7 on the levels, both at tau*omega = 1e-3).
 """
 
+import dataclasses
 import math
 import time
 
@@ -35,19 +36,17 @@ from qcapsim.capacitor import (
 )
 from qcapsim.circulator import (
     CirculatorConfig,
-    Frame,
     cramer_solve,
     langevin_matrix,
     scattering_matrix,
     sweep,
 )
 from qcapsim.cli import _verify_rows
-from qcapsim.constants import CONSTANTS, f_per_m2_to_ff_per_um2, fermi_energy
+from qcapsim.constants import E, HBAR, K_B, V_F, f_per_m2_to_ff_per_um2, fermi_energy
 from qcapsim.mode import OscillatorSpec, anharmonicity_engineering, nonlinear_time_constant
 from qcapsim.multimode import quantum_conductance, quantum_rc_time, single_photon_rate_engineering
 from qcapsim.oscillator import fock_diagonalize
 
-E, KB, HBAR, VF = CONSTANTS.e, CONSTANTS.k_B, CONSTANTS.hbar, CONSTANTS.v_F_default
 TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e9
 
@@ -173,14 +172,14 @@ def test_criterion_6_series_expansion_oracle():
     worst = 0.0
     for T in (0.25, 1.0, 4.0):
         for frac in (0.05, 0.1, 0.2):
-            v = frac * KB * T / E
+            v = frac * K_B * T / E
             series = charge_series(T, v)
             oracle = charge_numeric(T, v)
             worst = max(worst, abs(series - oracle) / abs(oracle))
     series_ok = worst <= 1e-4
 
     v = 10e-3
-    T_cold = E * v / (200.0 * KB)
+    T_cold = E * v / (200.0 * K_B)
     cold = quantum_capacitance(T_cold, v)
     limit = quantum_capacitance_T0(v)
     limit_ok = abs(cold - limit) / limit <= 0.01
@@ -194,13 +193,7 @@ def test_criterion_6_series_expansion_oracle():
 
 
 def _paper_circulator(dphi):
-    return CirculatorConfig(
-        omega=(1.0 * GHZ, 1.05 * GHZ, 2.05 * GHZ),
-        kappa=(2.0 * GHZ,) * 3,
-        g=(1.0 * GHZ,) * 3,
-        phi=(dphi, 0.0, 0.0),
-        frame=Frame.ROTATING,
-    )
+    return CirculatorConfig(kappa=(2.0 * GHZ,) * 3, g=(1.0 * GHZ,) * 3, phi=(dphi, 0.0, 0.0))
 
 
 def test_criterion_7_circulator_reciprocity_and_isolation():
@@ -278,12 +271,8 @@ def test_criterion_9_property_suites():
     reference = [np.abs(scattering_matrix(base, d)) for d in probe_deltas]
     for _ in range(60):
         alpha = float(rng.uniform(-math.pi, math.pi))
-        shifted = CirculatorConfig(
-            omega=base.omega,
-            kappa=base.kappa,
-            g=base.g,
-            phi=(base.phi[0] + alpha, base.phi[1] + alpha, base.phi[2]),
-            frame=base.frame,
+        shifted = dataclasses.replace(
+            base, phi=(base.phi[0] + alpha, base.phi[1] + alpha, base.phi[2])
         )
         for d, ref in zip(probe_deltas, reference):
             assert np.max(np.abs(np.abs(scattering_matrix(shifted, d)) - ref)) < 1e-10
@@ -299,7 +288,7 @@ def test_criterion_9_property_suites():
     # hermiticity of the Langevin generator (200 random configs)
     for _ in range(200):
         config = CirculatorConfig(
-            omega=tuple(rng.uniform(0.5, 5.0) * GHZ for _ in range(3)),
+            detuning=tuple(rng.uniform(0.5, 5.0) * GHZ for _ in range(3)),
             kappa=tuple(rng.uniform(0.1, 3.0) * GHZ for _ in range(3)),
             g=tuple(rng.uniform(0.0, 2.0) * GHZ for _ in range(3)),
             phi=tuple(rng.uniform(-math.pi, math.pi) for _ in range(3)),
@@ -312,13 +301,12 @@ def test_criterion_9_property_suites():
     # solver residuals (300 random circulator configs and detunings through the closed
     # form), each recomputed here and checked against numpy.linalg.solve
     for _ in range(300):
-        config = CirculatorConfig(
-            omega=tuple(rng.uniform(0.5, 5.0) * GHZ for _ in range(3)),
-            kappa=tuple(rng.uniform(0.1, 3.0) * GHZ for _ in range(3)),
-            g=tuple(rng.uniform(0.0, 2.0) * GHZ for _ in range(3)),
-            phi=tuple(rng.uniform(-math.pi, math.pi) for _ in range(3)),
-            frame=Frame.LAB if rng.uniform() < 0.5 else Frame.ROTATING,
-        )
+        omega = tuple(rng.uniform(0.5, 5.0) * GHZ for _ in range(3))
+        kappa = tuple(rng.uniform(0.1, 3.0) * GHZ for _ in range(3))
+        g = tuple(rng.uniform(0.0, 2.0) * GHZ for _ in range(3))
+        phi = tuple(rng.uniform(-math.pi, math.pi) for _ in range(3))
+        lab = rng.uniform() < 0.5  # lab frame: the diagonal is the mode frequencies
+        config = CirculatorConfig(kappa, g, phi, detuning=omega if lab else (0.0, 0.0, 0.0))
         a = -1j * rng.uniform(-6.0, 6.0) * GHZ * np.eye(3) - langevin_matrix(config)
         k = np.sqrt(np.asarray(config.kappa))
         x = cramer_solve(a.real[:, :, None], a.imag[:, :, None], k)[0]

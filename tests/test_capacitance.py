@@ -22,10 +22,8 @@ from qcapsim.capacitor import (
     geometric_capacitance,
     linear_capacitance_C0,
 )
-from qcapsim.constants import CONSTANTS, f_per_m2_to_ff_per_um2
+from qcapsim.constants import E, HBAR, K_B, V_F, f_per_m2_to_ff_per_um2
 from qcapsim.errors import NonPositiveTemperature, NonPositiveThickness
-
-E, KB, HBAR, VF = CONSTANTS.e, CONSTANTS.k_B, CONSTANTS.hbar, CONSTANTS.v_F_default
 
 DESIGN = CapacitorDesign(dielectric_thickness_t=7e-9, relative_permittivity=4.0)
 AREA = 1e-10  # 100 um^2
@@ -58,7 +56,7 @@ def test_ln_2_plus_2cosh_scalar_and_array_agree():
 
 def test_quantum_capacitance_zero_bias_value():
     # direct evaluation: ln[2(1+cosh 0)] = ln 4, i.e. half of ln 16
-    expected = 2.0 * E**2 * KB * 1.0 * math.log(4.0) / (math.pi * (HBAR * VF) ** 2)
+    expected = 2.0 * E**2 * K_B * 1.0 * math.log(4.0) / (math.pi * (HBAR * V_F) ** 2)
     got = quantum_capacitance(1.0, 0.0)
     assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert got == pytest.approx(2.816361713774626e-05, rel=1e-12, abs=0.0)
@@ -106,7 +104,7 @@ def test_quantum_capacitance_T0_zero_and_parity():
 def test_quantum_capacitance_T0_is_millikelvin_limit():
     v = 0.05
     t0 = quantum_capacitance_T0(v)
-    assert t0 == pytest.approx(E**3 * v / (math.pi * (HBAR * VF) ** 2), rel=1e-14, abs=0.0)
+    assert t0 == pytest.approx(E**3 * v / (math.pi * (HBAR * V_F) ** 2), rel=1e-14, abs=0.0)
     cold = quantum_capacitance(1e-3, v)
     assert cold == pytest.approx(t0, rel=1e-3, abs=0.0)
 
@@ -232,7 +230,7 @@ def test_charge_energy_T0_density_form_identity():
     for v in rng.uniform(1e-4, 0.5, size=10):
         q, u = charge_energy_T0(v)
         n = abs(q) / E
-        alt = (1.0 / 3.0) * math.sqrt(2.0 * math.pi) * HBAR * VF * math.copysign(1.0, q) * n**1.5
+        alt = (1.0 / 3.0) * math.sqrt(2.0 * math.pi) * HBAR * V_F * math.copysign(1.0, q) * n**1.5
         assert alt == pytest.approx(u, rel=1e-10, abs=0.0)
 
 
@@ -251,7 +249,7 @@ def test_charge_energy_T0_derivative_consistency():
 @pytest.mark.parametrize("T", [0.25, 1.0, 4.0])
 @pytest.mark.parametrize("frac", [0.05, 0.1, 0.2])
 def test_charge_series_matches_quadrature(T, frac):
-    v = frac * KB * T / E
+    v = frac * K_B * T / E
     series = charge_series(T, v)
     oracle = charge_numeric(T, v)
     assert series == pytest.approx(oracle, rel=1e-4, abs=0.0)
@@ -298,7 +296,7 @@ def test_cubic_coefficient_by_richardson_extrapolation():
     # cubic coefficient; it must land on the implemented expansion term
     T = 1.0
     c_lin = quantum_capacitance(T, 0.0) / E  # dN/dV at 0
-    v = 0.05 * KB * T / E
+    v = 0.05 * K_B * T / E
 
     def cubic_estimate(vv):
         n = charge_numeric(T, vv) / E
@@ -312,7 +310,7 @@ def test_cubic_coefficient_by_richardson_extrapolation():
 
 def _charge_scale(T):
     """prefactor * 2 k_B T / e: Q = scale * int_0^X ln(2 + 2 cosh x) dx."""
-    return 2.0 * E**2 * KB * T / (math.pi * (HBAR * VF) ** 2) * (2.0 * KB * T / E)
+    return 2.0 * E**2 * K_B * T / (math.pi * (HBAR * V_F) ** 2) * (2.0 * K_B * T / E)
 
 
 def _gauss_legendre_charge_integral(X):
@@ -336,7 +334,7 @@ def test_charge_numeric_matches_gauss_legendre(X):
     # spans the small-X Taylor branch, its seam near X = 1e-2, the Li2 branch
     # and the range where e^-X underflows
     T = 1.0
-    v = 2.0 * KB * T * X / E
+    v = 2.0 * K_B * T * X / E
     expected = _charge_scale(T) * _gauss_legendre_charge_integral(X)
     got = charge_numeric(T, v)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -348,7 +346,7 @@ def test_charge_numeric_matches_gauss_legendre(X):
 def test_charge_numeric_low_temperature_large_bias(T, v):
     # e|V| >> k_B T: an adaptive quadrature that misses the kink at V = 0
     # lands 9.8e-8 (first three) and 3.9e-9 (last) low here
-    X = E * abs(v) / (2.0 * KB * T)
+    X = E * abs(v) / (2.0 * K_B * T)
     expected = math.copysign(_charge_scale(T) * _gauss_legendre_charge_integral(X), v)
     got = charge_numeric(T, v)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -358,7 +356,7 @@ def test_charge_numeric_large_x_exact():
     # X ~ 5.8e3: Li2(-e^-X) is 0 in double precision, so the integral is
     # exactly X^2/2 + pi^2/6
     T, v = 0.05, 0.05
-    X = E * v / (2.0 * KB * T)
+    X = E * v / (2.0 * K_B * T)
     expected = _charge_scale(T) * (0.5 * X * X + math.pi**2 / 6.0)
     got = charge_numeric(T, v)
     assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
@@ -393,7 +391,7 @@ def test_energy_series_curvature_is_inverse_linear_capacitance():
         energy_series(T, h) - 2.0 * energy_series(T, 0.0)
         + energy_series(T, -h)
     ) / h**2
-    kT, hv, ln16 = KB * T, HBAR * VF, math.log(16.0)
+    kT, hv, ln16 = K_B * T, HBAR * V_F, math.log(16.0)
     leading = math.pi * hv**2 / (kT * ln16)
     quartic = (math.pi * hv**2 / (2.0 * kT)) * (math.pi**2 / 4.0) * (hv / (ln16 * kT)) ** 4
     assert d2 == pytest.approx(leading - quartic * 2.0 * h**2, rel=1e-6, abs=0.0)
@@ -408,7 +406,7 @@ def test_energy_series_quartic_is_twelve_times_the_charge_model(T):
     # U = e N^2 / 2 c1 - e c3 N^4 / 4 c1^4; energy_series keeps the quadratic
     # term and carries 12 times the quartic one (see its docstring).
     c3 = charge_series_cubic_coefficient(T)
-    v = 1e-6 * KB * T / E  # c3 v^2 / c1 ~ 1e-14: c1 is exact to rounding
+    v = 1e-6 * K_B * T / E  # c3 v^2 / c1 ~ 1e-14: c1 is exact to rounding
     c1 = charge_series(T, v) / (E * v) - c3 * v**2
     # U(n) = a n^2 - b n^4 at n = N and 2N, with N where b N^2 ~ 6 a, so that
     # neither combination below cancels more than a digit

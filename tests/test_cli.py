@@ -447,7 +447,7 @@ def test_circulator_config_rejected(edit, named, tmp_path, capsys):
 @pytest.mark.parametrize("frame", ["rotating", "lab"])
 def test_circulator_config_units(frame, tmp_path, capsys):
     # the file gives frequencies in GHz and phases in units of pi; the sweep runs in SI
-    from qcapsim.circulator import CirculatorConfig, Frame, sweep
+    from qcapsim.circulator import CirculatorConfig, sweep
 
     def edit(doc):
         doc["circulator"] = {"omega": [1.0, 1.05, 2.05], "kappa": [2.0, 1.5, 2.0],
@@ -458,16 +458,58 @@ def test_circulator_config_units(frame, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "circulator", "--config", _fig4_with(edit, tmp_path))
     assert code == 0
     ghz = 2.0 * math.pi * 1e9
+    # the frame picks the Langevin diagonal: the mode frequencies or the detunings
+    diagonal = (1.0 * ghz, 1.05 * ghz, 2.05 * ghz) if frame == "lab" else (0.1 * ghz, 0.0, -0.2 * ghz)
     config = CirculatorConfig(
-        omega=(1.0 * ghz, 1.05 * ghz, 2.05 * ghz), kappa=(2.0 * ghz, 1.5 * ghz, 2.0 * ghz),
-        g=(1.0 * ghz, 0.8 * ghz, 1.0 * ghz), phi=(0.0, math.pi / 2.0, 0.0), frame=Frame(frame),
-        detuning=(0.1 * ghz, 0.0, -0.2 * ghz),
+        kappa=(2.0 * ghz, 1.5 * ghz, 2.0 * ghz), g=(1.0 * ghz, 0.8 * ghz, 1.0 * ghz),
+        phi=(0.0, math.pi / 2.0, 0.0), detuning=diagonal,
     )
     expected = sweep(config, -4.0 * ghz, 4.0 * ghz, 21).columns().tolist()
     got = [[float(value) for value in row.values()] for row in parse_csv(out)]
     assert len(got) == 21
     for got_row, expected_row in zip(got, expected):
         assert got_row == pytest.approx(expected_row, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lab_frame_omega_is_the_rotating_frame_detuning(fmt, tmp_path, capsys):
+    # a lab-frame file reads omega where a rotating-frame file reads detuning;
+    # with the one equal to the other, the two print the same bytes
+    lab = {"omega": [1.0, 1.05, 2.05], "kappa": [2.0, 1.5, 2.0], "g": [1.0, 0.8, 1.0],
+           "phi": [0.0, 0.5, 0.0], "detuning": [0.1, 0.0, -0.2], "frame": "lab"}
+    rotating = {**lab, "omega": [3.0, 3.0, 3.0], "detuning": lab["omega"], "frame": "rotating"}
+    outputs = []
+    for circulator in (lab, rotating):
+        config = tmp_path / f"{circulator['frame']}.json"
+        config.write_text(json.dumps({"circulator": circulator, "n_points": 41}))
+        code, out, _ = run_cli(capsys, "circulator", "--config", str(config), "--format", fmt)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) > 2
+
+
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize(
+    "key,values,named",
+    [
+        ("omega", [0.0, 1.0, 1.0], "mode frequency (rad/s) out of range"),
+        ("omega", [1.0, -1.0, 1.0], "mode frequency (rad/s) out of range"),
+        ("omega", [1.0, 1.0, 1e300], "mode frequency (rad/s) out of range"),
+        ("detuning", [1e300, 0.0, 0.0], "phases and detunings must be finite"),
+    ],
+    ids=["omega-zero", "omega-negative", "omega-overflows", "detuning-overflows"],
+)
+def test_circulator_config_checks_omega_and_detuning_in_both_frames(
+    frame, key, values, named, tmp_path, capsys
+):
+    # omega > 0 and a finite detuning (after the GHz conversion) are required
+    # even in the frame whose Langevin diagonal does not read them
+    def edit(doc):
+        doc["circulator"].update({"detuning": [0.0, 0.0, 0.0], "frame": frame, key: values})
+
+    code, out, err = run_cli(capsys, "circulator", "--config", _fig4_with(edit, tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
 def test_malformed_json_rejected(tmp_path, capsys):

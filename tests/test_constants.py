@@ -5,31 +5,31 @@ import numpy as np
 import pytest
 
 from qcapsim import constants
-from qcapsim.constants import CONSTANTS, fermi_energy
+from qcapsim.constants import SPEED_OF_LIGHT, V_F, fermi_energy
 
 # independent copies of the CODATA 2018 values (>= 6 significant digits)
 CODATA_2018 = {
-    "e": 1.602176634e-19,
-    "k_B": 1.380649e-23,
-    "hbar": 1.054571817e-34,
-    "h": 6.62607015e-34,
-    "c": 299792458.0,
-    "epsilon_0": 8.8541878128e-12,
+    "E": 1.602176634e-19,
+    "K_B": 1.380649e-23,
+    "HBAR": 1.054571817e-34,
+    "H": 6.62607015e-34,
+    "SPEED_OF_LIGHT": 299792458.0,
+    "EPSILON_0": 8.8541878128e-12,
 }
 
 
 def test_constants_match_codata_to_six_digits():
     for name, value in CODATA_2018.items():
-        assert getattr(CONSTANTS, name) == pytest.approx(value, rel=1e-6, abs=0.0)
+        assert getattr(constants, name) == pytest.approx(value, rel=1e-6, abs=0.0)
 
 
 def test_fermi_velocity_is_c_over_300():
-    assert CONSTANTS.v_F_default == pytest.approx(CONSTANTS.c / 300.0, rel=1e-12, abs=0.0)
+    assert V_F == pytest.approx(SPEED_OF_LIGHT / 300.0, rel=1e-12, abs=0.0)
 
 
 def test_all_constants_positive():
-    for name in ("e", "k_B", "hbar", "h", "c", "epsilon_0", "v_F_default"):
-        assert getattr(CONSTANTS, name) > 0.0
+    for name in (*CODATA_2018, "V_F", "PI_HBAR_VF_SQ"):
+        assert getattr(constants, name) > 0.0
 
 
 # Reference inverses, written out here rather than taken from the library

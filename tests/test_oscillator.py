@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from qcapsim.capacitor import linear_capacitance_C0
 from qcapsim.cli import main
-from qcapsim.constants import CONSTANTS
+from qcapsim.constants import H, HBAR, K_B, V_F
 from qcapsim.errors import CutoffNotConverged, NonPositiveArea, NonPositiveTemperature, PerturbativeRegimeExceeded
 from qcapsim.mode import (
     FOCK_CUTOFF_MAX,
@@ -21,10 +22,9 @@ from qcapsim.mode import (
     photon_number_limit_derived,
     resonant_inductance,
     suggested_fock_cutoff,
+    warn_if_strongly_anharmonic,
 )
 from qcapsim.oscillator import _parity_blocks, fock_diagonalize
-
-E, KB, HBAR, VF = CONSTANTS.e, CONSTANTS.k_B, CONSTANTS.hbar, CONSTANTS.v_F_default
 
 AREA = 1e-10          # 100 um^2
 OMEGA = 2.0 * math.pi * 4e9
@@ -68,7 +68,7 @@ def _product_oracle(spec: OscillatorSpec) -> np.ndarray:
 
 def test_photon_amplitude_direct_value():
     chi, psi = photon_amplitude(AREA, 1.0, OMEGA)
-    expected_chi = math.sqrt(KB * 1.0 * math.log(16.0) / (2.0 * math.pi * AREA * HBAR * VF**2))
+    expected_chi = math.sqrt(K_B * 1.0 * math.log(16.0) / (2.0 * math.pi * AREA * HBAR * V_F**2))
     assert chi == pytest.approx(expected_chi, rel=1e-14, abs=0.0)
     assert chi == pytest.approx(24052.316207695065, rel=1e-12, abs=0.0)
     assert psi == pytest.approx(3813088055.864373, rel=1e-12, abs=0.0)
@@ -98,9 +98,9 @@ def test_photon_amplitude_consistent_with_time_constant():
     # chi^4 = 2 ln^4(16) (k_B T)^5 tau / (pi^3 S hbar^5 v_F^6)
     chi, _ = photon_amplitude(AREA, 1.0, OMEGA)
     tau = nonlinear_time_constant(AREA, 1.0)
-    kT = KB * 1.0
+    kT = K_B * 1.0
     ln16 = math.log(16.0)
-    chi4 = 2.0 * ln16**4 * kT**5 * tau / (math.pi**3 * AREA * HBAR**5 * VF**6)
+    chi4 = 2.0 * ln16**4 * kT**5 * tau / (math.pi**3 * AREA * HBAR**5 * V_F**6)
     assert chi**4 == pytest.approx(chi4, rel=1e-12, abs=0.0)
 
 
@@ -285,11 +285,24 @@ def test_cutoff_convergence_enforced():
 
 
 def test_strong_anharmonicity_warns():
-    spec = _spec(0.1, cutoff=10)
-    assert spec.strongly_anharmonic
-    with pytest.warns(PerturbativeRegimeExceeded):
+    with pytest.warns(PerturbativeRegimeExceeded, match="truncated-basis spectrum may not converge"):
         with pytest.raises(CutoffNotConverged):
-            fock_diagonalize(spec)
+            fock_diagonalize(_spec(0.1, cutoff=10))
+
+
+def test_strong_anharmonicity_threshold_is_one_twelfth():
+    # one home for the tau*omega > 1/12 test: fock_diagonalize and the coupling command
+    with pytest.warns(PerturbativeRegimeExceeded) as record:
+        warn_if_strongly_anharmonic(0.0834, "the rates are first-order", " at the pump")
+    assert [str(w.message) for w in record] == [
+        "tau*omega = 0.0834 > 1/12 at the pump: perturbative regime exceeded; "
+        "the rates are first-order"
+    ]
+    assert record[0].filename == __file__  # attributed to the calling line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warn_if_strongly_anharmonic(1.0 / 12.0, "silent at the threshold")
+        warn_if_strongly_anharmonic(0.0, "silent in the harmonic limit")
 
 
 def test_suggested_fock_cutoff():
@@ -382,7 +395,7 @@ def test_anharmonicity_printed_coefficient_consistent_with_symbolic():
         f = float(rng.uniform(0.5, 20.0))
         S = float(rng.uniform(1.0, 1000.0))
         est = anharmonicity_engineering(T, f, S)
-        assert abs(est.ratio_printed_to_symbolic - 1.0) < 5e-3
+        assert abs(est.percent_printed / est.percent_symbolic - 1.0) < 5e-3
         assert est.percent_symbolic == pytest.approx(
             300.0 * nonlinear_time_constant(S * 1e-12, T) * 2e9 * math.pi * f, rel=1e-12, abs=0.0
         )
@@ -455,6 +468,6 @@ def test_scalar_formulas_reject_results_out_of_range():
 def test_photon_number_limit_derived_matches_printed_coefficient():
     # 2 k_B/(h * 1 GHz) = 41.67, the published 41.7 rounds it to 3 digits
     assert photon_number_limit_derived(1.0, 1.0) == pytest.approx(
-        2.0 * KB / (CONSTANTS.h * 1e9), rel=1e-14, abs=0.0
+        2.0 * K_B / (H * 1e9), rel=1e-14, abs=0.0
     )
     assert photon_number_limit_derived(1.0, 1.0) == pytest.approx(41.7, rel=1e-3, abs=0.0)

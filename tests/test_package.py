@@ -26,10 +26,13 @@ EXPORTS = {
         "quantum_capacitance_T0", "series_capacitance",
     ),
     "circulator": (
-        "CirculatorConfig", "Frame", "SweepResult", "coupling_matrix", "langevin_matrix",
+        "CirculatorConfig", "SweepResult", "coupling_matrix", "langevin_matrix",
         "scattering_matrix", "sweep",
     ),
-    "constants": ("CONSTANTS", "PhysicalConstants", "fermi_energy"),
+    "constants": (
+        "E", "EPSILON_0", "H", "HBAR", "K_B", "PI_HBAR_VF_SQ", "SPEED_OF_LIGHT", "V_F",
+        "fermi_energy",
+    ),
     "errors": (
         "AmbiguousResonance", "ConfigError", "CutoffNotConverged", "NonPositiveArea",
         "NonPositiveTemperature", "NonPositiveThickness", "PerturbativeRegimeExceeded",
