@@ -99,24 +99,17 @@ def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSwe
 
     T = 0 entries are allowed and dispatch to the explicit
     zero-temperature branch; all other temperatures must be positive.
+    Rows run T-major: the whole V grid at the first temperature, then at
+    the next.
     """
     V = np.asarray(V_grid, dtype=np.float64)
-    cg = geometric_capacitance(design)
-    t_col, v_col, cq_col, cs_col = [], [], [], []
     for T in T_list:
-        if T == 0.0:
-            cq = np.asarray(quantum_capacitance_T0(V))
-        else:
+        if T != 0.0:
             require_positive_temperature(T)
-            cq = np.asarray(_cq_areal(T, V))
-        cs = series_capacitance(cg, cq)
-        t_col.append(np.full_like(V, float(T)))
-        v_col.append(V)
-        cq_col.append(cq)
-        cs_col.append(cs)
+    cq = np.concatenate([quantum_capacitance_T0(V) if T == 0.0 else _cq_areal(T, V) for T in T_list])
     return CapacitanceSweep(
-        T_K=np.concatenate(t_col),
-        V_volt=np.concatenate(v_col),
-        CQ_areal=np.concatenate(cq_col),
-        Cseries_areal=np.concatenate(cs_col),
+        T_K=np.repeat(np.asarray(T_list, dtype=np.float64), V.size),
+        V_volt=np.tile(V, len(T_list)),
+        CQ_areal=cq,
+        Cseries_areal=series_capacitance(geometric_capacitance(design), cq),
     )

@@ -189,14 +189,6 @@ def _emit(args, text: str) -> None:
     Path(str(out) + ".meta.json").write_text(json.dumps(metadata, indent=2) + "\n")
 
 
-def _emit_table(args, header, rows) -> None:
-    if args.format == "csv":
-        text = csv_text(header, rows)
-    else:
-        text = json_text([dict(zip(header, row)) for row in rows])
-    _emit(args, text)
-
-
 def _emit_columns(args, header, values) -> None:
     text = table_csv(header, values) if args.format == "csv" else table_json(header, values)
     _emit(args, text)
@@ -329,11 +321,10 @@ def _cmd_qubit(args) -> int:
 
 def _cmd_coupling(args) -> int:
     tau = nonlinear_time_constant(um2_to_m2(args.S), args.T)
-    pump = PumpSpec(
-        Omega=ghz_to_rad_per_s(args.f),
-        photon_number=args.pump_photons,
-        phase_theta=pi_units_to_rad(args.theta_over_pi),
-    )
+    pump = PumpSpec(Omega=ghz_to_rad_per_s(args.f), photon_number=args.pump_photons)
+    theta = pi_units_to_rad(args.theta_over_pi)  # echoed only: no rate reads the pump phase
+    if not math.isfinite(theta):
+        raise ValueError(f"phase_theta must be finite, got {theta}")
     warn_if_strongly_anharmonic(tau * pump.Omega, "the rates are first-order", " at the pump")
     classification = classify_interaction(
         pump,
@@ -353,7 +344,7 @@ def _cmd_coupling(args) -> int:
         "kind": classification.kind.value,
         "detuning_rad_s": classification.detuning,
         "G_rad_s": classification.G,
-        "theta_rad": pump.phase_theta,
+        "theta_rad": theta,
         "g0_printed_rad_s": rate.g0_printed_rad_s,
         "g0_symbolic_rad_s": rate.g0_symbolic_rad_s,
         "ratio_symbolic_to_printed": rate.ratio_symbolic_to_printed,
@@ -496,7 +487,11 @@ def _cmd_verify_paper(args) -> int:
         else:
             status = "FLAG" if abs(computed - flagged) <= rel_tol * abs(flagged) else "FAIL"
         rows.append((cid, description, printed, computed, rel_dev, status, note))
-    _emit_table(args, VERIFY_HEADER, rows)
+    if args.format == "csv":
+        text = csv_text(VERIFY_HEADER, rows)
+    else:
+        text = json_text([dict(zip(VERIFY_HEADER, row)) for row in rows])
+    _emit(args, text)
     return 1 if any(row[5] == "FAIL" for row in rows) else 0
 
 

@@ -67,8 +67,7 @@ class AnharmonicityEstimate:
 
     ``percent_printed`` evaluates the published coefficient 42.85 as-is;
     ``percent_symbolic`` is 3*tau*omega re-derived in SI.  The two agree to
-    about 0.4%% (the published coefficient is a 4-digit rounding), so a
-    ratio far from 1 signals a regression.
+    about 0.4% (the published coefficient is a 4-digit rounding).
     """
 
     percent_printed: float
@@ -117,7 +116,10 @@ def nonlinear_time_constant(area_S: float, temperature_T: float) -> float:
 
     Also evaluates the equivalent chi-based form
     pi^3 S hbar^5 v_F^6 chi^4 / 2 ln^4(16) (k_B T)^5 and insists the two
-    agree to 1e-10 relative, as a transcription guard.  Raises
+    agree to 1e-10 relative, as a transcription guard.  The chi form's
+    range checks also bound the joint range of S and T that the T**3 of
+    the printed formulas (anharmonicity, single-photon rate) relies on, so
+    both call this first.  Raises
     :class:`ValueError` when tau or any intermediate of either form is not
     a finite, normal float > 0, since both forms would then have lost
     digits.

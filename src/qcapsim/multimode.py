@@ -32,20 +32,18 @@ class PumpSpec:
     """Strong coherent drive on the pump mode.
 
     ``photon_number`` is n = |a|^2, the mean pump photon number that G
-    scales with; ``phase_theta`` is the drive phase that ends up doubled in
-    the selected interaction.
+    scales with.  The drive phase, which ends up doubled in the selected
+    interaction, enters no computation here: ``coupling`` only echoes its
+    ``--theta-over-pi`` as ``theta_rad``.
     """
 
     Omega: float           # rad/s
     photon_number: float   # dimensionless
-    phase_theta: float     # rad
 
     def __post_init__(self):
         require_positive(self.Omega, "Omega")
         if not (self.photon_number >= 0.0 and math.isfinite(self.photon_number)):
             raise ValueError(f"photon_number must be finite and >= 0, got {self.photon_number}")
-        if not math.isfinite(self.phase_theta):
-            raise ValueError(f"phase_theta must be finite, got {self.phase_theta}")
 
 
 class InteractionKind(enum.Enum):

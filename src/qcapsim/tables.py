@@ -193,13 +193,19 @@ def _table_text(values, head: str, json_keys: Sequence[str] = ()) -> str:
     return text.decode()
 
 
+def _require_width(header: Sequence[str], values) -> None:
+    """TypeError unless the (n, k) array ``values`` has one column per ``header`` entry."""
+    if len(header) != values.shape[1]:
+        raise TypeError(f"{len(header)} keys for {values.shape[1]} columns")
+
+
 def table_csv(header: Sequence[str], values) -> str:
     """``csv_text(header, values.tolist())`` for an (n, k) float array."""
+    _require_width(header, values)
     return _table_text(values, csv_text(header, ()))
 
 
 def table_json(header: Sequence[str], values) -> str:
     """``json_text`` of one ``dict(zip(header, row))`` record per row of an (n, k) float array."""
-    if len(header) != values.shape[1]:
-        raise TypeError(f"{len(header)} keys for {values.shape[1]} columns")
+    _require_width(header, values)
     return _table_text(values, "[\n  {\n", header) if len(values) else "[]\n"

@@ -150,6 +150,25 @@ def test_numeric_flags_stay_inside_the_exit_contract(capsys, fmt):
     assert not failures, "\n".join(failures)
 
 
+# the single-flag cases never set T and S to extremes together; the printed
+# formulas' T**3 (qubit's anharmonicity, coupling's rate) rely on the range
+# that the chi form of the nonlinear time constant checks for both at once
+JOINT_EXTREMES = tuple(f"1e{exponent}" for exponent in range(-300, 301, 30))
+
+
+# a strongly anharmonic pair warns and still exits 0, as a real run does
+@pytest.mark.filterwarnings("ignore::qcapsim.errors.PerturbativeRegimeExceeded")
+def test_temperature_and_area_at_joint_extremes_stay_inside_the_exit_contract(capsys):
+    failures = []
+    for command in (("qubit", "--skip-spectrum"), ("coupling",)):
+        for T in JOINT_EXTREMES:
+            for S in JOINT_EXTREMES:
+                argv = [*command, f"--T={T}", f"--S={S}"]
+                failures.append(_failure(capsys, argv, " ".join(argv)))
+    failures = [f for f in failures if f]
+    assert not failures, "\n".join(failures)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", sorted(set(CONFIG_COMMANDS.values())))
 def test_config_literals_stay_inside_the_exit_contract(capsys, tmp_path, command, fmt):

@@ -465,13 +465,23 @@ def test_sweep_zero_temperature_branch_matches_explicit_form():
 
 
 def test_sweep_matches_pointwise_quantum_capacitance():
-    # a cell of the sweep carries the same bits as the scalar evaluation
+    # a cell of the sweep carries the same bits as the scalar evaluation, in
+    # T-major blocks: every V at the first temperature, then at the next
     volts = np.random.default_rng(1010).uniform(-5e-3, 5e-3, size=5000)
-    result = capacitance_sweep(DESIGN, [1.0], volts)
-    pointwise = [quantum_capacitance(1.0, float(v)) for v in volts]
-    assert np.array_equal(result.CQ_areal, np.array(pointwise))
+    temperatures = [0.0, 0.25, 1.0, 4.0]
+    result = capacitance_sweep(DESIGN, temperatures, volts)
     cg = geometric_capacitance(DESIGN)
-    assert np.array_equal(result.Cseries_areal, np.array([series_capacitance(cg, c) for c in pointwise]))
+    for block, T in enumerate(temperatures):
+        cells = slice(block * volts.size, (block + 1) * volts.size)
+        assert np.array_equal(result.T_K[cells], np.full(volts.size, T))
+        assert np.array_equal(result.V_volt[cells], volts)
+        pointwise = np.array([
+            quantum_capacitance_T0(float(v)) if T == 0.0 else quantum_capacitance(T, float(v))
+            for v in volts
+        ])
+        assert np.array_equal(result.CQ_areal[cells], pointwise)
+        series = np.array([series_capacitance(cg, c) for c in pointwise])
+        assert np.array_equal(result.Cseries_areal[cells], series)
 
 
 def test_sweep_large_bias_plateau():

@@ -209,6 +209,14 @@ def test_coupling_rejects_a_negative_pump_photon_number(capsys):
     assert "photon" in err
 
 
+@pytest.mark.parametrize("theta, spelled", [("1e308", "inf"), ("-1e308", "-inf")])
+def test_coupling_rejects_a_pump_phase_that_overflows_in_radians(capsys, theta, spelled):
+    # a finite --theta-over-pi passes argparse, but pi times it is not finite
+    code, out, err = run_cli(capsys, "coupling", f"--theta-over-pi={theta}")
+    assert (code, out) == (2, "")
+    assert err == f"error: phase_theta must be finite, got {spelled}\n"
+
+
 def test_circulator_bundled_config(capsys):
     code, out, _ = run_cli(capsys, "circulator", "--config", "paper_fig4.json")
     assert code == 0
