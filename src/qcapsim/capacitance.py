@@ -94,6 +94,14 @@ class CapacitanceSweep:
         ))
 
 
+def _cq_column(T: float, V: np.ndarray) -> np.ndarray:
+    """C_Q over the V grid at one sweep temperature, T = 0 included."""
+    if T == 0.0:
+        return quantum_capacitance_T0(V)
+    require_positive_temperature(T)
+    return _cq_areal(T, V)
+
+
 def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSweep:
     """Evaluate C_Q and the series capacitance over a (T, V) grid.
 
@@ -103,10 +111,7 @@ def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSwe
     the next.
     """
     V = np.asarray(V_grid, dtype=np.float64)
-    for T in T_list:
-        if T != 0.0:
-            require_positive_temperature(T)
-    cq = np.concatenate([quantum_capacitance_T0(V) if T == 0.0 else _cq_areal(T, V) for T in T_list])
+    cq = np.concatenate([_cq_column(T, V) for T in T_list])
     return CapacitanceSweep(
         T_K=np.repeat(np.asarray(T_list, dtype=np.float64), V.size),
         V_volt=np.tile(V, len(T_list)),

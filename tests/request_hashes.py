@@ -1,7 +1,8 @@
 """Print one sha256 of (exit code, stdout, stderr) per benchmark request.
 
 For each workload and seed, the requests that ``perfbench/inputs.py`` gives
-(the workload's warm-ups, then ``generate(workload, seed, seconds, dir)``)
+(the workload's warm-ups, then ``generate(workload, seed, seconds, dir)``,
+with ``seconds`` the benchmark's ``run_seconds`` from ``BENCHMARK.json``)
 run in this process through ``qcapsim.cli.main``, with ``dir`` as the
 working directory.  Each prints one line, ``<workload> <seed> <index>
 <sha256>``, where index 0 is the first warm-up.  Every warning is shown,
@@ -32,7 +33,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402  (perfbench's request generator, only read)
 
@@ -58,8 +60,8 @@ def main_hashes(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=list(inputs.WORKLOADS),
                         choices=inputs.WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    parser.add_argument("--seconds", type=int, default=20, help="nominal run length (default 20)")
     args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     warnings.simplefilter("always")
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     home = os.getcwd()
@@ -67,7 +69,7 @@ def main_hashes(argv=None) -> int:
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as workdir:
                 requests = inputs.warmup_requests(workload)
-                requests += inputs.generate(workload, seed, args.seconds, Path(workdir))
+                requests += inputs.generate(workload, seed, seconds, Path(workdir))
                 os.chdir(workdir)
                 try:
                     for index, request in enumerate(requests):

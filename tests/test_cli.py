@@ -557,6 +557,22 @@ def test_non_finite_option_rejected(argv):
 
 
 @pytest.mark.parametrize(
+    "temperatures,message",
+    [
+        ("1e-300,-1", "capacitance scale 2 e^2 k_B T / pi (hbar v_F)^2 out of range: "
+                      "must be a finite, normal float > 0, got 0.0"),
+        ("-1,1e-300", "temperature (K) out of range: must be a finite, normal float > 0, got -1.0"),
+    ],
+    ids=["underflow-first", "negative-first"],
+)
+def test_sweep_reports_the_first_bad_temperature(temperatures, message, capsys):
+    """1e-300 K passes the temperature check but its C_Q scale underflows;
+    the sweep stops at whichever bad temperature comes first in the list."""
+    code, out, err = run_cli(capsys, "sweep-capacitance", f"--T={temperatures}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "key,value",
     [("delta_min_GHz", float("nan")), ("kappa", [2.0, float("nan"), 2.0])],
 )
