@@ -45,8 +45,9 @@ def ln_2_plus_2cosh(x):
 
 def _cq_areal(T: float, V):
     """Quantum capacitance per unit area; V may be a scalar or array."""
+    scale = _cq_prefactor(T)  # first: it rejects a T whose 2 k_B T underflows
     x = E * np.asarray(V, dtype=np.float64) / (2.0 * K_B * T)
-    return _cq_prefactor(T) * ln_2_plus_2cosh(x)
+    return scale * ln_2_plus_2cosh(x)
 
 
 def quantum_capacitance(T: float, V: float) -> float:
@@ -108,13 +109,24 @@ def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSwe
     T = 0 entries are allowed and dispatch to the explicit
     zero-temperature branch; all other temperatures must be positive.
     Rows run T-major: the whole V grid at the first temperature, then at
-    the next.
+    the next.  :class:`ValueError` names the first cell whose emitted C_Q or
+    series capacitance is not finite: V is not, or C_Q or C_G*C_Q overflows.
     """
     V = np.asarray(V_grid, dtype=np.float64)
-    cq = np.concatenate([_cq_column(T, V) for T in T_list])
+    with np.errstate(over="ignore", invalid="ignore"):
+        cq = np.concatenate([_cq_column(T, V) for T in T_list])
+        cseries = series_capacitance(geometric_capacitance(design), cq)
+        bad = ~(np.isfinite(f_per_m2_to_ff_per_um2(cq))
+                & np.isfinite(f_per_m2_to_ff_per_um2(cseries)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"sweep out of range at T = {T_list[i // V.size]:g} K, V = {V[i % V.size]:.6g} V: "
+            "the voltage, C_Q or the series capacitance in fF/um^2 is not finite"
+        )
     return CapacitanceSweep(
         T_K=np.repeat(np.asarray(T_list, dtype=np.float64), V.size),
         V_volt=np.tile(V, len(T_list)),
         CQ_areal=cq,
-        Cseries_areal=series_capacitance(geometric_capacitance(design), cq),
+        Cseries_areal=cseries,
     )

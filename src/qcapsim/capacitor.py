@@ -221,12 +221,16 @@ def design_check(design: CapacitorDesign, T: float) -> DesignReport:
 
     thickness_ok requires 3 nm < t < 70 nm; dominance_ok requires
     C_0/C_G <= 0.1 so the quantum capacitance controls the series
-    combination by an order of magnitude.
+    combination by an order of magnitude.  Raises :class:`ValueError` when
+    C_G in fF/um^2 or C_0/C_G is not finite.
     """
     require_positive_temperature(T)
     cg = geometric_capacitance(design)
     c0 = linear_capacitance_C0(T)
     ratio = c0 / cg
+    if not (math.isfinite(f_per_m2_to_ff_per_um2(cg)) and math.isfinite(ratio)):
+        raise ValueError(f"design out of range: C_G = {f_per_m2_to_ff_per_um2(cg):.4g} fF/um^2 "
+                         f"and C_0/C_G = {ratio:.4g} must be finite")
     thickness_ok = THICKNESS_MIN < design.dielectric_thickness_t < THICKNESS_MAX
     dominance_ok = ratio <= DOMINANCE_MAX_RATIO
     t_nm = m_to_nm(design.dielectric_thickness_t)

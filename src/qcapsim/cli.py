@@ -57,7 +57,7 @@ from .errors import ConfigError, CutoffNotConverged, NonPositiveArea, SingularSy
 from .mode import (
     FOCK_CUTOFF_MAX,
     OscillatorSpec,
-    anharmonicity_engineering,
+    anharmonicity_percent_printed,
     nonlinear_time_constant,
     photon_amplitude,
     photon_number_limit,
@@ -66,7 +66,7 @@ from .mode import (
     suggested_fock_cutoff,
     warn_if_strongly_anharmonic,
 )
-from .multimode import PumpSpec, classify_interaction, single_photon_rate_engineering
+from .multimode import PumpSpec, classify_interaction, gamma_nml, single_photon_rate_printed
 from .tables import csv_text, json_text, table_csv, table_json
 
 # The numpy-backed kernels are imported on first use, so that design-check,
@@ -257,7 +257,10 @@ def _cmd_sweep_capacitance(args) -> int:
     design = CapacitorDesign(
         dielectric_thickness_t=nm_to_m(thickness_nm), relative_permittivity=epsr
     )
-    grid = np.linspace(-vmax, vmax, n_points)
+    # linspace overflows in vmax - (-vmax) past the float range; the sweep
+    # rejects the non-finite grid once it has checked each temperature
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(-vmax, vmax, n_points)
     result = _kernel("capacitance_sweep")(design, temperatures, grid)
     _emit_columns(args, SWEEP_CSV_HEADER, result.columns())
     return 0
@@ -283,6 +286,11 @@ def _cmd_design_check(args) -> int:
     return 0
 
 
+def _anharmonicity_percent(tau: float, omega: float) -> float:
+    """The defining anharmonicity 3*tau*omega of the quartic mode, in percent."""
+    return 3.0 * tau * omega * 100.0
+
+
 def _cmd_qubit(args) -> int:
     omega = ghz_to_rad_per_s(args.f)
     area = um2_to_m2(args.S)
@@ -290,7 +298,7 @@ def _cmd_qubit(args) -> int:
     cutoff = args.cutoff if args.cutoff is not None else suggested_fock_cutoff(tau * omega)
     spec = OscillatorSpec(omega=omega, tau=tau, fock_cutoff=cutoff)
     chi, psi = photon_amplitude(area, args.T, omega)
-    anh = anharmonicity_engineering(args.T, args.f, args.S)
+    anh_printed = anharmonicity_percent_printed(args.T, args.f, args.S)
     record = {
         "T_K": args.T,
         "f_GHz": args.f,
@@ -301,8 +309,8 @@ def _cmd_qubit(args) -> int:
         "chi_per_m2_sqrt_s": chi,
         "psi_per_m2": psi,
         "tank_inductance_H": resonant_inductance(area, args.T, omega),
-        "anharmonicity_percent_printed": anh.percent_printed,
-        "anharmonicity_percent_symbolic": anh.percent_symbolic,
+        "anharmonicity_percent_printed": anh_printed,
+        "anharmonicity_percent_symbolic": _anharmonicity_percent(tau, omega),
         "n_max_printed": photon_number_limit(args.T, args.f),
         "n_max_derived": photon_number_limit_derived(args.T, args.f),
     }
@@ -333,7 +341,7 @@ def _cmd_coupling(args) -> int:
         tau,
         tolerance=TWO_PI * 1e6 * args.tolerance_mhz,
     )
-    rate = single_photon_rate_engineering(args.T, args.f, args.f1, args.f2, args.S)
+    printed = single_photon_rate_printed(args.T, args.f, args.f1, args.f2, args.S)
     record = {
         "T_K": args.T,
         "f_GHz": args.f,
@@ -345,9 +353,9 @@ def _cmd_coupling(args) -> int:
         "detuning_rad_s": classification.detuning,
         "G_rad_s": classification.G,
         "theta_rad": theta,
-        "g0_printed_rad_s": rate.g0_printed_rad_s,
-        "g0_symbolic_rad_s": rate.g0_symbolic_rad_s,
-        "ratio_symbolic_to_printed": rate.ratio_symbolic_to_printed,
+        "g0_printed_rad_s": printed,
+        "g0_symbolic_rad_s": classification.g0,
+        "ratio_symbolic_to_printed": classification.g0 / printed,
     }
     _emit_record(args, record)
     return 0
@@ -435,9 +443,10 @@ def _verify_rows() -> tuple[tuple, ...]:
     ``rel_tol``, and the row reads FLAG.
     """
     design = CapacitorDesign(dielectric_thickness_t=7e-9, relative_permittivity=4.0)
-    g0_1k = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0)
-    g0_4k = single_photon_rate_engineering(4.0, 4.0, 2.0, 10.0, 100.0)
-    g0_quarter = single_photon_rate_engineering(0.25, 4.0, 2.0, 10.0, 100.0)
+    g0_1k = single_photon_rate_printed(1.0, 4.0, 2.0, 10.0, 100.0)
+    tau_1k = nonlinear_time_constant(um2_to_m2(100.0), 1.0)  # the 1 K example's tau
+    # tau and omega at S = 1 um^2, T = 1 K, f = 1 GHz: the published coefficients
+    tau_unit, omega_unit = nonlinear_time_constant(um2_to_m2(1.0), 1.0), ghz_to_rad_per_s(1.0)
     return (
         ("cg_areal", "geometric capacitance at eps_r=4, t=7 nm (fF/um^2)",
          5.06, 0.005, None, "", f_per_m2_to_ff_per_um2(geometric_capacitance(design))),
@@ -447,29 +456,30 @@ def _verify_rows() -> tuple[tuple, ...]:
          None, "", farad_to_femtofarad(um2_to_m2(100.0) * linear_capacitance_C0(1.0))),
         ("g0_1k_2pi_mhz",
          "single-photon rate at T=1 K, f=4, f1=2, f2=10 GHz, S=100 um^2 (2pi x MHz)",
-         25.55, 0.005, None, "", g0_1k.g0_printed_rad_s / (TWO_PI * 1e6)),
-        ("g0_4k_2pi_khz", "single-photon rate at T=4 K (2pi x kHz)",
-         399.2, 0.005, None, "", g0_4k.g0_printed_rad_s / (TWO_PI * 1e3)),
-        ("g0_0p25k_2pi_ghz", "single-photon rate at T=0.25 K (2pi x GHz)",
-         1.635, 0.005, None, "", g0_quarter.g0_printed_rad_s / (TWO_PI * 1e9)),
+         25.55, 0.005, None, "", g0_1k / (TWO_PI * 1e6)),
+        ("g0_4k_2pi_khz", "single-photon rate at T=4 K (2pi x kHz)", 399.2, 0.005, None, "",
+         single_photon_rate_printed(4.0, 4.0, 2.0, 10.0, 100.0) / (TWO_PI * 1e3)),
+        ("g0_0p25k_2pi_ghz", "single-photon rate at T=0.25 K (2pi x GHz)", 1.635, 0.005, None, "",
+         single_photon_rate_printed(0.25, 4.0, 2.0, 10.0, 100.0) / (TWO_PI * 1e9)),
         ("anharmonicity_0p5k_pct", "anharmonicity at T=0.5 K, f=4 GHz, S=100 um^2 (percent)",
-         13.71, 0.01, None, "", anharmonicity_engineering(0.5, 4.0, 100.0).percent_printed),
+         13.71, 0.01, None, "", anharmonicity_percent_printed(0.5, 4.0, 100.0)),
         ("anharmonicity_1k_pct", "anharmonicity at T=1 K, f=4 GHz, S=100 um^2 (percent)",
          1.1714, 0.01, 1.714, "published value is internally inconsistent: the published formula "
-         "42.85 f/(S T^3) gives 1.714", anharmonicity_engineering(1.0, 4.0, 100.0).percent_printed),
+         "42.85 f/(S T^3) gives 1.714", anharmonicity_percent_printed(1.0, 4.0, 100.0)),
         ("photon_limit_coefficient", "photon-number limit coefficient n_max = coeff * T/f",
          41.7, 0.01, None, "", photon_number_limit_derived(1.0, 1.0)),
         ("anharmonicity_coefficient", "anharmonicity coefficient A = coeff * f/(S T^3) percent",
-         42.85, 0.005, None, "", anharmonicity_engineering(1.0, 1.0, 1.0).percent_symbolic),
+         42.85, 0.005, None, "", _anharmonicity_percent(tau_unit, omega_unit)),
         ("rate_coefficient",
          "single-photon rate coefficient g0 = 2pi x coeff f sqrt(f1 f2)/(S T^3) GHz", 0.143, 0.005,
-         None, "", single_photon_rate_engineering(1.0, 1.0, 1.0, 1.0, 1.0).g0_symbolic_rad_s
+         None, "", 3.0 * gamma_nml(tau_unit, omega_unit, omega_unit, omega_unit)
          / (3.0 * TWO_PI * 1e9)),
         ("g0_definition_factor",
          "ratio of the defined rate 3*gamma_012 to the published coefficient formula", 1.0, 0.005,
          3.0, "the defining relation g0 = 3*gamma_012 exceeds the published coefficient formula "
          "by a factor of 3; the published example values all follow the coefficient",
-         g0_1k.ratio_symbolic_to_printed),
+         3.0 * gamma_nml(tau_1k, ghz_to_rad_per_s(4.0), ghz_to_rad_per_s(2.0),
+                         ghz_to_rad_per_s(10.0)) / g0_1k),
         ("quartic_coefficient_ratio", "ratio of the quartic stored-energy coefficient to the one "
          "implied by inverting the charge series N = c1 V + c3 V^3, at T=1 K", 1.0, 1e-9, 12.0,
          "the stored-energy series carries 12 times the quartic term of the inverted charge "

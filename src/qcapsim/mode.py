@@ -8,7 +8,7 @@ quartic anharmonic oscillator:
 with tau the nonlinear time constant set by the capacitor area and the
 temperature.  This module provides the mode specification, tau, the photon
 amplitude, the tank inductance, the Hamiltonian coefficients, the Fock
-cutoff rule, the perturbative/engineering anharmonicity estimates and the
+cutoff rule, the printed anharmonicity formula and the
 photon-number validity limit of the quartic truncation, all in ``math``.
 The Fock-basis oracle, which needs matrices, is in :mod:`qcapsim.oscillator`.
 """
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 from .capacitor import linear_capacitance_C0
 from .constants import (
-    H, HBAR, K_B, V_F, ghz_to_hz, ghz_to_rad_per_s, require_positive, require_positive_temperature,
-    um2_to_m2,
+    H, HBAR, K_B, V_F, ghz_to_hz, require_positive, require_positive_temperature,
 )
 from .errors import NonPositiveArea, PerturbativeRegimeExceeded
 
@@ -59,19 +58,6 @@ class OscillatorSpec:
             raise ValueError(
                 f"fock_cutoff must be in [10, {FOCK_CUTOFF_MAX}], got {self.fock_cutoff}"
             )
-
-
-@dataclass(frozen=True)
-class AnharmonicityEstimate:
-    """Printed engineering anharmonicity next to its re-derivation.
-
-    ``percent_printed`` evaluates the published coefficient 42.85 as-is;
-    ``percent_symbolic`` is 3*tau*omega re-derived in SI.  The two agree to
-    about 0.4% (the published coefficient is a 4-digit rounding).
-    """
-
-    percent_printed: float
-    percent_symbolic: float
 
 
 def warn_if_strongly_anharmonic(
@@ -116,10 +102,9 @@ def nonlinear_time_constant(area_S: float, temperature_T: float) -> float:
 
     Also evaluates the equivalent chi-based form
     pi^3 S hbar^5 v_F^6 chi^4 / 2 ln^4(16) (k_B T)^5 and insists the two
-    agree to 1e-10 relative, as a transcription guard.  The chi form's
-    range checks also bound the joint range of S and T that the T**3 of
-    the printed formulas (anharmonicity, single-photon rate) relies on, so
-    both call this first.  Raises
+    agree to 1e-10 relative, as a transcription guard.  The printed
+    formulas (anharmonicity, single-photon rate) do not read tau: they
+    guard their own S T^3 through :func:`_printed_denominator`.  Raises
     :class:`ValueError` when tau or any intermediate of either form is not
     a finite, normal float > 0, since both forms would then have lost
     digits.
@@ -190,27 +175,33 @@ def suggested_fock_cutoff(tau_omega: float) -> int:
     """
     if tau_omega <= 0.0:
         return SUGGESTED_CUTOFF_MAX
-    safe = int(math.floor(math.sqrt(12.0 / tau_omega))) - CONVERGENCE_CUTOFF_STEP
+    root = math.sqrt(12.0 / tau_omega)  # inf for a subnormal tau_omega, which int() refuses
+    if root >= SUGGESTED_CUTOFF_MAX + CONVERGENCE_CUTOFF_STEP:  # the clamp reads the maximum
+        return SUGGESTED_CUTOFF_MAX
+    safe = int(math.floor(root)) - CONVERGENCE_CUTOFF_STEP
     return max(10, min(SUGGESTED_CUTOFF_MAX, safe))
 
 
 # --- engineering estimates ---------------------------------------------------
 
-def anharmonicity_engineering(T: float, f: float, S: float) -> AnharmonicityEstimate:
-    """Anharmonicity estimate from the published coefficient, in percent.
+def _printed_denominator(S: float, T: float) -> float:
+    """S T^3 of the printed formulas (S in um^2, T in K); :class:`ValueError`
+    unless it is a finite, normal float > 0."""
+    try:  # float ** raises on overflow
+        den = S * T**3
+    except OverflowError:
+        den = math.inf
+    require_positive(den, "S T^3 of the printed formula")
+    return den
 
-    ``T`` in K, ``f`` in GHz, ``S`` in um^2.  The printed field evaluates
-    42.85 * f / (S T^3) exactly as published; the symbolic field re-derives
-    3*tau*omega from SI constants.
-    """
+
+def anharmonicity_percent_printed(T: float, f: float, S: float) -> float:
+    """Anharmonicity 42.85 * f / (S T^3) percent as published (T in K, f in
+    GHz, S in um^2): a 4-digit rounding of 3*tau*omega, to about 0.4%."""
     require_positive_temperature(T)
     require_positive(f, "frequency (GHz)")
     require_positive(S, "area (um^2)")
-    tau = nonlinear_time_constant(um2_to_m2(S), T)  # first: it checks the range of S and T
-    return AnharmonicityEstimate(
-        percent_printed=ANHARMONICITY_COEFF_PRINTED * f / (S * T**3),
-        percent_symbolic=3.0 * tau * ghz_to_rad_per_s(f) * 100.0,
-    )
+    return ANHARMONICITY_COEFF_PRINTED * f / _printed_denominator(S, T)
 
 
 def photon_number_limit(T: float, f: float) -> float:

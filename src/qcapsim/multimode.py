@@ -7,8 +7,8 @@ approximation, either a hopping (beam-splitter) interaction when
 2*Omega = w1 - w2 or a parametric (pair-creation) interaction when
 2*Omega = w1 + w2, with pump-enhanced strength G = 3*gamma_012*n at pump
 photon number n = |a|^2.  This module classifies that selection, evaluates
-the published single-photon rate formula next to its SI re-derivation, and
-provides the quantum RC charging time.
+the published single-photon rate formula, and provides the quantum RC
+charging time.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .constants import E, HBAR, TWO_PI, V_F, ghz_to_rad_per_s, require_positive, um2_to_m2
+from .constants import E, HBAR, TWO_PI, V_F, require_positive
 from .errors import AmbiguousResonance, NonPositiveArea
-from .mode import nonlinear_time_constant
+from .mode import _printed_denominator
 
 # printed engineering coefficient: g0 = 2 pi x 0.143 f sqrt(f1 f2)/(S T^3) GHz
 SINGLE_PHOTON_RATE_COEFF_PRINTED = 0.143
@@ -58,7 +58,8 @@ class InteractionClassification:
 
     kind: InteractionKind
     detuning: float  # rad/s, residual mismatch of the matched (or nearest) condition
-    G: float         # rad/s, pump-enhanced interaction rate
+    G: float         # rad/s, pump-enhanced interaction rate g0 * n
+    g0: float        # rad/s, single-photon rate 3 * gamma_012
 
 
 def gamma_nml(tau: float, omega_n: float, omega_m: float, omega_l: float) -> float:
@@ -92,7 +93,8 @@ def classify_interaction(
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     d_hop = abs(2.0 * pump.Omega - abs(omega_1 - omega_2))
     d_par = abs(2.0 * pump.Omega - (omega_1 + omega_2))
-    strength = 3.0 * gamma_nml(tau, pump.Omega, omega_1, omega_2) * pump.photon_number
+    g0 = 3.0 * gamma_nml(tau, pump.Omega, omega_1, omega_2)
+    strength = g0 * pump.photon_number
     if not math.isfinite(strength):
         raise ValueError(f"interaction rate G out of range: {strength} rad/s is not finite")
     hop = d_hop <= tolerance
@@ -107,47 +109,23 @@ def classify_interaction(
         kind, detuning = InteractionKind.PARAMETRIC, d_par
     else:
         kind, detuning = InteractionKind.OFF_RESONANT, min(d_hop, d_par)
-    return InteractionClassification(kind=kind, detuning=detuning, G=strength)
+    return InteractionClassification(kind=kind, detuning=detuning, G=strength, g0=g0)
 
 
-@dataclass(frozen=True)
-class SinglePhotonRate:
-    """Published single-photon rate formula next to its SI re-derivation.
+def single_photon_rate_printed(T: float, f: float, f1: float, f2: float, S: float) -> float:
+    """Single-photon rate 2 pi x 0.143 f sqrt(f1 f2)/(S T^3) GHz as published,
+    in rad/s (T in K; pump f and modes f1, f2 in GHz; S in um^2).
 
-    The published coefficient 0.143 reproduces gamma_012, while the same
-    text defines g0 = 3*gamma_012; the ratio field makes the factor-3
-    inconsistency visible and parameter-independent.  Tests pin the
-    published values; both numbers are first-class outputs.
-    """
-
-    g0_printed_rad_s: float
-    g0_symbolic_rad_s: float   # 3 * gamma_012 from SI constants
-    ratio_symbolic_to_printed: float
-
-
-def single_photon_rate_engineering(
-    T: float, f: float, f1: float, f2: float, S: float
-) -> SinglePhotonRate:
-    """Single-photon interaction rate for pump f and modes f1, f2 (GHz),
-    capacitor area S (um^2), temperature T (K).
-
-    ``g0_printed_rad_s`` evaluates 2 pi x 0.143 f sqrt(f1 f2)/(S T^3) GHz
-    exactly as published; ``g0_symbolic_rad_s`` is 3*gamma_012 with tau
-    re-derived in SI.
+    0.143 reproduces gamma_012, while the same text defines g0 = 3*gamma_012
+    (:attr:`InteractionClassification.g0`), three times this rate.  Raises
+    :class:`ValueError` unless the rate is a finite, normal float > 0.
     """
     for name, value in (("T", T), ("f", f), ("f1", f1), ("f2", f2), ("S", S)):
         require_positive(value, name)
-    tau = nonlinear_time_constant(um2_to_m2(S), T)  # first: it checks the range of S and T
-    printed = (
-        2.0 * math.pi * SINGLE_PHOTON_RATE_COEFF_PRINTED
-        * f * math.sqrt(f1 * f2) / (S * T**3) * 1e9
-    )
-    symbolic = 3.0 * gamma_nml(tau, ghz_to_rad_per_s(f), ghz_to_rad_per_s(f1), ghz_to_rad_per_s(f2))
-    return SinglePhotonRate(
-        g0_printed_rad_s=printed,
-        g0_symbolic_rad_s=symbolic,
-        ratio_symbolic_to_printed=symbolic / printed,
-    )
+    den = _printed_denominator(S, T)
+    printed = 2.0 * math.pi * SINGLE_PHOTON_RATE_COEFF_PRINTED * f * math.sqrt(f1 * f2) / den * 1e9
+    require_positive(printed, "printed single-photon rate (rad/s)")
+    return printed
 
 
 def quantum_rc_time(S: float, E_F: float) -> float:

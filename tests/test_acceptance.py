@@ -43,8 +43,8 @@ from qcapsim.circulator import (
 )
 from qcapsim.cli import _verify_rows
 from qcapsim.constants import E, HBAR, K_B, V_F, f_per_m2_to_ff_per_um2, fermi_energy
-from qcapsim.mode import OscillatorSpec, anharmonicity_engineering, nonlinear_time_constant
-from qcapsim.multimode import quantum_conductance, quantum_rc_time, single_photon_rate_engineering
+from qcapsim.mode import OscillatorSpec, anharmonicity_percent_printed, nonlinear_time_constant
+from qcapsim.multimode import quantum_conductance, quantum_rc_time, single_photon_rate_printed
 from qcapsim.oscillator import fock_diagonalize
 
 TWO_PI = 2.0 * math.pi
@@ -80,9 +80,9 @@ def test_criterion_2_linear_capacitance():
 
 
 def test_criterion_3_single_photon_rates():
-    r1 = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0).g0_printed_rad_s
-    r4 = single_photon_rate_engineering(4.0, 4.0, 2.0, 10.0, 100.0).g0_printed_rad_s
-    rq = single_photon_rate_engineering(0.25, 4.0, 2.0, 10.0, 100.0).g0_printed_rad_s
+    r1 = single_photon_rate_printed(1.0, 4.0, 2.0, 10.0, 100.0)
+    r4 = single_photon_rate_printed(4.0, 4.0, 2.0, 10.0, 100.0)
+    rq = single_photon_rate_printed(0.25, 4.0, 2.0, 10.0, 100.0)
     ok = (
         abs(r1 / (TWO_PI * 25.55e6) - 1.0) <= 0.005
         and abs(r4 / (TWO_PI * 399.2e3) - 1.0) <= 0.005
@@ -98,7 +98,7 @@ def test_criterion_3_single_photon_rates():
 
 
 def test_criterion_4_anharmonicity_values_and_flag():
-    half_kelvin = anharmonicity_engineering(0.5, 4.0, 100.0).percent_printed
+    half_kelvin = anharmonicity_percent_printed(0.5, 4.0, 100.0)
     ok = abs(half_kelvin - 13.71) / 13.71 <= 0.01
 
     # T = 1 K: the published 1.1714 disagrees with the published formula
@@ -260,9 +260,9 @@ def test_criterion_9_property_suites():
             8.0, rel=1e-12, abs=0.0
         )
         f, f1, f2 = (float(x) for x in rng.uniform(0.5, 12.0, size=3))
-        r = single_photon_rate_engineering(T, f, f1, f2, S * 1e12)
-        r_hot = single_photon_rate_engineering(2 * T, f, f1, f2, S * 1e12)
-        assert r.g0_printed_rad_s / r_hot.g0_printed_rad_s == pytest.approx(8.0, rel=1e-12, abs=0.0)
+        r = single_photon_rate_printed(T, f, f1, f2, S * 1e12)
+        r_hot = single_photon_rate_printed(2 * T, f, f1, f2, S * 1e12)
+        assert r / r_hot == pytest.approx(8.0, rel=1e-12, abs=0.0)
         instances += 1
 
     # gauge invariance of |S| under flux-preserving phase shifts (60 x 3)

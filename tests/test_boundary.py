@@ -6,6 +6,8 @@ subcommands, and every numeric literal of every bundled config, is set in
 turn to each value in ``EXTREMES`` in both output formats.  The exit code
 must be 0, 1 or 2 (argparse's own usage errors exit 2 through
 ``SystemExit``), and a run that exits 0 must write no nan or inf token.
+Pairs of numeric flags are also set together, to ``JOINT_EXTREMES`` and
+``PAIR_EXTREMES``.
 No value here can request a large grid or cutoff: ``int()`` rejects the
 non-integer spellings at the boundary.
 
@@ -16,6 +18,7 @@ config error that names its key.
 """
 
 import copy
+import itertools
 import json
 import re
 from importlib import resources
@@ -24,7 +27,7 @@ import pytest
 
 from qcapsim.cli import main
 
-EXTREMES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300")
+EXTREMES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "1e308", "1e-310", "5e-324")
 
 NUMERIC_FLAGS = {
     "sweep-capacitance": ("--T", "--vmax", "--points", "--thickness-nm", "--epsr", "--S"),
@@ -150,10 +153,15 @@ def test_numeric_flags_stay_inside_the_exit_contract(capsys, fmt):
     assert not failures, "\n".join(failures)
 
 
-# the single-flag cases never set T and S to extremes together; the printed
-# formulas' T**3 (qubit's anharmonicity, coupling's rate) rely on the range
-# that the chi form of the nonlinear time constant checks for both at once
+# the single-flag cases never set two flags to extremes together, and a pair
+# can break the contract where neither flag alone does: S T^3 of the printed
+# formulas (qubit's anharmonicity, coupling's rate), which guard it themselves,
+# or C_G * C_Q of the series capacitance.  T x S gets a dense grid, every other
+# pair of numeric flags a sparse one of extremes and subnormals
 JOINT_EXTREMES = tuple(f"1e{exponent}" for exponent in range(-300, 301, 30))
+PAIR_EXTREMES = ("5e-324", "1e-310", "1e-250", "1e-150", "1e150", "1e250", "1e308")
+# the sweeps take 3 grid points unless --points is one of the pair
+PAIR_POINTS = ("--points=3",)
 
 
 # a strongly anharmonic pair warns and still exits 0, as a real run does
@@ -164,6 +172,19 @@ def test_temperature_and_area_at_joint_extremes_stay_inside_the_exit_contract(ca
         for T in JOINT_EXTREMES:
             for S in JOINT_EXTREMES:
                 argv = [*command, f"--T={T}", f"--S={S}"]
+                failures.append(_failure(capsys, argv, " ".join(argv)))
+    failures = [f for f in failures if f]
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.filterwarnings("ignore::qcapsim.errors.PerturbativeRegimeExceeded")
+def test_pairs_of_numeric_flags_at_extremes_stay_inside_the_exit_contract(capsys):
+    failures = []
+    for command, flags in NUMERIC_FLAGS.items():
+        for first, second in itertools.combinations(flags, 2):
+            points = PAIR_POINTS if "--points" in flags and "--points" not in (first, second) else ()
+            for a, b in itertools.product(PAIR_EXTREMES, repeat=2):
+                argv = [command, *BASE_ARGS.get(command, ()), *points, f"{first}={a}", f"{second}={b}"]
                 failures.append(_failure(capsys, argv, " ".join(argv)))
     failures = [f for f in failures if f]
     assert not failures, "\n".join(failures)

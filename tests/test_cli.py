@@ -572,6 +572,44 @@ def test_sweep_reports_the_first_bad_temperature(temperatures, message, capsys):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+NOT_NORMAL = "out of range: must be a finite, normal float > 0, got"
+SWEEP_NOT_FINITE = "the voltage, C_Q or the series capacitance in fF/um^2 is not finite"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # 12/tau_omega overflows in the cutoff rule; the printed formula rejects f
+        (("qubit", "--skip-spectrum", "--f=1e-310"), f"frequency (GHz) {NOT_NORMAL} 1e-310"),
+        # the printed rate underflows to 0 and the ratio would divide by it
+        (("coupling", "--f=1e-250", "--S=1e150"), f"printed single-photon rate (rad/s) {NOT_NORMAL} 0.0"),
+        (("coupling", "--f1=2.3e-308", "--f2=2.3e-308"),
+         f"printed single-photon rate (rad/s) {NOT_NORMAL} 0.0"),
+        # vmax - (-vmax) overflows in linspace
+        (("sweep-capacitance", "--vmax=1e308", "--T=1", "--points=3"),
+         f"sweep out of range at T = 1 K, V = nan V: {SWEEP_NOT_FINITE}"),
+        # C_Q overflows, then the product C_G * C_Q of the series formula, then C_G
+        (("sweep-capacitance", "--T=1e-250", "--vmax=1e150", "--points=3"),
+         f"sweep out of range at T = 1e-250 K, V = -1e+150 V: {SWEEP_NOT_FINITE}"),
+        (("sweep-capacitance", "--T=1e50", "--epsr=1e308", "--points=3"),
+         f"sweep out of range at T = 1e+50 K, V = -0.05 V: {SWEEP_NOT_FINITE}"),
+        (("sweep-capacitance", "--thickness-nm=1e-250", "--epsr=1e150", "--points=3"),
+         f"sweep out of range at T = 0 K, V = -0.05 V: {SWEEP_NOT_FINITE}"),
+        # a bad temperature still wins over a bad voltage range
+        (("sweep-capacitance", "--T=5e-324", "--vmax=1e308"), f"temperature (K) {NOT_NORMAL} 5e-324"),
+        (("design-check", "--thickness-nm=1e-250", "--epsr=1e150"),
+         "design out of range: C_G = inf fF/um^2 and C_0/C_G = 0 must be finite"),
+        (("design-check", "--thickness-nm=1e50", "--T=1e308"),
+         "design out of range: C_G = 3.542e-49 fF/um^2 and C_0/C_G = inf must be finite"),
+    ],
+)
+def test_overflow_and_underflow_exit_two_with_a_message(argv, message, capsys):
+    """Each run exited 1 with a traceback, or 0 with nan or inf in its data;
+    under the suite's warnings-as-errors, no numpy RuntimeWarning escapes."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "key,value",
     [("delta_min_GHz", float("nan")), ("kappa", [2.0, float("nan"), 2.0])],

@@ -17,7 +17,7 @@ from qcapsim.multimode import (
     gamma_nml,
     quantum_conductance,
     quantum_rc_time,
-    single_photon_rate_engineering,
+    single_photon_rate_printed,
 )
 from qcapsim.mode import nonlinear_time_constant, photon_number_limit_derived
 
@@ -160,22 +160,22 @@ def test_default_tolerance_is_one_megahertz():
 # --- published single-photon rates ---------------------------------------------------
 
 def test_single_photon_rate_published_values():
-    rate_1k = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0)
-    assert rate_1k.g0_printed_rad_s / (TWO_PI * 1e6) == pytest.approx(25.55, rel=5e-3, abs=0.0)
-    rate_4k = single_photon_rate_engineering(4.0, 4.0, 2.0, 10.0, 100.0)
-    assert rate_4k.g0_printed_rad_s / (TWO_PI * 1e3) == pytest.approx(399.2, rel=5e-3, abs=0.0)
-    rate_quarter = single_photon_rate_engineering(0.25, 4.0, 2.0, 10.0, 100.0)
-    assert rate_quarter.g0_printed_rad_s / (TWO_PI * 1e9) == pytest.approx(1.635, rel=5e-3, abs=0.0)
+    rate_1k = single_photon_rate_printed(1.0, 4.0, 2.0, 10.0, 100.0)
+    assert rate_1k / (TWO_PI * 1e6) == pytest.approx(25.55, rel=5e-3, abs=0.0)
+    rate_4k = single_photon_rate_printed(4.0, 4.0, 2.0, 10.0, 100.0)
+    assert rate_4k / (TWO_PI * 1e3) == pytest.approx(399.2, rel=5e-3, abs=0.0)
+    rate_quarter = single_photon_rate_printed(0.25, 4.0, 2.0, 10.0, 100.0)
+    assert rate_quarter / (TWO_PI * 1e9) == pytest.approx(1.635, rel=5e-3, abs=0.0)
 
 
 def test_single_photon_rate_exact_scalings():
-    base = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0)
-    hot = single_photon_rate_engineering(4.0, 4.0, 2.0, 10.0, 100.0)
-    cold = single_photon_rate_engineering(0.25, 4.0, 2.0, 10.0, 100.0)
-    big = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 1000.0)
-    assert base.g0_printed_rad_s / hot.g0_printed_rad_s == pytest.approx(64.0, rel=1e-12, abs=0.0)
-    assert cold.g0_printed_rad_s / base.g0_printed_rad_s == pytest.approx(64.0, rel=1e-12, abs=0.0)
-    assert base.g0_printed_rad_s / big.g0_printed_rad_s == pytest.approx(10.0, rel=1e-12, abs=0.0)
+    base = single_photon_rate_printed(1.0, 4.0, 2.0, 10.0, 100.0)
+    hot = single_photon_rate_printed(4.0, 4.0, 2.0, 10.0, 100.0)
+    cold = single_photon_rate_printed(0.25, 4.0, 2.0, 10.0, 100.0)
+    big = single_photon_rate_printed(1.0, 4.0, 2.0, 10.0, 1000.0)
+    assert base / hot == pytest.approx(64.0, rel=1e-12, abs=0.0)
+    assert cold / base == pytest.approx(64.0, rel=1e-12, abs=0.0)
+    assert base / big == pytest.approx(10.0, rel=1e-12, abs=0.0)
 
 
 def test_symbolic_rate_is_thrice_the_printed_formula():
@@ -189,9 +189,10 @@ def test_symbolic_rate_is_thrice_the_printed_formula():
         f1 = float(rng.uniform(0.5, 12.0))
         f2 = float(rng.uniform(0.5, 12.0))
         S = float(rng.uniform(1.0, 500.0))
-        ratios.append(
-            single_photon_rate_engineering(T, f, f1, f2, S).ratio_symbolic_to_printed
-        )
+        pump = PumpSpec(Omega=ghz_to_rad_per_s(f), photon_number=1.0)
+        tau = nonlinear_time_constant(S * 1e-12, T)
+        g0 = classify_interaction(pump, ghz_to_rad_per_s(f1), ghz_to_rad_per_s(f2), tau).g0
+        ratios.append(g0 / single_photon_rate_printed(T, f, f1, f2, S))
     ratios = np.asarray(ratios)
     assert np.all(np.abs(ratios / 3.0 - 1.0) < 5e-3)
     assert np.max(ratios) - np.min(ratios) < 1e-12 * 3.0
@@ -199,9 +200,12 @@ def test_symbolic_rate_is_thrice_the_printed_formula():
 
 def test_single_photon_rate_json_shape(capsys):
     doc = _coupling_record(capsys)
-    rate = single_photon_rate_engineering(1.0, 4.0, 2.0, 10.0, 100.0)
-    for key in ("g0_printed_rad_s", "g0_symbolic_rad_s", "ratio_symbolic_to_printed"):
-        assert doc[key] == pytest.approx(getattr(rate, key), rel=1e-11, abs=0.0)
+    printed = single_photon_rate_printed(1.0, 4.0, 2.0, 10.0, 100.0)
+    pump = PumpSpec(Omega=ghz_to_rad_per_s(4.0), photon_number=1.0)
+    g0 = classify_interaction(pump, ghz_to_rad_per_s(2.0), ghz_to_rad_per_s(10.0), TAU).g0
+    assert doc["g0_printed_rad_s"] == pytest.approx(printed, rel=1e-11, abs=0.0)
+    assert doc["g0_symbolic_rad_s"] == pytest.approx(g0, rel=1e-11, abs=0.0)
+    assert doc["ratio_symbolic_to_printed"] == pytest.approx(g0 / printed, rel=1e-11, abs=0.0)
 
 
 # The abstract: ultrastrong coupling "is easily reached with small number of
@@ -283,14 +287,22 @@ def test_single_photon_rate_rejects_bad_inputs(index, bad):
     args = [1.0, 4.0, 2.0, 10.0, 100.0]
     args[index] = bad
     with pytest.raises(ValueError):
-        single_photon_rate_engineering(*args)
+        single_photon_rate_printed(*args)
 
 
 # --- domain types ----------------------------------------------------------------------
 
 def test_single_photon_rate_rejects_out_of_range_temperature():
-    with pytest.raises(ValueError, match="out of range"):
-        single_photon_rate_engineering(1e300, 4.0, 2.0, 10.0, 100.0)
+    with pytest.raises(ValueError, match="S T\\^3 of the printed formula out of range"):
+        single_photon_rate_printed(1e300, 4.0, 2.0, 10.0, 100.0)
+
+
+def test_single_photon_rate_rejects_a_rate_out_of_range():
+    # every input is normal, but the rate underflows to 0 or overflows
+    for args in ((1.0, 1e-250, 2.0, 10.0, 1e150), (1.0, 4.0, 2.3e-308, 2.3e-308, 100.0),
+                 (1.0, 1e300, 1e300, 1e300, 1e-300)):
+        with pytest.raises(ValueError, match="printed single-photon rate \\(rad/s\\) out of range"):
+            single_photon_rate_printed(*args)
 
 
 def test_pump_spec_carries_the_photon_number():
@@ -300,7 +312,9 @@ def test_pump_spec_carries_the_photon_number():
     gamma = gamma_nml(TAU, _ghz(4.0), _ghz(2.0), _ghz(10.0))
     for n in (2.0, 0.1, 1e-3, 7.3e3):
         pump = PumpSpec(Omega=_ghz(4.0), photon_number=n)
-        assert classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU).G == 3.0 * gamma * n
+        result = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU)
+        assert result.g0 == 3.0 * gamma
+        assert result.G == 3.0 * gamma * n
 
 
 def test_pump_spec_validation():

@@ -14,7 +14,7 @@ from qcapsim.errors import CutoffNotConverged, NonPositiveArea, NonPositiveTempe
 from qcapsim.mode import (
     FOCK_CUTOFF_MAX,
     OscillatorSpec,
-    anharmonicity_engineering,
+    anharmonicity_percent_printed,
     hamiltonian_coefficients,
     nonlinear_time_constant,
     photon_amplitude,
@@ -310,6 +310,13 @@ def test_suggested_fock_cutoff():
     assert suggested_fock_cutoff(1e-4) == 80
     assert suggested_fock_cutoff(5.7e-3) in range(20, 31)
     assert suggested_fock_cutoff(1.0) == 10
+    # min(80, floor(x) - 20) is 80 exactly when x >= 100, so the rule clamps
+    # before 12/tau_omega, inf for a subnormal tau_omega, reaches int()
+    for tau_omega in (5e-324, 1e-315, 1e-310, 2.3e-308, 1e-300, 12.0 / 100.0**2):
+        assert suggested_fock_cutoff(tau_omega) == 80
+    for tau_omega in np.geomspace(1e-300, 1.0, 2001).tolist():
+        floor_rule = math.floor(math.sqrt(12.0 / tau_omega)) - 20
+        assert suggested_fock_cutoff(tau_omega) == max(10, min(80, floor_rule))
     # the suggestion converges for the published example parameters
     tau = nonlinear_time_constant(AREA, 1.0)
     cutoff = suggested_fock_cutoff(tau * OMEGA)
@@ -370,20 +377,20 @@ def test_spec_validation():
 # --- engineering estimates ------------------------------------------------------------
 
 def test_anharmonicity_engineering_published_values():
-    est = anharmonicity_engineering(0.5, 4.0, 100.0)
-    assert est.percent_printed == pytest.approx(13.71, rel=0.01, abs=0.0)
-    assert est.percent_printed == pytest.approx(13.712, rel=1e-6, abs=0.0)
+    half_kelvin = anharmonicity_percent_printed(0.5, 4.0, 100.0)
+    assert half_kelvin == pytest.approx(13.71, rel=0.01, abs=0.0)
+    assert half_kelvin == pytest.approx(13.712, rel=1e-6, abs=0.0)
 
     # the published T = 1 K value 1.1714 is inconsistent with the published
     # formula, which gives 1.714; the formula value is authoritative here
-    est_1k = anharmonicity_engineering(1.0, 4.0, 100.0)
-    assert est_1k.percent_printed == pytest.approx(1.714, rel=1e-6, abs=0.0)
-    assert abs(est_1k.percent_printed - 1.1714) / 1.1714 > 0.4
+    one_kelvin = anharmonicity_percent_printed(1.0, 4.0, 100.0)
+    assert one_kelvin == pytest.approx(1.714, rel=1e-6, abs=0.0)
+    assert abs(one_kelvin - 1.1714) / 1.1714 > 0.4
 
 
 def test_anharmonicity_engineering_area_scaling():
-    a = anharmonicity_engineering(1.0, 4.0, 100.0).percent_printed
-    b = anharmonicity_engineering(1.0, 4.0, 200.0).percent_printed
+    a = anharmonicity_percent_printed(1.0, 4.0, 100.0)
+    b = anharmonicity_percent_printed(1.0, 4.0, 200.0)
     assert a == pytest.approx(2.0 * b, rel=1e-14, abs=0.0)
 
 
@@ -394,11 +401,8 @@ def test_anharmonicity_printed_coefficient_consistent_with_symbolic():
         T = float(rng.uniform(0.1, 10.0))
         f = float(rng.uniform(0.5, 20.0))
         S = float(rng.uniform(1.0, 1000.0))
-        est = anharmonicity_engineering(T, f, S)
-        assert abs(est.percent_printed / est.percent_symbolic - 1.0) < 5e-3
-        assert est.percent_symbolic == pytest.approx(
-            300.0 * nonlinear_time_constant(S * 1e-12, T) * 2e9 * math.pi * f, rel=1e-12, abs=0.0
-        )
+        symbolic = 300.0 * nonlinear_time_constant(S * 1e-12, T) * 2e9 * math.pi * f
+        assert abs(anharmonicity_percent_printed(T, f, S) / symbolic - 1.0) < 5e-3
 
 
 def test_photon_number_limit_published_values():
@@ -413,11 +417,11 @@ def test_photon_number_limit_published_values():
 def test_engineering_estimates_reject_non_finite_and_nonpositive_inputs():
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(NonPositiveTemperature):
-            anharmonicity_engineering(bad, 4.0, 100.0)
+            anharmonicity_percent_printed(bad, 4.0, 100.0)
         with pytest.raises(ValueError):
-            anharmonicity_engineering(1.0, bad, 100.0)
+            anharmonicity_percent_printed(1.0, bad, 100.0)
         with pytest.raises(ValueError):
-            anharmonicity_engineering(1.0, 4.0, bad)
+            anharmonicity_percent_printed(1.0, 4.0, bad)
         for limit in (photon_number_limit, photon_number_limit_derived):
             with pytest.raises(NonPositiveTemperature):
                 limit(bad, 1.0)
@@ -459,8 +463,10 @@ def test_scalar_formulas_reject_results_out_of_range():
         resonant_inductance(AREA, 1.0, 1e-290)
     with pytest.raises(ValueError, match="out of range"):
         resonant_inductance(AREA, 1.0, 1e160)
-    with pytest.raises(ValueError, match="out of range"):
-        anharmonicity_engineering(1e300, 4.0, 100.0)
+    # the printed formula guards its own S T^3: T**3 overflows, or S T^3 under- or overflows
+    for T, S in ((1e300, 100.0), (1e-200, 1e-200), (1e100, 1e100)):
+        with pytest.raises(ValueError, match="S T\\^3 of the printed formula out of range"):
+            anharmonicity_percent_printed(T, 4.0, S)
     with pytest.raises(ValueError, match="out of range"):
         photon_amplitude(1e-300, 1.0, OMEGA)
 

@@ -39,14 +39,13 @@ EXPORTS = {
         "SingularSystem",
     ),
     "multimode": (
-        "InteractionClassification", "InteractionKind", "PumpSpec", "SinglePhotonRate",
-        "classify_interaction", "gamma_nml", "quantum_conductance", "quantum_rc_time",
-        "single_photon_rate_engineering",
+        "InteractionClassification", "InteractionKind", "PumpSpec", "classify_interaction",
+        "gamma_nml", "quantum_conductance", "quantum_rc_time", "single_photon_rate_printed",
     ),
     "mode": (
-        "AnharmonicityEstimate", "OscillatorSpec", "anharmonicity_engineering",
-        "hamiltonian_coefficients", "nonlinear_time_constant", "photon_amplitude",
-        "photon_number_limit", "photon_number_limit_derived", "resonant_inductance",
+        "OscillatorSpec", "anharmonicity_percent_printed", "hamiltonian_coefficients",
+        "nonlinear_time_constant", "photon_amplitude", "photon_number_limit",
+        "photon_number_limit_derived", "resonant_inductance",
     ),
     "oscillator": ("SpectrumResult", "fock_diagonalize"),
 }
