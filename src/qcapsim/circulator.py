@@ -223,23 +223,21 @@ class SweepResult:
         ))
 
 
-def sweep(
-    config: CirculatorConfig, delta_min: float, delta_max: float, n_points: int
-) -> SweepResult:
-    """Scattering over a uniform detuning grid (rad/s).
+def sweep(config: CirculatorConfig, deltas) -> SweepResult:
+    """Scattering over the 1-d detuning grid ``deltas`` (rad/s).
 
-    All points are solved as one stack; :class:`SingularSystem` is raised
-    when any point has a zero or non-finite determinant or a relative solve
-    residual above ``SOLVE_RESIDUAL_TOL``.  Returns the full complex matrices
-    with the 1 -> 3 / 3 -> 1 asymmetry ratio and the insertion loss of the
-    forward path; :class:`ValueError` names the first detuning where either
-    is not finite (|S13| or |S31| is 0.0 or underflows).
+    :class:`ValueError` names the first detuning that is not finite.  Then
+    all points are solved as one stack (:class:`SingularSystem` on a zero or
+    non-finite determinant or a relative residual above ``SOLVE_RESIDUAL_TOL``).
+    Returns the full complex matrices with the 1 -> 3 / 3 -> 1 asymmetry ratio
+    and the insertion loss of the forward path; :class:`ValueError` names the
+    first detuning where either is not finite (|S13| or |S31| is 0 or underflows).
     """
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    if not (math.isfinite(delta_min) and math.isfinite(delta_max)):
-        raise ValueError(f"detunings out of range: [{delta_min}, {delta_max}] rad/s must be finite")
-    deltas = np.linspace(delta_min, delta_max, n_points)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    bad = ~np.isfinite(deltas)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"detuning {deltas[i]} rad/s at grid point {i} is not finite")
     s_out = scattering_matrix(config, deltas)
     # complex np.abs rounds differently per SIMD level and np.hypot does not;
     # the loss keeps np.abs until it gets a SIMD-independent route of its own

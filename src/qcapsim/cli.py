@@ -28,6 +28,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from importlib import import_module, resources
 from pathlib import Path
 
@@ -219,10 +220,13 @@ def _setting(flag, doc: dict, key: str, default, read=config_number):
 SWEEP_POINTS_MAX = 1_000_000
 
 
-def _sweep_points(args, doc: dict, default: int, rows: int = 1) -> int:
-    """A sweep's grid points: --points, else the config's whole ``n_points``,
-    else ``default``.  At least 2, and ``rows`` rows of them at most
-    SWEEP_POINTS_MAX cells, checked before any array is allocated."""
+def _sweep_grid(args, doc: dict, lo: float, hi: float, default: int, rows: int = 1):
+    """An even grid from ``lo`` to ``hi`` of --points, else the config's whole
+    ``n_points``, else ``default`` points: at least 2, and ``rows`` rows at most
+    SWEEP_POINTS_MAX cells, checked before any allocation.  Cells that overflow
+    stay in the grid; each kernel rejects them after its own checks."""
+    import numpy as np
+
     n_points = _setting(args.points, doc, "n_points", default,
                         lambda key, value: config_number(key, value, whole=True))
     if n_points < 2:
@@ -230,15 +234,14 @@ def _sweep_points(args, doc: dict, default: int, rows: int = 1) -> int:
     if n_points * rows > SWEEP_POINTS_MAX:
         raise ConfigError(f"n_points = {n_points} makes {n_points * rows} grid cells, more "
                           f"than the sweep maximum of {SWEEP_POINTS_MAX}")
-    return n_points
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(lo, hi, n_points)
 
 
 FIG2_KEYS = {"thickness_nm", "relative_permittivity", "temperatures_K", "vmax_V", "n_points"}
 
 
 def _cmd_sweep_capacitance(args) -> int:
-    import numpy as np
-
     from .capacitance import SWEEP_CSV_HEADER
 
     doc = {} if args.config is None else _load_config(args.config, FIG2_KEYS, FIG2_KEYS)
@@ -251,16 +254,12 @@ def _cmd_sweep_capacitance(args) -> int:
     vmax = _setting(args.vmax, doc, "vmax_V", 0.05)
     if not temperatures:
         raise ConfigError("at least one temperature is required")
-    n_points = _sweep_points(args, doc, 201, len(temperatures))
+    grid = _sweep_grid(args, doc, -vmax, vmax, 201, len(temperatures))
     # the sweep is per unit area: --S is validated but not read
     require_positive(um2_to_m2(args.S), "area_S", NonPositiveArea)
     design = CapacitorDesign(
         dielectric_thickness_t=nm_to_m(thickness_nm), relative_permittivity=epsr
     )
-    # linspace overflows in vmax - (-vmax) past the float range; the sweep
-    # rejects the non-finite grid once it has checked each temperature
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.linspace(-vmax, vmax, n_points)
     result = _kernel("capacitance_sweep")(design, temperatures, grid)
     _emit_columns(args, SWEEP_CSV_HEADER, result.columns())
     return 0
@@ -404,10 +403,8 @@ def _cmd_circulator(args) -> int:
     config = _circulator_config(doc["circulator"])
     delta_min = _setting(args.delta_min, doc, "delta_min_GHz", -4.0)
     delta_max = _setting(args.delta_max, doc, "delta_max_GHz", 4.0)
-    n_points = _sweep_points(args, doc, 1001)
-    result = _kernel("sweep")(
-        config, ghz_to_rad_per_s(delta_min), ghz_to_rad_per_s(delta_max), n_points
-    )
+    deltas = _sweep_grid(args, doc, ghz_to_rad_per_s(delta_min), ghz_to_rad_per_s(delta_max), 1001)
+    result = _kernel("sweep")(config, deltas)
     _emit_columns(args, SWEEP_CSV_HEADER, result.columns())
     return 0
 
@@ -614,7 +611,8 @@ def main(argv=None) -> int:
     """
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # a warning shows once per call, not per process
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -87,7 +87,7 @@ def classify_interaction(
     otherwise off-resonant (reported with the smaller residual so RWA
     validity can be judged).  Raises :class:`AmbiguousResonance` if both
     conditions match, which requires min(w1, w2) <= tolerance, and
-    :class:`ValueError` if G is not finite (G = 0 is valid).
+    :class:`ValueError` if G or the detuning is not finite (G = 0 is valid).
     """
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
@@ -109,6 +109,8 @@ def classify_interaction(
         kind, detuning = InteractionKind.PARAMETRIC, d_par
     else:
         kind, detuning = InteractionKind.OFF_RESONANT, min(d_hop, d_par)
+    if not math.isfinite(detuning):
+        raise ValueError(f"resonance detuning out of range: {detuning} rad/s is not finite")
     return InteractionClassification(kind=kind, detuning=detuning, G=strength, g0=g0)
 
 

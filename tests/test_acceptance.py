@@ -198,15 +198,15 @@ def _paper_circulator(dphi):
 
 def test_criterion_7_circulator_reciprocity_and_isolation():
     start = time.perf_counter()
-    grid = (-4 * GHZ, 4 * GHZ, 1001)
+    grid = np.linspace(-4 * GHZ, 4 * GHZ, 1001)
 
-    sym = sweep(_paper_circulator(0.0), *grid)
+    sym = sweep(_paper_circulator(0.0), grid)
     reciprocity_ok = float(np.max(np.abs(np.abs(sym.s13) - np.abs(sym.s31)))) <= 1e-10
 
-    fwd = sweep(_paper_circulator(math.pi / 2), *grid)
+    fwd = sweep(_paper_circulator(math.pi / 2), grid)
     ratio_ok = float(np.max(fwd.ratio_13_31)) > 10.0
 
-    bwd = sweep(_paper_circulator(-math.pi / 2), *grid)
+    bwd = sweep(_paper_circulator(-math.pi / 2), grid)
     swap = max(
         float(np.max(np.abs(np.abs(fwd.s13) - np.abs(bwd.s31)))),
         float(np.max(np.abs(np.abs(fwd.s31) - np.abs(bwd.s13)))),
@@ -280,7 +280,7 @@ def test_criterion_9_property_suites():
 
     # passivity of the hopping network across the sweep (2 x 200 points)
     for dphi in (math.pi / 2, 0.7):
-        result = sweep(_paper_circulator(dphi), -4 * GHZ, 4 * GHZ, 200)
+        result = sweep(_paper_circulator(dphi), np.linspace(-4 * GHZ, 4 * GHZ, 200))
         for s in result.smatrices:
             assert np.max(np.linalg.svd(s, compute_uv=False)) <= 1.0 + 1e-9
             instances += 1

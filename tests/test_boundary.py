@@ -159,7 +159,11 @@ def test_numeric_flags_stay_inside_the_exit_contract(capsys, fmt):
 # or C_G * C_Q of the series capacitance.  T x S gets a dense grid, every other
 # pair of numeric flags a sparse one of extremes and subnormals
 JOINT_EXTREMES = tuple(f"1e{exponent}" for exponent in range(-300, 301, 30))
-PAIR_EXTREMES = ("5e-324", "1e-310", "1e-250", "1e-150", "1e150", "1e250", "1e308")
+# +-2e298 GHz is finite in rad/s but overflows when doubled: in a detuning
+# range's width, or in coupling's 2 Omega
+PAIR_EXTREMES = (
+    "5e-324", "1e-310", "1e-250", "1e-150", "1e150", "1e250", "2e298", "-2e298", "1e308",
+)
 # the sweeps take 3 grid points unless --points is one of the pair
 PAIR_POINTS = ("--points=3",)
 

@@ -130,19 +130,19 @@ def test_uncoupled_scattering_is_full_reflection():
 
 
 def test_reciprocity_at_zero_flux():
-    result = sweep(paper_config(0.0), -4 * GHZ, 4 * GHZ, 1001)
+    result = sweep(paper_config(0.0), np.linspace(-4 * GHZ, 4 * GHZ, 1001))
     assert np.max(np.abs(np.abs(result.s13) - np.abs(result.s31))) < 1e-10
     assert np.max(np.abs(result.ratio_13_31 - 1.0)) < 1e-10
 
 
 def test_reciprocity_at_pi_flux():
-    result = sweep(paper_config(math.pi), -4 * GHZ, 4 * GHZ, 501)
+    result = sweep(paper_config(math.pi), np.linspace(-4 * GHZ, 4 * GHZ, 501))
     smats = result.smatrices
     assert np.max(np.abs(np.abs(smats) - np.abs(np.transpose(smats, (0, 2, 1))))) < 1e-10
 
 
 def test_quarter_flux_circulates_forward():
-    result = sweep(paper_config(math.pi / 2), -4 * GHZ, 4 * GHZ, 1001)
+    result = sweep(paper_config(math.pi / 2), np.linspace(-4 * GHZ, 4 * GHZ, 1001))
     assert np.max(result.ratio_13_31) > 10.0
     # ideal operating point: reflectionless and lossless forward conversion
     center = np.argmin(np.abs(result.detuning_grid))
@@ -152,8 +152,8 @@ def test_quarter_flux_circulates_forward():
 
 
 def test_opposite_flux_gives_pointwise_reciprocal_curve():
-    forward = sweep(paper_config(math.pi / 2), -4 * GHZ, 4 * GHZ, 1001)
-    backward = sweep(paper_config(-math.pi / 2), -4 * GHZ, 4 * GHZ, 1001)
+    forward = sweep(paper_config(math.pi / 2), np.linspace(-4 * GHZ, 4 * GHZ, 1001))
+    backward = sweep(paper_config(-math.pi / 2), np.linspace(-4 * GHZ, 4 * GHZ, 1001))
     assert np.max(np.abs(np.abs(forward.s13) - np.abs(backward.s31))) < 1e-10
     assert np.max(np.abs(np.abs(forward.s31) - np.abs(backward.s13))) < 1e-10
 
@@ -186,7 +186,7 @@ def test_gauge_invariance_of_amplitudes():
 
 def test_hopping_network_is_passive():
     # beam-splitter couplings only: no gain, S stays unitary-bounded
-    result = sweep(paper_config(math.pi / 2), -4 * GHZ, 4 * GHZ, 334)
+    result = sweep(paper_config(math.pi / 2), np.linspace(-4 * GHZ, 4 * GHZ, 334))
     for s in result.smatrices:
         assert np.max(np.linalg.svd(s, compute_uv=False)) <= 1.0 + 1e-9
 
@@ -219,7 +219,7 @@ def test_lab_frame_resonances():
 
 
 def test_sweep_output_shapes_and_rows():
-    result = sweep(paper_config(math.pi / 2), -1 * GHZ, 1 * GHZ, 11)
+    result = sweep(paper_config(math.pi / 2), np.linspace(-1 * GHZ, 1 * GHZ, 11))
     assert result.smatrices.shape == (11, 3, 3)
     rows = result.columns()
     assert rows.shape == (11, len(SWEEP_CSV_HEADER)) and rows.dtype == np.float64
@@ -237,18 +237,17 @@ def test_sweep_solves_one_stack(monkeypatch):
         return cramer_solve(a_re, a_im, k)
 
     monkeypatch.setattr(circulator, "cramer_solve", counting_solve)
-    sweep(paper_config(math.pi / 2), -GHZ, GHZ, 57)
+    sweep(paper_config(math.pi / 2), np.linspace(-GHZ, GHZ, 57))
     assert calls == [((3, 3, 57), (3, 3, 57))]
 
 
 def test_sweep_rejects_non_finite_detuning_range():
-    with pytest.raises(ValueError, match="out of range"):
-        sweep(paper_config(0.0), -GHZ, math.inf, 11)
-
-
-def test_sweep_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        sweep(paper_config(0.0), -GHZ, GHZ, 1)
+    # a nan inside the grid, then an infinite end: the first non-finite cell is named
+    for cell, value in ((3, math.nan), (10, math.inf)):
+        deltas = np.linspace(-GHZ, GHZ, 11)
+        deltas[cell] = value
+        with pytest.raises(ValueError, match=f"detuning {value} rad/s at grid point {cell} is"):
+            sweep(paper_config(0.0), deltas)
 
 
 def _bundled(name, frame):
@@ -322,7 +321,7 @@ rng, digest = np.random.default_rng(2020), hashlib.sha256()
 for _ in range(40):
     config = CirculatorConfig(*(tuple(rng.uniform(lo, hi, 3) * 2e9 * np.pi) for lo, hi in
                                 ((0.5, 3.0), (0.2, 2.0))), phi=tuple(rng.uniform(-np.pi, np.pi, 3)))
-    result = sweep(config, -12e9 * np.pi, 12e9 * np.pi, 300)
+    result = sweep(config, np.linspace(-12e9 * np.pi, 12e9 * np.pi, 300))
     digest.update(result.smatrices.tobytes() + result.ratio_13_31.tobytes())
 print(digest.hexdigest())
 """

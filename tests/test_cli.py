@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -201,6 +202,16 @@ def test_coupling_warns_past_the_perturbative_regime(capsys):
     assert out.splitlines()[1] == (
         "1,4,2,10,1,1,hopping,0,48163993860.1,0,16072776104.6,48163993860.1,2.99661947299"
     )
+
+
+def test_each_call_shows_its_own_warning(capsys):
+    # a design scan that calls main once per point sees the warning at every point;
+    # pytest.warns would show it every time even if main showed it once per process
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(3):
+            assert run_cli(capsys, "coupling", "--S", "1")[0] == 0
+    assert [w.category for w in caught] == [PerturbativeRegimeExceeded] * 3
 
 
 def test_coupling_rejects_a_negative_pump_photon_number(capsys):
@@ -455,6 +466,8 @@ def test_circulator_config_rejected(edit, named, tmp_path, capsys):
 @pytest.mark.parametrize("frame", ["rotating", "lab"])
 def test_circulator_config_units(frame, tmp_path, capsys):
     # the file gives frequencies in GHz and phases in units of pi; the sweep runs in SI
+    import numpy as np
+
     from qcapsim.circulator import CirculatorConfig, sweep
 
     def edit(doc):
@@ -472,7 +485,7 @@ def test_circulator_config_units(frame, tmp_path, capsys):
         kappa=(2.0 * ghz, 1.5 * ghz, 2.0 * ghz), g=(1.0 * ghz, 0.8 * ghz, 1.0 * ghz),
         phi=(0.0, math.pi / 2.0, 0.0), detuning=diagonal,
     )
-    expected = sweep(config, -4.0 * ghz, 4.0 * ghz, 21).columns().tolist()
+    expected = sweep(config, np.linspace(-4.0 * ghz, 4.0 * ghz, 21)).columns().tolist()
     got = [[float(value) for value in row.values()] for row in parse_csv(out)]
     assert len(got) == 21
     for got_row, expected_row in zip(got, expected):
@@ -601,6 +614,9 @@ SWEEP_NOT_FINITE = "the voltage, C_Q or the series capacitance in fF/um^2 is not
          "design out of range: C_G = inf fF/um^2 and C_0/C_G = 0 must be finite"),
         (("design-check", "--thickness-nm=1e50", "--T=1e308"),
          "design out of range: C_G = 3.542e-49 fF/um^2 and C_0/C_G = inf must be finite"),
+        # the width 3e298 GHz of the detuning range overflows in linspace; each end is finite
+        (("circulator", "--config", "paper_fig4.json", "--delta-min=-1.5e298", "--delta-max=1.5e298",
+          "--points=3"), "detuning nan rad/s at grid point 0 is not finite"),
     ],
 )
 def test_overflow_and_underflow_exit_two_with_a_message(argv, message, capsys):

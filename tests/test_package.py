@@ -13,6 +13,7 @@ import pytest
 import qcapsim
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 # every public name of the modeling layer, grouped by its one home
 EXPORTS = {
@@ -86,3 +87,19 @@ def test_import_loads_no_submodule_and_exports_no_name():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[], True]
+
+
+# the names the benchmark wraps in its layer spans; one that stops resolving
+# would read 0 in its per-layer metrics instead of failing the benchmark
+SPAN_TARGETS = (
+    "qcapsim.cli.main", "qcapsim.cli.capacitance_sweep", "qcapsim.cli.sweep",
+    "qcapsim.cli.fock_diagonalize", "qcapsim.cli.csv_text", "qcapsim.cli.json_text",
+    "qcapsim.linalg.symmetric_eigenvalues",
+)
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+    spans = importlib.import_module("spans")  # perfbench's tracer, only read
+    installed = spans.Tracer().installed  # resolves every target, wraps none
+    assert [t for t in SPAN_TARGETS if t not in installed] == []
