@@ -5,10 +5,9 @@ its zero-temperature limit, the series combination with the parallel-plate
 (geometric) capacitance, and the (T, V) sweep.  These take scalars or whole
 numpy arrays through one path, so a point gives the same bits alone or
 inside a sweep.  The scalar formulas of the model (design, design rules,
-C_G, C_0, the charge and energy series, the closed-form charge) are in the
-numpy-free :mod:`qcapsim.capacitor`.  All quantities are SI and per unit
-area unless noted; engineering units (fF/um^2) appear only at the emission
-boundary.
+C_G, C_0, the charge and energy series) are in the numpy-free
+:mod:`qcapsim.capacitor`.  All quantities are SI and per unit area unless
+noted; engineering units (fF/um^2) appear only at the emission boundary.
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacitor import (
-    CapacitorDesign,
-    _cq_prefactor,
-    _require_operating_point,
-    geometric_capacitance,
-)
+from .capacitor import CapacitorDesign, _cq_prefactor, geometric_capacitance
 from .constants import E, K_B, PI_HBAR_VF_SQ, f_per_m2_to_ff_per_um2, require_positive_temperature
 
 SWEEP_CSV_HEADER = ("T_K", "V_volt", "CQ_fF_per_um2", "Cseries_fF_per_um2")
@@ -48,16 +42,6 @@ def _cq_areal(T: float, V):
     scale = _cq_prefactor(T)  # first: it rejects a T whose 2 k_B T underflows
     x = E * np.asarray(V, dtype=np.float64) / (2.0 * K_B * T)
     return scale * ln_2_plus_2cosh(x)
-
-
-def quantum_capacitance(T: float, V: float) -> float:
-    """Differential quantum capacitance per unit area (F/m^2) at finite T.
-
-    Even in the voltage; strictly positive; grows linearly with T at zero
-    bias and linearly with |V| at large bias.
-    """
-    _require_operating_point(T, V)
-    return float(_cq_areal(T, V))
 
 
 def quantum_capacitance_T0(voltage: float):

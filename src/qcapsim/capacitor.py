@@ -1,13 +1,12 @@
 """Scalar model of the graphene/dielectric/graphene capacitor; no numpy.
 
 The stack's design and its dielectric-thickness rules, the geometric and
-linear capacitances, the zero-temperature charge and energy, the
-low-voltage charge/energy series used for field quantization, and the
-closed-form charge integral that is their oracle.  Everything here is a
-closed-form scalar in ``math``, so the CLI's scalar commands run without
-importing numpy; the quantum capacitance itself, which a sweep evaluates
-on whole voltage grids, is in :mod:`qcapsim.capacitance`.  All quantities
-are SI and per unit area unless noted.
+linear capacitances, and the low-voltage charge/energy series used for
+field quantization.  Everything here is a closed-form scalar in ``math``,
+so the CLI's scalar commands run without importing numpy; the quantum
+capacitance itself, which a sweep evaluates on whole voltage grids, is in
+:mod:`qcapsim.capacitance`.  All quantities are SI and per unit area unless
+noted.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .constants import (
     E, EPSILON_0, HBAR, K_B, PI_HBAR_VF_SQ, V_F, f_per_m2_to_ff_per_um2, m_to_nm, require_positive,
     require_positive_temperature,
 )
-from .errors import NonPositiveThickness
 
 # dielectric thickness window: thick enough to block tunneling, thin enough
 # that the quantum capacitance stays an order of magnitude below C_G
@@ -37,7 +35,7 @@ class CapacitorDesign:
     relative_permittivity: float = 4.0
 
     def __post_init__(self):
-        require_positive(self.dielectric_thickness_t, "dielectric_thickness_t", NonPositiveThickness)
+        require_positive(self.dielectric_thickness_t, "dielectric_thickness_t")
         epsr = self.relative_permittivity
         if not (epsr >= 1.0 and math.isfinite(epsr)):  # also rejects NaN
             raise ValueError(f"relative_permittivity must be finite and >= 1, got {epsr}")
@@ -69,8 +67,8 @@ def _cq_prefactor(T: float) -> float:
 
 
 def _require_operating_point(T: float, V: float) -> None:
-    """Raise :class:`NonPositiveTemperature` unless T is a finite, normal
-    float > 0 K, and :class:`ValueError` unless V is finite (either sign)."""
+    """Raise :class:`ValueError` unless T is a finite, normal float > 0 K
+    and V is finite (either sign)."""
     require_positive_temperature(T)
     if not math.isfinite(V):
         raise ValueError(f"voltage must be finite, got {V}")
@@ -88,21 +86,6 @@ def linear_capacitance_C0(T: float) -> float:
     return _cq_prefactor(T) * math.log(16.0)
 
 
-# --- zero-temperature charge and energy ------------------------------------
-
-def charge_energy_T0(voltage: float) -> tuple[float, float]:
-    """Stored charge and energy per unit area at T = 0.
-
-    Q = e^3 |V| V / 2 pi (hbar v_F)^2 (odd in V) and
-    U = e^3 |V|^3 / 6 pi (hbar v_F)^2 (even, >= 0).  Kept separate from the
-    finite-T path: both are non-analytic at V = 0 and must not be expanded
-    around it.
-    """
-    q = E**3 * abs(voltage) * voltage / (2.0 * PI_HBAR_VF_SQ)
-    u = E**3 * abs(voltage) ** 3 / (6.0 * PI_HBAR_VF_SQ)
-    return q, u
-
-
 # --- low-voltage series expansions ------------------------------------------
 
 def _charge_series_scale(T: float) -> tuple[float, float]:
@@ -116,7 +99,8 @@ def charge_series(T: float, V: float) -> float:
 
     N(V) = (4 e k_B T / pi (hbar v_F)^2) [ln(2) V + e^2 V^3 / 96 (k_B T)^2].
     Accurate to better than 0.01% of the integrated capacitance for
-    e|V| <= 0.2 k_B T; see :func:`charge_numeric` for the oracle.
+    e|V| <= 0.2 k_B T, against the closed-form charge integral that the
+    test suite keeps as its oracle.
     """
     _require_operating_point(T, V)
     kT, pref = _charge_series_scale(T)
@@ -159,59 +143,6 @@ def energy_series(T: float, n_density: float) -> float:
     quadratic = n_density**2 / ln16
     quartic = (math.pi**2 / 4.0) * (hv / (ln16 * kT)) ** 4 * n_density**4
     return (PI_HBAR_VF_SQ / (2.0 * kT)) * (quadratic - quartic)
-
-
-# --- charge: closed-form integral of the capacitance ---------------------------
-#
-# With x = e v / 2 k_B T and X = e|V| / 2 k_B T,
-#     Q(V) = sign(V) * prefactor * (2 k_B T / e) * I(X),
-#     I(X) = int_0^X ln(2 + 2 cosh x) dx = X^2/2 + 2 [Li2(-e^-X) + pi^2/12],
-# because d/dx Li2(-e^-x) = ln(1 + e^-x) and ln(2 + 2 cosh x) = x + 2 ln(1 + e^-x).
-# Li2 on [-1, 0) goes through the Landen map Li2(z) = -Li2(w) - ln^2(1 - z)/2,
-# w = z/(z - 1) in (0, 1/2], where the power series in w converges at least
-# like 2^-k.  Below _CHARGE_TAYLOR_MAX_X the bracket cancels against the
-# linear term, so I takes its Taylor series 2 ln2 X + X^3/12 - X^5/480
-# (= X^2/2 + 2 [X ln2 - X^2/4 + X^3/24 - X^5/960]); the first dropped term,
-# X^7/10080, is 7e-17 relative at the seam and the closed form loses < 1e-13
-# there to the cancellation.
-
-_CHARGE_TAYLOR_MAX_X = 1e-2
-
-
-def _li2_series(w: float) -> float:
-    """sum_k w^k / k^2 for 0 <= w <= 1/2, to double precision."""
-    total, power = 0.0, w
-    for k in range(1, 64):  # bounded so a NaN cannot loop forever
-        term = power / (k * k)
-        total += term
-        if term <= 1e-17 * total:
-            break
-        power *= w
-    return total
-
-
-def _charge_integral(X: float) -> float:
-    """I(X) = int_0^X ln(2 + 2 cosh x) dx for X >= 0."""
-    if X < _CHARGE_TAYLOR_MAX_X:
-        X2 = X * X
-        return X * (2.0 * math.log(2.0) + X2 * (1.0 / 12.0 - X2 / 480.0))
-    q = math.exp(-X)  # -z; underflows to 0 harmlessly for X > ~745
-    ln_1mz = math.log1p(q)
-    li2_tail = math.pi**2 / 12.0 - _li2_series(q / (1.0 + q)) - 0.5 * ln_1mz**2
-    return 0.5 * X * X + 2.0 * li2_tail
-
-
-def charge_numeric(T: float, V: float) -> float:
-    """Charge density Q(V) = integral of C_Q from 0 to V (C/m^2).
-
-    Evaluates the closed form of the integral to double precision at every
-    voltage and temperature; odd in V.  The oracle for the series forms.
-    """
-    _require_operating_point(T, V)
-    kT = K_B * T
-    X = E * abs(V) / (2.0 * kT)
-    q = _cq_prefactor(T) * (2.0 * kT / E) * _charge_integral(X)
-    return math.copysign(q, V)
 
 
 # --- design rules ------------------------------------------------------------

@@ -54,7 +54,7 @@ from .constants import (
     require_positive,
     um2_to_m2,
 )
-from .errors import ConfigError, CutoffNotConverged, NonPositiveArea, SingularSystem
+from .errors import ConfigError, CutoffNotConverged, SingularSystem
 from .mode import (
     FOCK_CUTOFF_MAX,
     OscillatorSpec,
@@ -196,6 +196,11 @@ def _emit_columns(args, header, values) -> None:
 
 
 def _emit_record(args, record: dict) -> None:
+    """Write one record; :class:`ValueError` names its first top-level float
+    field that is not finite, so a run that exits 0 writes no nan or inf."""
+    for key, value in record.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} out of range: {value} is not finite")
     if args.format == "csv":
         keys = [k for k, v in record.items() if not isinstance(v, (dict, list, tuple))]
         rows = [[record[k] for k in keys]]
@@ -256,7 +261,7 @@ def _cmd_sweep_capacitance(args) -> int:
         raise ConfigError("at least one temperature is required")
     grid = _sweep_grid(args, doc, -vmax, vmax, 201, len(temperatures))
     # the sweep is per unit area: --S is validated but not read
-    require_positive(um2_to_m2(args.S), "area_S", NonPositiveArea)
+    require_positive(um2_to_m2(args.S), "area_S")
     design = CapacitorDesign(
         dielectric_thickness_t=nm_to_m(thickness_nm), relative_permittivity=epsr
     )

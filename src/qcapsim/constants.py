@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import NonPositiveTemperature
-
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 E = 1.602176634e-19           # elementary charge, C (exact)
 K_B = 1.380649e-23            # Boltzmann constant, J/K (exact)
@@ -75,26 +73,17 @@ def pi_units_to_rad(phi_over_pi):
 
 # --- input checks ---------------------------------------------------------
 
-def require_positive(value: float, name: str, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` unless ``value`` is a finite, normal float > 0.
+def require_positive(value: float, name: str) -> None:
+    """Raise :class:`ValueError` unless ``value`` is a finite, normal float > 0.
 
     The chained comparison is False for NaN; subnormals are rejected because
     the formulas built on them have already lost digits.
     """
     if not (sys.float_info.min <= value <= sys.float_info.max):
-        raise error(f"{name} out of range: must be a finite, normal float > 0, got {value}")
+        raise ValueError(f"{name} out of range: must be a finite, normal float > 0, got {value}")
 
 
 def require_positive_temperature(T: float) -> None:
-    """Raise :class:`NonPositiveTemperature` unless T is a finite, normal float > 0 K."""
-    require_positive(T, "temperature (K)", NonPositiveTemperature)
-
-
-# --- elementary energy scales ---------------------------------------------
-
-def fermi_energy(voltage: float) -> float:
-    """Fermi energy e*V/2 (J) of either graphene electrode at bias ``voltage``.
-
-    Odd in V; negative bias gives a negative Fermi energy.
-    """
-    return E * voltage / 2.0
+    """Raise :class:`ValueError` naming the temperature unless T is a
+    finite, normal float > 0 K."""
+    require_positive(T, "temperature (K)")

@@ -1,24 +1,8 @@
 """Exception and warning types shared across the package."""
 
 
-class NonPositiveTemperature(ValueError):
-    """Temperature must be strictly positive (kelvin)."""
-
-
-class NonPositiveThickness(ValueError):
-    """Dielectric thickness must be strictly positive (meters)."""
-
-
-class NonPositiveArea(ValueError):
-    """Capacitor area must be strictly positive (square meters)."""
-
-
 class CutoffNotConverged(RuntimeError):
     """Fock-basis truncation check failed: eigenvalues still move with cutoff."""
-
-
-class AmbiguousResonance(ValueError):
-    """Both hopping and parametric resonance conditions matched within tolerance."""
 
 
 class SingularSystem(RuntimeError):

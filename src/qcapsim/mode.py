@@ -23,7 +23,7 @@ from .capacitor import linear_capacitance_C0
 from .constants import (
     H, HBAR, K_B, V_F, ghz_to_hz, require_positive, require_positive_temperature,
 )
-from .errors import NonPositiveArea, PerturbativeRegimeExceeded
+from .errors import PerturbativeRegimeExceeded
 
 # printed engineering coefficients (T in K, f in GHz, S in um^2)
 ANHARMONICITY_COEFF_PRINTED = 42.85   # percent: A = 42.85 * f / (S T^3)
@@ -87,7 +87,7 @@ def photon_amplitude(area_S: float, temperature_T: float, omega: float):
     Returns (chi, psi) with chi = sqrt(k_B T ln16 / 2 pi S hbar v_F^2)
     in (1/m^2) sqrt(s) and psi = chi*sqrt(omega) in 1/m^2.
     """
-    require_positive(area_S, "area_S", NonPositiveArea)
+    require_positive(area_S, "area_S")
     require_positive_temperature(temperature_T)
     require_positive(omega, "omega")
     den = 2.0 * math.pi * area_S * HBAR * V_F**2
@@ -100,46 +100,27 @@ def photon_amplitude(area_S: float, temperature_T: float, omega: float):
 def nonlinear_time_constant(area_S: float, temperature_T: float) -> float:
     """Nonlinear time constant tau = pi hbar^3 v_F^2 / 8 ln^2(16) S (k_B T)^3.
 
-    Also evaluates the equivalent chi-based form
-    pi^3 S hbar^5 v_F^6 chi^4 / 2 ln^4(16) (k_B T)^5 and insists the two
-    agree to 1e-10 relative, as a transcription guard.  The printed
-    formulas (anharmonicity, single-photon rate) do not read tau: they
-    guard their own S T^3 through :func:`_printed_denominator`.  Raises
-    :class:`ValueError` when tau or any intermediate of either form is not
-    a finite, normal float > 0, since both forms would then have lost
-    digits.
+    The printed formulas (anharmonicity, single-photon rate) do not read
+    tau: they guard their own S T^3 through :func:`_printed_denominator`.
+    Raises :class:`ValueError` when the denominator or tau is not a finite,
+    normal float > 0.
     """
-    require_positive(area_S, "area_S", NonPositiveArea)
+    require_positive(area_S, "area_S")
     require_positive_temperature(temperature_T)
-    kT = K_B * temperature_T
-    ln16 = math.log(16.0)
-    try:  # float ** raises on overflow, and / on an underflowed divisor
-        kT3, kT5 = kT**3, kT**5
-        chi_sq = kT * ln16 / (2.0 * math.pi * area_S * HBAR * V_F**2)
-        chi4 = chi_sq**2
-    except (OverflowError, ZeroDivisionError):
-        kT3 = kT5 = chi4 = math.inf
-    den_closed = 8.0 * ln16**2 * area_S * kT3
-    # S enters the chi form after the constants, so no partial product of
-    # it leaves the normal range unless chi^4 itself does
-    num_chi = math.pi**3 * HBAR**5 * V_F**6 * area_S * chi4
-    den_chi = 2.0 * ln16**4 * kT5
-    for value in (kT3, kT5, chi4, den_closed, num_chi, den_chi):
-        require_positive(value, "an intermediate of the nonlinear time constant")
-    closed = math.pi * HBAR**3 * V_F**2 / den_closed
-    require_positive(closed, "nonlinear time constant (s)")
-    if abs(closed - num_chi / den_chi) > 1e-10 * abs(closed):
-        raise ArithmeticError(
-            "the two closed forms of the nonlinear time constant disagree; "
-            "constants or formulas were mistranscribed"
-        )
-    return closed
+    try:  # float ** raises on overflow
+        den = 8.0 * math.log(16.0)**2 * area_S * (K_B * temperature_T)**3
+    except OverflowError:
+        den = math.inf
+    require_positive(den, "an intermediate of the nonlinear time constant")
+    tau = math.pi * HBAR**3 * V_F**2 / den
+    require_positive(tau, "nonlinear time constant (s)")
+    return tau
 
 
 def resonant_inductance(area_S: float, T: float, omega: float) -> float:
     """Tank inductance L = 1/(omega^2 S C_0) that resonates the linear
     capacitance of area ``area_S`` (m^2) at ``omega`` (henry)."""
-    require_positive(area_S, "area_S", NonPositiveArea)
+    require_positive(area_S, "area_S")
     require_positive(omega, "omega")
     c0_total = area_S * linear_capacitance_C0(T)
     try:

@@ -6,9 +6,8 @@ strong coherent pump on mode 0 at Omega selects, under the rotating-wave
 approximation, either a hopping (beam-splitter) interaction when
 2*Omega = w1 - w2 or a parametric (pair-creation) interaction when
 2*Omega = w1 + w2, with pump-enhanced strength G = 3*gamma_012*n at pump
-photon number n = |a|^2.  This module classifies that selection, evaluates
-the published single-photon rate formula, and provides the quantum RC
-charging time.
+photon number n = |a|^2.  This module classifies that selection and
+evaluates the published single-photon rate formula.
 """
 
 from __future__ import annotations
@@ -17,14 +16,11 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .constants import E, HBAR, TWO_PI, V_F, require_positive
-from .errors import AmbiguousResonance, NonPositiveArea
+from .constants import require_positive
 from .mode import _printed_denominator
 
 # printed engineering coefficient: g0 = 2 pi x 0.143 f sqrt(f1 f2)/(S T^3) GHz
 SINGLE_PHOTON_RATE_COEFF_PRINTED = 0.143
-
-DEFAULT_RESONANCE_TOLERANCE = TWO_PI * 1e6  # rad/s, ~typical linewidth
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ def classify_interaction(
     omega_1: float,
     omega_2: float,
     tau: float,
-    tolerance: float = DEFAULT_RESONANCE_TOLERANCE,
+    tolerance: float,
 ) -> InteractionClassification:
     """Classify the pump-selected two-mode interaction.
 
@@ -85,9 +81,9 @@ def classify_interaction(
     difference selects photon exchange regardless of which mode is
     higher), parametric when |2*Omega - (w1 + w2)| <= tolerance,
     otherwise off-resonant (reported with the smaller residual so RWA
-    validity can be judged).  Raises :class:`AmbiguousResonance` if both
-    conditions match, which requires min(w1, w2) <= tolerance, and
-    :class:`ValueError` if G or the detuning is not finite (G = 0 is valid).
+    validity can be judged).  Raises :class:`ValueError` if both conditions
+    match, which requires min(w1, w2) <= tolerance, or if G or the detuning
+    is not finite (G = 0 is valid).
     """
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
@@ -100,7 +96,7 @@ def classify_interaction(
     hop = d_hop <= tolerance
     par = d_par <= tolerance
     if hop and par:
-        raise AmbiguousResonance(
+        raise ValueError(
             f"both resonance conditions satisfied within tolerance {tolerance:g} rad/s"
         )
     if hop:
@@ -128,18 +124,3 @@ def single_photon_rate_printed(T: float, f: float, f1: float, f2: float, S: floa
     printed = 2.0 * math.pi * SINGLE_PHOTON_RATE_COEFF_PRINTED * f * math.sqrt(f1 * f2) / den * 1e9
     require_positive(printed, "printed single-photon rate (rad/s)")
     return printed
-
-
-def quantum_rc_time(S: float, E_F: float) -> float:
-    """Quantum charging time S |E_F| / (hbar v_F^2) of the capacitor (s).
-
-    Equals S * C_Q(T -> 0) / sigma_Q with the quantum conductance
-    sigma_Q = 2 e^2 / pi hbar; vanishes at zero bias.
-    """
-    require_positive(S, "area (m^2)", NonPositiveArea)
-    return S * abs(E_F) / (HBAR * V_F**2)
-
-
-def quantum_conductance() -> float:
-    """Zero-bias quantum conductance sigma_Q = 2 e^2 / pi hbar (S)."""
-    return 2.0 * E**2 / (math.pi * HBAR)

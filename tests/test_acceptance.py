@@ -25,11 +25,17 @@ import time
 import numpy as np
 import pytest
 
-from qcapsim.capacitance import quantum_capacitance, quantum_capacitance_T0
-from qcapsim.capacitor import (
-    CapacitorDesign,
+from oracles import (
     charge_energy_T0,
     charge_numeric,
+    fermi_energy,
+    quantum_capacitance,
+    quantum_conductance,
+    quantum_rc_time,
+)
+from qcapsim.capacitance import quantum_capacitance_T0
+from qcapsim.capacitor import (
+    CapacitorDesign,
     charge_series,
     geometric_capacitance,
     linear_capacitance_C0,
@@ -42,9 +48,9 @@ from qcapsim.circulator import (
     sweep,
 )
 from qcapsim.cli import _verify_rows
-from qcapsim.constants import E, HBAR, K_B, V_F, f_per_m2_to_ff_per_um2, fermi_energy
+from qcapsim.constants import E, HBAR, K_B, V_F, f_per_m2_to_ff_per_um2
 from qcapsim.mode import OscillatorSpec, anharmonicity_percent_printed, nonlinear_time_constant
-from qcapsim.multimode import quantum_conductance, quantum_rc_time, single_photon_rate_printed
+from qcapsim.multimode import single_photon_rate_printed
 from qcapsim.oscillator import fock_diagonalize
 
 TWO_PI = 2.0 * math.pi

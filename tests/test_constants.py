@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import fermi_energy
 from qcapsim import constants
-from qcapsim.constants import SPEED_OF_LIGHT, V_F, fermi_energy
+from qcapsim.constants import SPEED_OF_LIGHT, V_F
 
 # independent copies of the CODATA 2018 values (>= 6 significant digits)
 CODATA_2018 = {

@@ -1,6 +1,7 @@
 """Every public name has one home, the module that defines it, and is imported
 from there: ``import qcapsim`` exports nothing but ``__version__``."""
 
+import ast
 import importlib
 import json
 import os
@@ -18,13 +19,12 @@ PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 # every public name of the modeling layer, grouped by its one home
 EXPORTS = {
     "capacitor": (
-        "CapacitorDesign", "DesignReport", "charge_energy_T0", "charge_numeric",
-        "charge_series", "design_check", "energy_series", "geometric_capacitance",
-        "linear_capacitance_C0",
+        "CapacitorDesign", "DesignReport", "charge_series", "design_check", "energy_series",
+        "geometric_capacitance", "linear_capacitance_C0",
     ),
     "capacitance": (
-        "CapacitanceSweep", "capacitance_sweep", "quantum_capacitance",
-        "quantum_capacitance_T0", "series_capacitance",
+        "CapacitanceSweep", "capacitance_sweep", "quantum_capacitance_T0",
+        "series_capacitance",
     ),
     "circulator": (
         "CirculatorConfig", "SweepResult", "coupling_matrix", "langevin_matrix",
@@ -32,16 +32,11 @@ EXPORTS = {
     ),
     "constants": (
         "E", "EPSILON_0", "H", "HBAR", "K_B", "PI_HBAR_VF_SQ", "SPEED_OF_LIGHT", "V_F",
-        "fermi_energy",
     ),
-    "errors": (
-        "AmbiguousResonance", "ConfigError", "CutoffNotConverged", "NonPositiveArea",
-        "NonPositiveTemperature", "NonPositiveThickness", "PerturbativeRegimeExceeded",
-        "SingularSystem",
-    ),
+    "errors": ("ConfigError", "CutoffNotConverged", "PerturbativeRegimeExceeded", "SingularSystem"),
     "multimode": (
         "InteractionClassification", "InteractionKind", "PumpSpec", "classify_interaction",
-        "gamma_nml", "quantum_conductance", "quantum_rc_time", "single_photon_rate_printed",
+        "gamma_nml", "single_photon_rate_printed",
     ),
     "mode": (
         "OscillatorSpec", "anharmonicity_percent_printed", "hamiltonian_coefficients",
@@ -71,6 +66,32 @@ def test_export_resolves_to_its_defining_object(module, name):
     if hasattr(value, "__module__"):
         assert value.__module__ == f"qcapsim.{module}"
     assert not hasattr(qcapsim, name)
+
+
+def _names_read_in_src() -> set:
+    """Every name that code in ``src/qcapsim`` reads: a ``Name`` loaded, an
+    attribute, a ``from ... import`` alias, or a kernel that ``cli`` looks up
+    by name through ``_kernel("...")``.  Docstrings and the name's own
+    ``def``, ``class`` or assignment do not count."""
+    reads = set()
+    for path in sorted((SRC_DIR / "qcapsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "_kernel" and isinstance(node.args[0], ast.Constant)):
+                reads.add(node.args[0].value)
+    return reads
+
+
+def test_every_export_is_read_in_src():
+    # a public name that only tests read belongs in tests/oracles.py, not in the package
+    reads = _names_read_in_src()
+    assert [name for _, name in CASES if name not in reads] == []
 
 
 def test_unknown_name_raises_attribute_error():
