@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import (
-    E, EPSILON_0, HBAR, K_B, PI_HBAR_VF_SQ, V_F, f_per_m2_to_ff_per_um2, m_to_nm, require_positive,
+    E, EPSILON_0, HBAR, K_B, PI_HBAR_VF_SQ, V_F, f_per_m2_to_ff_per_um2, require_positive,
     require_positive_temperature,
 )
 
@@ -50,7 +50,6 @@ class DesignReport:
     dominance_ratio: float  # C_0 / C_G
     thickness_ok: bool
     dominance_ok: bool
-    messages: tuple[str, ...]
 
 
 # --- capacitances -----------------------------------------------------------
@@ -164,31 +163,10 @@ def design_check(design: CapacitorDesign, T: float) -> DesignReport:
                          f"and C_0/C_G = {ratio:.4g} must be finite")
     thickness_ok = THICKNESS_MIN < design.dielectric_thickness_t < THICKNESS_MAX
     dominance_ok = ratio <= DOMINANCE_MAX_RATIO
-    t_nm = m_to_nm(design.dielectric_thickness_t)
-    messages = [
-        f"C_G = {f_per_m2_to_ff_per_um2(cg):.4g} fF/um^2, "
-        f"C_0 = {f_per_m2_to_ff_per_um2(c0):.4g} fF/um^2 at T = {T:g} K "
-        f"(ratio {ratio:.4g})",
-    ]
-    if thickness_ok:
-        messages.append(f"thickness {t_nm:.4g} nm inside the 3-70 nm window")
-    else:
-        messages.append(
-            f"thickness {t_nm:.4g} nm outside the 3-70 nm window: "
-            "either tunneling leakage or geometric-capacitance takeover"
-        )
-    if dominance_ok:
-        messages.append("quantum capacitance dominates the series combination")
-    else:
-        messages.append(
-            f"C_0/C_G = {ratio:.4g} > {DOMINANCE_MAX_RATIO}: geometric capacitance "
-            "no longer negligible"
-        )
     return DesignReport(
         C_G_areal=cg,
         C_0_areal=c0,
         dominance_ratio=ratio,
         thickness_ok=thickness_ok,
         dominance_ok=dominance_ok,
-        messages=tuple(messages),
     )

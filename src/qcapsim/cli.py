@@ -98,11 +98,13 @@ def _kernel(name: str):
 # --- config loading ----------------------------------------------------------
 
 def _locate_config(name_or_path: str) -> Path:
+    """The config file on disk, else the bundled config of that name when the
+    argument is a bare file name; else ConfigError."""
     p = Path(name_or_path)
     if p.exists():
         return p
     packaged = resources.files("qcapsim").joinpath("configs", p.name)
-    if packaged.is_file():
+    if p.name == name_or_path and packaged.is_file():
         return Path(str(packaged))
     raise ConfigError(
         f"config '{name_or_path}' not found on disk or among bundled configs"
@@ -284,7 +286,6 @@ def _cmd_design_check(args) -> int:
         "dominance_ratio": report.dominance_ratio,
         "thickness_ok": report.thickness_ok,
         "dominance_ok": report.dominance_ok,
-        "messages": list(report.messages),
     }
     _emit_record(args, record)
     return 0
@@ -325,7 +326,6 @@ def _cmd_qubit(args) -> int:
             "eigenvalues_J": spectrum.eigenvalues.tolist(),
             "omega10_rad_s": spectrum.omega_10,
             "omega21_rad_s": spectrum.omega_21,
-            "anharmonicity_fraction": spectrum.anharmonicity_A,
         }
     _emit_record(args, record)
     return 0
@@ -334,9 +334,6 @@ def _cmd_qubit(args) -> int:
 def _cmd_coupling(args) -> int:
     tau = nonlinear_time_constant(um2_to_m2(args.S), args.T)
     pump = PumpSpec(Omega=ghz_to_rad_per_s(args.f), photon_number=args.pump_photons)
-    theta = pi_units_to_rad(args.theta_over_pi)  # echoed only: no rate reads the pump phase
-    if not math.isfinite(theta):
-        raise ValueError(f"phase_theta must be finite, got {theta}")
     warn_if_strongly_anharmonic(tau * pump.Omega, "the rates are first-order", " at the pump")
     classification = classify_interaction(
         pump,
@@ -356,7 +353,6 @@ def _cmd_coupling(args) -> int:
         "kind": classification.kind.value,
         "detuning_rad_s": classification.detuning,
         "G_rad_s": classification.G,
-        "theta_rad": theta,
         "g0_printed_rad_s": printed,
         "g0_symbolic_rad_s": classification.g0,
         "ratio_symbolic_to_printed": classification.g0 / printed,
@@ -573,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f2", type=_finite_float, default=10.0, help="mode-2 frequency in GHz")
     p.add_argument("--S", type=_finite_float, default=100.0, help="capacitor area in um^2")
     p.add_argument("--pump-photons", type=_finite_float, default=1.0, help="pump photon number |a|^2")
-    p.add_argument("--theta-over-pi", type=_finite_float, default=0.0, help="pump phase in units of pi")
     p.add_argument("--tolerance-mhz", type=_finite_float, default=1.0, help="resonance tolerance in MHz")
     _add_common_output_flags(p)
     p.set_defaults(func=_cmd_coupling)

@@ -51,11 +51,6 @@ def nm_to_m(t_nm):
     return t_nm * 1e-9
 
 
-def m_to_nm(t_m):
-    """Length in m -> nm."""
-    return t_m * 1e9
-
-
 def f_per_m2_to_ff_per_um2(c_areal):
     """Areal capacitance in F/m^2 -> fF/um^2."""
     return c_areal * 1e3

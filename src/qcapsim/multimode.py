@@ -28,9 +28,7 @@ class PumpSpec:
     """Strong coherent drive on the pump mode.
 
     ``photon_number`` is n = |a|^2, the mean pump photon number that G
-    scales with.  The drive phase, which ends up doubled in the selected
-    interaction, enters no computation here: ``coupling`` only echoes its
-    ``--theta-over-pi`` as ``theta_rad``.
+    scales with.
     """
 
     Omega: float           # rad/s

@@ -3,12 +3,15 @@
 The scalar quantum capacitance (a thin wrapper over the sweep kernel
 ``_cq_areal``, so its tests exercise the kernel), the T = 0 charge and
 energy, the closed-form charge integral that checks the low-voltage charge
-series, the Fermi energy, and the quantum RC charging time with the quantum
-conductance.  The tests import them from here; the package keeps only what
-a command reads.
+series, the Fermi energy, the quantum RC charging time with the quantum
+conductance, and the all-orders perturbation series of the quartic
+oscillator's lowest levels.  The tests import them from here; the package
+keeps only what a command reads.
 """
 
 import math
+
+import numpy as np
 
 from qcapsim.capacitance import _cq_areal
 from qcapsim.capacitor import _cq_prefactor, _require_operating_point
@@ -116,3 +119,53 @@ def quantum_rc_time(S: float, E_F: float) -> float:
 def quantum_conductance() -> float:
     """Zero-bias quantum conductance sigma_Q = 2 e^2 / pi hbar (S)."""
     return 2.0 * E**2 / (math.pi * HBAR)
+
+
+# --- the quartic oscillator as a perturbation series ----------------------------
+#
+# H / hbar omega = p^2/2 + x^2/2 + lam x^4, x = (a + a^dag)/sqrt(2), lam = -tau omega.
+# x^4 moves a Fock state by at most 4, so the order-k Rayleigh-Schrodinger state
+# of level m lies in n <= m + 4k: the recursion needs no truncation.
+
+def _ladder(v: np.ndarray) -> np.ndarray:
+    """a + a^dag applied to a Fock-basis vector whose last entry is 0."""
+    root = np.sqrt(np.arange(1.0, len(v)))
+    out = np.zeros_like(v)
+    out[1:] += root * v[:-1]
+    out[:-1] += root * v[1:]
+    return out
+
+
+def quartic_series(orders: int = 60) -> np.ndarray:
+    """c[n, k] with E_n / hbar omega = sum_k c[n, k] lam^k, n <= 2, k <= ``orders``."""
+    size = 4 * orders + 3
+    c = np.zeros((3, orders + 1))
+    for m in range(3):
+        gap = m - np.arange(size, dtype=float)
+        gap[m] = math.inf  # every correction is orthogonal to |m>
+        psi = np.zeros((orders + 1, size))
+        psi[0, m], c[m, 0] = 1.0, m + 0.5
+        for k in range(1, orders + 1):
+            v = 0.25 * _ladder(_ladder(_ladder(_ladder(psi[k - 1]))))  # x^4
+            c[m, k] = v[m]
+            psi[k] = (v - c[m, 1:k + 1] @ psi[k - 1::-1]) / gap
+    return c
+
+
+def _series_sum(coefficients: np.ndarray, lam: float) -> float:
+    """math.fsum of c_k lam^k, stopped at the first term below 1e-18 of the k = 1 one."""
+    terms = coefficients * lam ** np.arange(len(coefficients))
+    small = np.flatnonzero(np.abs(terms[2:]) < 1e-18 * abs(terms[1]))
+    if not small.size:
+        raise ValueError(f"the series does not reach 1e-18 of its first correction at {lam}")
+    return math.fsum(terms[:small[0] + 2])
+
+
+def quartic_levels(tau_omega: float) -> tuple[list[float], float]:
+    """E_0..E_2 / hbar omega at lam = -tau_omega, and the anharmonicity
+    A = 1 - omega_21/omega_10, with omega_10 - omega_21 summed term by term
+    from 2 c[1] - c[0] - c[2] so that nothing cancels."""
+    c, lam = quartic_series(), -tau_omega
+    levels = [_series_sum(row, lam) for row in c]
+    omega_10 = _series_sum(c[1] - c[0], lam)
+    return levels, _series_sum(2.0 * c[1] - c[0] - c[2], lam) / omega_10

@@ -427,7 +427,6 @@ def test_design_check_published_geometry_passes():
     assert report.thickness_ok and report.dominance_ok
     assert report.dominance_ratio == pytest.approx(0.011133, rel=1e-3, abs=0.0)
     assert report.dominance_ratio == report.C_0_areal / report.C_G_areal
-    assert len(report.messages) >= 2
 
 
 @pytest.mark.parametrize("t_nm,ok", [(2.0, False), (3.5, True), (69.0, True), (100.0, False)])

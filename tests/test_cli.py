@@ -200,7 +200,7 @@ def test_coupling_warns_past_the_perturbative_regime(capsys):
         )
     assert code == 0
     assert out.splitlines()[1] == (
-        "1,4,2,10,1,1,hopping,0,48163993860.1,0,16072776104.6,48163993860.1,2.99661947299"
+        "1,4,2,10,1,1,hopping,0,48163993860.1,16072776104.6,48163993860.1,2.99661947299"
     )
 
 
@@ -218,14 +218,6 @@ def test_coupling_rejects_a_negative_pump_photon_number(capsys):
     code, out, err = run_cli(capsys, "coupling", "--pump-photons", "-1")
     assert (code, out) == (2, "")
     assert "photon" in err
-
-
-@pytest.mark.parametrize("theta, spelled", [("1e308", "inf"), ("-1e308", "-inf")])
-def test_coupling_rejects_a_pump_phase_that_overflows_in_radians(capsys, theta, spelled):
-    # a finite --theta-over-pi passes argparse, but pi times it is not finite
-    code, out, err = run_cli(capsys, "coupling", f"--theta-over-pi={theta}")
-    assert (code, out) == (2, "")
-    assert err == f"error: phase_theta must be finite, got {spelled}\n"
 
 
 def test_circulator_bundled_config(capsys):
@@ -545,6 +537,21 @@ def test_missing_config_rejected(capsys):
     code, _, err = run_cli(capsys, "circulator", "--config", "does_not_exist.json")
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("circulator", "paper_fig4.json"), ("sweep-capacitance", "paper_fig2.json"),
+])
+def test_missing_config_path_does_not_fall_back_to_a_bundled_config(
+    command, name, tmp_path, monkeypatch, capsys
+):
+    # only a bare file name resolves among the bundled configs
+    monkeypatch.chdir(tmp_path)
+    for path in (f"no_such_dir/{name}", str(tmp_path / "nowhere" / name)):
+        code, out, err = run_cli(capsys, command, "--config", path, "--points", "3")
+        assert (code, out) == (2, ""), path
+        assert f"config '{path}' not found on disk or among bundled configs" in err
+    assert run_cli(capsys, command, "--config", name, "--points", "3")[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -140,8 +140,7 @@ def test_classification_json_shape(capsys):
     doc = _coupling_record(capsys)
     assert list(doc) == [
         "T_K", "f_GHz", "f1_GHz", "f2_GHz", "S_um2", "pump_photons", "kind", "detuning_rad_s",
-        "G_rad_s", "theta_rad", "g0_printed_rad_s", "g0_symbolic_rad_s",
-        "ratio_symbolic_to_printed",
+        "G_rad_s", "g0_printed_rad_s", "g0_symbolic_rad_s", "ratio_symbolic_to_printed",
     ]
     pump = PumpSpec(Omega=ghz_to_rad_per_s(4.0), photon_number=1.0)
     expected = classify_interaction(
@@ -150,7 +149,6 @@ def test_classification_json_shape(capsys):
     assert doc["kind"] == expected.kind.value == "hopping"
     assert doc["detuning_rad_s"] == pytest.approx(expected.detuning, rel=1e-11, abs=0.0)
     assert doc["G_rad_s"] == pytest.approx(expected.G, rel=1e-11, abs=0.0)
-    assert doc["theta_rad"] == 0.0
 
 
 # --- published single-photon rates ---------------------------------------------------

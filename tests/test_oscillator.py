@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import quartic_levels, quartic_series
 from qcapsim.capacitor import linear_capacitance_C0
 from qcapsim.cli import main
 from qcapsim.constants import H, HBAR, K_B, V_F
@@ -262,6 +263,30 @@ def test_anharmonicity_second_order_envelope(tau_omega):
     assert abs(result.anharmonicity_A / second_order - 1.0) < 500.0 * tau_omega**2 + 1e-10
 
 
+def test_quartic_series_coefficients():
+    c = quartic_series()
+    # the ground state's series (Bender and Wu, Phys. Rev. 184, 1231 (1969))
+    for k, exact in enumerate((0.5, 3.0 / 4.0, -21.0 / 8.0, 333.0 / 16.0, -30885.0 / 128.0)):
+        assert c[0, k] == pytest.approx(exact, rel=1e-15, abs=0.0)
+    # every level through second order, as the perturbation tests above spell it
+    for n in range(3):
+        assert c[n, 1] == pytest.approx((6 * n**2 + 6 * n + 3) / 4.0, rel=1e-15, abs=0.0)
+        assert c[n, 2] == pytest.approx(
+            -(34 * n**3 + 51 * n**2 + 59 * n + 21) / 8.0, rel=1e-15, abs=0.0)
+
+
+# the Fock oracle's relative error in A: its rounding, amplified by the
+# 1/tau_omega of the level-spacing difference
+@pytest.mark.parametrize("tau_omega, a_rel", [(1e-5, 1e-9), (1e-4, 2e-11), (1e-3, 3e-12)])
+def test_fock_levels_match_the_all_orders_series(tau_omega, a_rel):
+    result = fock_diagonalize(_spec(tau_omega))
+    levels, anharmonicity = quartic_levels(tau_omega)
+    for n in range(3):
+        assert result.eigenvalues[n] / (HBAR * OMEGA) == pytest.approx(
+            levels[n], rel=1e-12, abs=0.0)
+    assert result.anharmonicity_A == pytest.approx(anharmonicity, rel=a_rel, abs=0.0)
+
+
 def test_anharmonicity_matches_first_order_when_tiny():
     rng = np.random.default_rng(40)
     for tau_omega in 10 ** rng.uniform(-6, math.log10(5e-5), size=6):
@@ -341,17 +366,15 @@ def test_spectrum_json_shape(capsys):
         "anharmonicity_percent_fock", "spectrum",
     ]
     spectrum = doc["spectrum"]
-    assert list(spectrum) == [
-        "eigenvalues_J", "omega10_rad_s", "omega21_rad_s", "anharmonicity_fraction",
-    ]
+    assert list(spectrum) == ["eigenvalues_J", "omega10_rad_s", "omega21_rad_s"]
     levels = spectrum["eigenvalues_J"]
     assert len(levels) == doc["fock_cutoff"]
     assert spectrum["omega10_rad_s"] == pytest.approx(
         (levels[1] - levels[0]) / HBAR, rel=1e-9, abs=0.0)
     assert spectrum["omega21_rad_s"] == pytest.approx(
         (levels[2] - levels[1]) / HBAR, rel=1e-9, abs=0.0)
-    assert 100.0 * spectrum["anharmonicity_fraction"] == pytest.approx(
-        doc["anharmonicity_percent_fock"], rel=1e-9, abs=0.0)
+    assert doc["anharmonicity_percent_fock"] == pytest.approx(
+        100.0 * abs(1.0 - spectrum["omega21_rad_s"] / spectrum["omega10_rad_s"]), rel=1e-9, abs=0.0)
 
 
 def test_spec_carries_only_what_the_fock_oracle_reads():
