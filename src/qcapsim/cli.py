@@ -29,7 +29,7 @@ import json
 import math
 import sys
 import warnings
-from importlib import import_module, resources
+from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -70,29 +70,23 @@ from .mode import (
 from .multimode import PumpSpec, classify_interaction, gamma_nml, single_photon_rate_printed
 from .tables import csv_text, json_text, table_csv, table_json
 
-# The numpy-backed kernels are imported on first use, so that design-check,
-# coupling, qubit --skip-spectrum and verify-paper never load numpy.  A
-# subcommand reads its kernel from this module's attributes when it runs,
-# so a wrapper set on one of them (a profiler's span, a test's counter) is
-# the one called.
-_KERNEL_MODULES = {
-    "capacitance_sweep": ".capacitance",
-    "sweep": ".circulator",
-    "fock_diagonalize": ".oscillator",
-}
+# The numpy kernels, each imported when called: design-check, coupling, qubit --skip-spectrum
+# and verify-paper never load numpy.  A subcommand calls them by these names, so a
+# wrapper set on one (a profiler's span, a test's counter) is the one called.
+
+def capacitance_sweep(design, T_list, V_grid):
+    from . import capacitance
+    return capacitance.capacitance_sweep(design, T_list, V_grid)
 
 
-def __getattr__(name: str):
-    """Bind a kernel on this module at its first access (PEP 562)."""
-    if name not in _KERNEL_MODULES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    kernel = getattr(import_module(_KERNEL_MODULES[name], __package__), name)
-    return globals().setdefault(name, kernel)
+def sweep(config, deltas):
+    from . import circulator
+    return circulator.sweep(config, deltas)
 
 
-def _kernel(name: str):
-    """The kernel ``name`` as this module's attribute holds it now."""
-    return getattr(sys.modules[__name__], name)
+def fock_diagonalize(spec):
+    from . import oscillator
+    return oscillator.fock_diagonalize(spec)
 
 
 # --- config loading ----------------------------------------------------------
@@ -267,7 +261,7 @@ def _cmd_sweep_capacitance(args) -> int:
     design = CapacitorDesign(
         dielectric_thickness_t=nm_to_m(thickness_nm), relative_permittivity=epsr
     )
-    result = _kernel("capacitance_sweep")(design, temperatures, grid)
+    result = capacitance_sweep(design, temperatures, grid)
     _emit_columns(args, SWEEP_CSV_HEADER, result.columns())
     return 0
 
@@ -320,7 +314,7 @@ def _cmd_qubit(args) -> int:
         "n_max_derived": photon_number_limit_derived(args.T, args.f),
     }
     if not args.skip_spectrum:
-        spectrum = _kernel("fock_diagonalize")(spec)
+        spectrum = fock_diagonalize(spec)
         record["anharmonicity_percent_fock"] = spectrum.anharmonicity_A * 100.0
         record["spectrum"] = {
             "eigenvalues_J": spectrum.eigenvalues.tolist(),
@@ -405,7 +399,7 @@ def _cmd_circulator(args) -> int:
     delta_min = _setting(args.delta_min, doc, "delta_min_GHz", -4.0)
     delta_max = _setting(args.delta_max, doc, "delta_max_GHz", 4.0)
     deltas = _sweep_grid(args, doc, ghz_to_rad_per_s(delta_min), ghz_to_rad_per_s(delta_max), 1001)
-    result = _kernel("sweep")(config, deltas)
+    result = sweep(config, deltas)
     _emit_columns(args, SWEEP_CSV_HEADER, result.columns())
     return 0
 
@@ -610,6 +604,8 @@ def main(argv=None) -> int:
     profiler span replaces one.
     """
     args = _parser().parse_args(argv)
+    format_warning = warnings.formatwarning  # a warning prints as one line, with no path
+    warnings.formatwarning = lambda message, category, *_: f"warning: {category.__name__}: {message}\n"
     try:
         with warnings.catch_warnings():  # a warning shows once per call, not per process
             return args.func(args)
@@ -622,6 +618,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning  # catch_warnings does not restore it
 
 
 if __name__ == "__main__":

@@ -117,12 +117,13 @@ def _kernel_tables():
     low = (~u(0) >> u(64) - u(8) * np.arange(9, dtype=u)).take  # n low bytes set, n clipped
     masks = (low(np.minimum(K, end) - [0, 8], mode="clip"), low(end - [0, 8], mode="clip") & ~low(at + 1, mode="clip"),
              np.where((K > 0) & (end > K) & (at >= 0) & (at < 8), u(46) << u(8) * (at % 8).astype(u), u(0)))
+    prefix = np.stack([lead, lead << u(8) | u(45)], axis=1)[:, None, :, None]  # by class, sign
+    shape = (2, 17, 13, 2)  # JSON flag, class, significant digits, sign
+    layout = [np.broadcast_to(prefix, shape + (1,))] + [np.broadcast_to(m[:, :, :, None], shape + (2,)) for m in masks]
     return SimpleNamespace(
         L0=L0, threshold=threshold, scale=np.append(pow10[616:10:-1], np.nan), cls=cls, expw=expw,
-        digits=np.append(digits, digits[1000]), digits_m=digits << u(32), digits_l=digits | u(48 << 32),
-        s2_h=np.append(s2, s2[1000]), s2_m=s2 + 8, s2_l=s2 + 16,
-        prefix=np.broadcast_to(np.stack([lead, lead << u(8) | u(45)], axis=1)[:, None], (17, 13, 2)).ravel(),
-        masks=list(zip(*(np.broadcast_to(m[:, :, :, None], (2, 17, 13, 2, 2)).reshape(2, -1, 2) for m in masks))))
+        digits=np.append(digits, digits[1000]), s2=np.append(s2, s2[1000]),
+        layout=np.concatenate(layout, axis=-1).reshape(2, -1, 7))
 
 
 def _spell(x, json: bool, out) -> None:
@@ -146,16 +147,15 @@ def _spell(x, json: bool, out) -> None:
     h, l = np.divmod(q.astype(np.int64), 100000000)
     m, l = np.divmod(l, 10000)
     row = t.cls.take(L, mode="clip") + np.signbit(x)  # the layout
-    row += np.maximum(np.maximum(t.s2_h.take(h, mode="clip"), t.s2_m.take(m, mode="clip")),
-                      t.s2_l.take(l, mode="clip"))
-    w = np.stack([t.digits.take(h, mode="clip") | t.digits_m.take(m, mode="clip"),
-                  t.digits_l.take(l, mode="clip")], axis=1)  # the 12 digits, then JSON's "0"
-    w[:, 0] -= zero
-    keep, shift, point = (mask.take(row, axis=0, mode="clip") for mask in t.masks[json])
-    shifted = w << u(8)
-    shifted[:, 1] |= w[:, 0] >> u(56)
-    out[:, 0] = t.prefix.take(row, mode="clip")
-    out[:, 1:3] = w & keep | shifted & shift | point
+    row += np.maximum(np.maximum(t.s2.take(h, mode="clip"), t.s2.take(m, mode="clip") + 8),
+                      t.s2.take(l, mode="clip") + 16)
+    w0 = (t.digits.take(h, mode="clip") | t.digits.take(m, mode="clip") << u(32)) - zero
+    w1 = t.digits.take(l, mode="clip") | u(48 << 32)  # the 12 digits, then JSON's "0"
+    # a 7-word row per cell, unpacked into columns: ufuncs on (n, 2) slices of it loop 2 words at a time
+    prefix, keep0, keep1, shift0, shift1, point0, point1 = t.layout[int(json)].take(row, axis=0, mode="clip").T
+    out[:, 0] = prefix
+    out[:, 1] = w0 & keep0 | w0 << u(8) & shift0 | point0
+    out[:, 2] = w1 & keep1 | (w1 << u(8) | w0 >> u(56)) & shift1 | point1
     out[:, 3] = t.expw.take(L, mode="clip")
     fall = fall.nonzero()[0]
     spell = json_float if json else "%.12g".__mod__

@@ -6,8 +6,9 @@ with ``seconds`` the benchmark's ``run_seconds`` from ``BENCHMARK.json``)
 run in this process through ``qcapsim.cli.main``, with ``dir`` as the
 working directory.  Each prints one line, ``<workload> <seed> <index>
 <sha256>``, where index 0 is the first warm-up.  Every warning is shown,
-as ``<category>: <message>`` with no file or line, so that a line's hash
-depends neither on the requests before it nor on where the code lives.
+in ``main``'s one-line form ``warning: <category>: <message>`` with no file
+or line, so that a line's hash depends neither on the requests before it nor
+on where the code lives.
 
 Two checkouts print the same lines exactly when every request gives the
 same bytes and exit code, so comparing a change with its parent takes one
@@ -63,7 +64,6 @@ def main_hashes(argv=None) -> int:
     args = parser.parse_args(argv)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     warnings.simplefilter("always")
-    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     home = os.getcwd()
     for workload in args.workloads:
         for seed in args.seeds:

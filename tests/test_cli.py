@@ -214,6 +214,22 @@ def test_each_call_shows_its_own_warning(capsys):
     assert [w.category for w in caught] == [PerturbativeRegimeExceeded] * 3
 
 
+def test_a_warning_prints_as_one_line_without_a_path():
+    # Python's default form names the file and line that warned, and quotes its source
+    result = subprocess.run([sys.executable, "-m", "qcapsim.cli", "coupling", "--S", "1"],
+                            capture_output=True, text=True, env=_src_env())
+    assert result.returncode == 0
+    assert result.stderr == ("warning: PerturbativeRegimeExceeded: tau*omega = 0.571 > 1/12 at the "
+                             "pump: perturbative regime exceeded; the rates are first-order\n")
+
+
+def test_main_restores_the_warning_format(capsys):
+    before = warnings.formatwarning
+    with pytest.warns(PerturbativeRegimeExceeded):
+        assert run_cli(capsys, "coupling", "--S", "1")[0] == 0
+    assert warnings.formatwarning is before
+
+
 def test_coupling_rejects_a_negative_pump_photon_number(capsys):
     code, out, err = run_cli(capsys, "coupling", "--pump-photons", "-1")
     assert (code, out) == (2, "")
@@ -631,6 +647,19 @@ def test_overflow_and_underflow_exit_two_with_a_message(argv, message, capsys):
     under the suite's warnings-as-errors, no numpy RuntimeWarning escapes."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_negative_exponent_after_a_space_is_read_as_an_option(capsys):
+    # Python 3.11's argparse reads an argument as a negative number only in the form
+    # -4 or -2.5, so the README writes --delta-min=-1.5e298 with "="
+    argv = ["circulator", "--config", "paper_fig4.json", "--points", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--delta-min", "-1e0"])
+    assert exc.value.code == 2
+    assert "error: argument --delta-min: expected one argument" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "circulator", "--config", "paper_fig4.json",
+                             "--delta-min=-1.5e298", "--delta-max=1.5e298")
+    assert (code, out, err) == (2, "", "error: detuning nan rad/s at grid point 0 is not finite\n")
 
 
 @pytest.mark.parametrize(

@@ -70,8 +70,7 @@ def test_export_resolves_to_its_defining_object(module, name):
 
 def _names_read_in_src() -> set:
     """Every name that code in ``src/qcapsim`` reads: a ``Name`` loaded, an
-    attribute, a ``from ... import`` alias, or a kernel that ``cli`` looks up
-    by name through ``_kernel("...")``.  Docstrings and the name's own
+    attribute, or a ``from ... import`` alias.  Docstrings and the name's own
     ``def``, ``class`` or assignment do not count."""
     reads = set()
     for path in sorted((SRC_DIR / "qcapsim").glob("*.py")):
@@ -82,9 +81,6 @@ def _names_read_in_src() -> set:
                 reads.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 reads.update(alias.name for alias in node.names)
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id == "_kernel" and isinstance(node.args[0], ast.Constant)):
-                reads.add(node.args[0].value)
     return reads
 
 
