@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacitor import CapacitorDesign, _cq_prefactor, geometric_capacitance
+from .capacitor import _cq_prefactor
 from .constants import E, K_B, PI_HBAR_VF_SQ, f_per_m2_to_ff_per_um2, require_positive_temperature
 
 SWEEP_CSV_HEADER = ("T_K", "V_volt", "CQ_fF_per_um2", "Cseries_fF_per_um2")
@@ -87,8 +87,9 @@ def _cq_column(T: float, V: np.ndarray) -> np.ndarray:
     return _cq_areal(T, V)
 
 
-def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSweep:
-    """Evaluate C_Q and the series capacitance over a (T, V) grid.
+def capacitance_sweep(c_g: float, T_list, V_grid) -> CapacitanceSweep:
+    """Evaluate C_Q and its series combination with C_G = ``c_g`` (F/m^2)
+    over a (T, V) grid.
 
     T = 0 entries are allowed and dispatch to the explicit
     zero-temperature branch; all other temperatures must be positive.
@@ -99,7 +100,7 @@ def capacitance_sweep(design: CapacitorDesign, T_list, V_grid) -> CapacitanceSwe
     V = np.asarray(V_grid, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         cq = np.concatenate([_cq_column(T, V) for T in T_list])
-        cseries = series_capacitance(geometric_capacitance(design), cq)
+        cseries = series_capacitance(c_g, cq)
         bad = ~(np.isfinite(f_per_m2_to_ff_per_um2(cq))
                 & np.isfinite(f_per_m2_to_ff_per_um2(cseries)))
     if bad.any():

@@ -1,7 +1,7 @@
 """Scalar model of the graphene/dielectric/graphene capacitor; no numpy.
 
-The stack's design and its dielectric-thickness rules, the geometric and
-linear capacitances, and the low-voltage charge/energy series used for
+The dielectric-thickness design rules, the geometric and linear
+capacitances, and the low-voltage charge/energy series used for
 field quantization.  Everything here is a closed-form scalar in ``math``,
 so the CLI's scalar commands run without importing numpy; the quantum
 capacitance itself, which a sweep evaluates on whole voltage grids, is in
@@ -24,21 +24,6 @@ from .constants import (
 THICKNESS_MIN = 3e-9
 THICKNESS_MAX = 70e-9
 DOMINANCE_MAX_RATIO = 0.1
-
-
-@dataclass(frozen=True)
-class CapacitorDesign:
-    """Dielectric of the layered capacitor stack: it sets C_G and the
-    thickness window of the design rules, and enters nothing else."""
-
-    dielectric_thickness_t: float      # m
-    relative_permittivity: float = 4.0
-
-    def __post_init__(self):
-        require_positive(self.dielectric_thickness_t, "dielectric_thickness_t")
-        epsr = self.relative_permittivity
-        if not (epsr >= 1.0 and math.isfinite(epsr)):  # also rejects NaN
-            raise ValueError(f"relative_permittivity must be finite and >= 1, got {epsr}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +58,15 @@ def _require_operating_point(T: float, V: float) -> None:
         raise ValueError(f"voltage must be finite, got {V}")
 
 
-def geometric_capacitance(design: CapacitorDesign) -> float:
-    """Parallel-plate capacitance eps0 * eps_r / t per unit area (F/m^2)."""
-    return EPSILON_0 * design.relative_permittivity / design.dielectric_thickness_t
+def geometric_capacitance(thickness_t: float, relative_permittivity: float) -> float:
+    """Parallel-plate capacitance eps0 * eps_r / t per unit area (F/m^2) of a
+    dielectric of thickness t (m).  Raises :class:`ValueError` unless t is a
+    finite, normal float > 0 and eps_r is finite and >= 1."""
+    require_positive(thickness_t, "dielectric_thickness_t")
+    epsr = relative_permittivity
+    if not (epsr >= 1.0 and math.isfinite(epsr)):  # also rejects NaN
+        raise ValueError(f"relative_permittivity must be finite and >= 1, got {epsr}")
+    return EPSILON_0 * epsr / thickness_t
 
 
 def linear_capacitance_C0(T: float) -> float:
@@ -146,22 +137,21 @@ def energy_series(T: float, n_density: float) -> float:
 
 # --- design rules ------------------------------------------------------------
 
-def design_check(design: CapacitorDesign, T: float) -> DesignReport:
+def design_check(thickness_t: float, relative_permittivity: float, T: float) -> DesignReport:
     """Check the dielectric thickness window and quantum-capacitance dominance.
 
     thickness_ok requires 3 nm < t < 70 nm; dominance_ok requires
     C_0/C_G <= 0.1 so the quantum capacitance controls the series
-    combination by an order of magnitude.  Raises :class:`ValueError` when
-    C_G in fF/um^2 or C_0/C_G is not finite.
+    combination by an order of magnitude.  Checks t, then eps_r, then T;
+    raises :class:`ValueError` when C_G in fF/um^2 or C_0/C_G is not finite.
     """
-    require_positive_temperature(T)
-    cg = geometric_capacitance(design)
+    cg = geometric_capacitance(thickness_t, relative_permittivity)
     c0 = linear_capacitance_C0(T)
     ratio = c0 / cg
     if not (math.isfinite(f_per_m2_to_ff_per_um2(cg)) and math.isfinite(ratio)):
         raise ValueError(f"design out of range: C_G = {f_per_m2_to_ff_per_um2(cg):.4g} fF/um^2 "
                          f"and C_0/C_G = {ratio:.4g} must be finite")
-    thickness_ok = THICKNESS_MIN < design.dielectric_thickness_t < THICKNESS_MAX
+    thickness_ok = THICKNESS_MIN < thickness_t < THICKNESS_MAX
     dominance_ok = ratio <= DOMINANCE_MAX_RATIO
     return DesignReport(
         C_G_areal=cg,

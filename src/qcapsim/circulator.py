@@ -81,18 +81,14 @@ class CirculatorConfig:
         if not all(math.isfinite(v) for v in (*self.phi, *self.detuning)):
             raise ValueError(f"phases and detunings must be finite, got {self.phi}, {self.detuning}")
 
-    @property
-    def gauge_flux(self) -> float:
-        """Loop phase phi_1 + phi_3 - phi_2 (rad)."""
-        return self.phi[0] + self.phi[2] - self.phi[1]
-
 
 def coupling_matrix(config: CirculatorConfig) -> np.ndarray:
     """Hermitian coupling matrix h (rad/s), zero diagonal.
 
     h[i][j] is the coefficient of a_i^dag a_j.  The phase of the 3 <-> 1
     coupling enters with the opposite sign to the other two so that the
-    cycle 1 -> 2 -> 3 -> 1 accumulates exactly ``gauge_flux``.
+    cycle 1 -> 2 -> 3 -> 1 accumulates exactly the loop phase
+    phi_1 + phi_3 - phi_2.
     """
     g1, g2, g3 = config.g
     p1, p2, p3 = config.phi

@@ -22,19 +22,16 @@ timestamps); when ``--out`` is given, run metadata goes to a
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import functools
 import json
 import math
 import sys
 import warnings
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
 from .capacitor import (
-    CapacitorDesign,
     charge_series,
     charge_series_cubic_coefficient,
     design_check,
@@ -65,18 +62,17 @@ from .mode import (
     photon_number_limit_derived,
     resonant_inductance,
     suggested_fock_cutoff,
-    warn_if_strongly_anharmonic,
 )
-from .multimode import PumpSpec, classify_interaction, gamma_nml, single_photon_rate_printed
+from .multimode import classify_interaction, gamma_nml, single_photon_rate_printed
 from .tables import csv_text, json_text, table_csv, table_json
 
 # The numpy kernels, each imported when called: design-check, coupling, qubit --skip-spectrum
 # and verify-paper never load numpy.  A subcommand calls them by these names, so a
 # wrapper set on one (a profiler's span, a test's counter) is the one called.
 
-def capacitance_sweep(design, T_list, V_grid):
+def capacitance_sweep(c_g, T_list, V_grid):
     from . import capacitance
-    return capacitance.capacitance_sweep(design, T_list, V_grid)
+    return capacitance.capacitance_sweep(c_g, T_list, V_grid)
 
 
 def sweep(config, deltas):
@@ -97,9 +93,9 @@ def _locate_config(name_or_path: str) -> Path:
     p = Path(name_or_path)
     if p.exists():
         return p
-    packaged = resources.files("qcapsim").joinpath("configs", p.name)
+    packaged = Path(__file__).with_name("configs") / p.name
     if p.name == name_or_path and packaged.is_file():
-        return Path(str(packaged))
+        return packaged
     raise ConfigError(
         f"config '{name_or_path}' not found on disk or among bundled configs"
     )
@@ -258,19 +254,14 @@ def _cmd_sweep_capacitance(args) -> int:
     grid = _sweep_grid(args, doc, -vmax, vmax, 201, len(temperatures))
     # the sweep is per unit area: --S is validated but not read
     require_positive(um2_to_m2(args.S), "area_S")
-    design = CapacitorDesign(
-        dielectric_thickness_t=nm_to_m(thickness_nm), relative_permittivity=epsr
-    )
-    result = capacitance_sweep(design, temperatures, grid)
+    c_g = geometric_capacitance(nm_to_m(thickness_nm), epsr)
+    result = capacitance_sweep(c_g, temperatures, grid)
     _emit_columns(args, SWEEP_CSV_HEADER, result.columns())
     return 0
 
 
 def _cmd_design_check(args) -> int:
-    design = CapacitorDesign(
-        dielectric_thickness_t=nm_to_m(args.thickness_nm), relative_permittivity=args.epsr
-    )
-    report = design_check(design, args.T)
+    report = design_check(nm_to_m(args.thickness_nm), args.epsr, args.T)
     record = {
         "thickness_nm": args.thickness_nm,
         "relative_permittivity": args.epsr,
@@ -327,14 +318,9 @@ def _cmd_qubit(args) -> int:
 
 def _cmd_coupling(args) -> int:
     tau = nonlinear_time_constant(um2_to_m2(args.S), args.T)
-    pump = PumpSpec(Omega=ghz_to_rad_per_s(args.f), photon_number=args.pump_photons)
-    warn_if_strongly_anharmonic(tau * pump.Omega, "the rates are first-order", " at the pump")
     classification = classify_interaction(
-        pump,
-        ghz_to_rad_per_s(args.f1),
-        ghz_to_rad_per_s(args.f2),
-        tau,
-        tolerance=TWO_PI * 1e6 * args.tolerance_mhz,
+        ghz_to_rad_per_s(args.f), args.pump_photons, ghz_to_rad_per_s(args.f1),
+        ghz_to_rad_per_s(args.f2), tau, tolerance=TWO_PI * 1e6 * args.tolerance_mhz,
     )
     printed = single_photon_rate_printed(args.T, args.f, args.f1, args.f2, args.S)
     record = {
@@ -344,7 +330,7 @@ def _cmd_coupling(args) -> int:
         "f2_GHz": args.f2,
         "S_um2": args.S,
         "pump_photons": args.pump_photons,
-        "kind": classification.kind.value,
+        "kind": classification.kind,
         "detuning_rad_s": classification.detuning,
         "G_rad_s": classification.G,
         "g0_printed_rad_s": printed,
@@ -388,7 +374,9 @@ def _circulator_config(doc):
     for w in omega:
         require_positive(w, "mode frequency (rad/s)")
     config = CirculatorConfig(kappa=kappa, g=g, phi=phi, detuning=detuning)  # checks detuning
-    return config if frame == "rotating" else dataclasses.replace(config, detuning=omega)
+    if frame == "lab":
+        config = CirculatorConfig(kappa=kappa, g=g, phi=phi, detuning=omega)
+    return config
 
 
 def _cmd_circulator(args) -> int:
@@ -434,14 +422,13 @@ def _verify_rows() -> tuple[tuple, ...]:
     ``flagged`` is the value that the computation must match instead, within
     ``rel_tol``, and the row reads FLAG.
     """
-    design = CapacitorDesign(dielectric_thickness_t=7e-9, relative_permittivity=4.0)
     g0_1k = single_photon_rate_printed(1.0, 4.0, 2.0, 10.0, 100.0)
     tau_1k = nonlinear_time_constant(um2_to_m2(100.0), 1.0)  # the 1 K example's tau
     # tau and omega at S = 1 um^2, T = 1 K, f = 1 GHz: the published coefficients
     tau_unit, omega_unit = nonlinear_time_constant(um2_to_m2(1.0), 1.0), ghz_to_rad_per_s(1.0)
     return (
         ("cg_areal", "geometric capacitance at eps_r=4, t=7 nm (fF/um^2)",
-         5.06, 0.005, None, "", f_per_m2_to_ff_per_um2(geometric_capacitance(design))),
+         5.06, 0.005, None, "", f_per_m2_to_ff_per_um2(geometric_capacitance(7e-9, 4.0))),
         ("c0_areal_1k", "linear quantum capacitance at T=1 K (fF/um^2)",
          0.0563, 0.01, None, "", f_per_m2_to_ff_per_um2(linear_capacitance_C0(1.0))),
         ("c0_total_100um2_1k", "total linear capacitance at T=1 K, S=100 um^2 (fF)", 5.63, 0.01,

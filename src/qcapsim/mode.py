@@ -60,21 +60,19 @@ class OscillatorSpec:
             )
 
 
-def warn_if_strongly_anharmonic(
-    tau_omega: float, consequence: str, where: str = "", stacklevel: int = 1
-) -> None:
+def warn_if_strongly_anharmonic(tau_omega: float, consequence: str, where: str = "") -> None:
     """Warn :class:`PerturbativeRegimeExceeded` when tau*omega exceeds 1/12.
 
     The message reads "tau*omega = <value> > 1/12<where>: perturbative
-    regime exceeded; <consequence>".  ``stacklevel`` counts from the caller:
-    1 attributes the warning to the calling line, 2 to its caller.
+    regime exceeded; <consequence>".  The warning is attributed to the line
+    that called this helper's caller: the line that asked for the formula.
     """
     if tau_omega > STRONG_ANHARMONICITY_THRESHOLD:
         warnings.warn(
             f"tau*omega = {tau_omega:.3g} > 1/12{where}: perturbative regime exceeded; "
             f"{consequence}",
             PerturbativeRegimeExceeded,
-            stacklevel=stacklevel + 1,
+            stacklevel=3,
         )
 
 

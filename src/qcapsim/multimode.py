@@ -12,45 +12,21 @@ evaluates the published single-photon rate formula.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from .constants import require_positive
-from .mode import _printed_denominator
+from .mode import _printed_denominator, warn_if_strongly_anharmonic
 
 # printed engineering coefficient: g0 = 2 pi x 0.143 f sqrt(f1 f2)/(S T^3) GHz
 SINGLE_PHOTON_RATE_COEFF_PRINTED = 0.143
 
 
 @dataclass(frozen=True)
-class PumpSpec:
-    """Strong coherent drive on the pump mode.
-
-    ``photon_number`` is n = |a|^2, the mean pump photon number that G
-    scales with.
-    """
-
-    Omega: float           # rad/s
-    photon_number: float   # dimensionless
-
-    def __post_init__(self):
-        require_positive(self.Omega, "Omega")
-        if not (self.photon_number >= 0.0 and math.isfinite(self.photon_number)):
-            raise ValueError(f"photon_number must be finite and >= 0, got {self.photon_number}")
-
-
-class InteractionKind(enum.Enum):
-    HOPPING = "hopping"
-    PARAMETRIC = "parametric"
-    OFF_RESONANT = "off_resonant"
-
-
-@dataclass(frozen=True)
 class InteractionClassification:
     """Which pump-selected interaction survives the RWA, and how strong."""
 
-    kind: InteractionKind
+    kind: str        # "hopping", "parametric" or "off_resonant"
     detuning: float  # rad/s, residual mismatch of the matched (or nearest) condition
     G: float         # rad/s, pump-enhanced interaction rate g0 * n
     g0: float        # rad/s, single-photon rate 3 * gamma_012
@@ -67,28 +43,37 @@ def gamma_nml(tau: float, omega_n: float, omega_m: float, omega_l: float) -> flo
 
 
 def classify_interaction(
-    pump: PumpSpec,
+    Omega: float,
+    photon_number: float,
     omega_1: float,
     omega_2: float,
     tau: float,
     tolerance: float,
 ) -> InteractionClassification:
-    """Classify the pump-selected two-mode interaction.
+    """Classify the two-mode interaction that a pump at Omega (rad/s)
+    carrying n = |a|^2 = ``photon_number`` photons selects.
 
     Hopping when |2*Omega - |w1 - w2|| <= tolerance (the frequency
     difference selects photon exchange regardless of which mode is
     higher), parametric when |2*Omega - (w1 + w2)| <= tolerance,
     otherwise off-resonant (reported with the smaller residual so RWA
-    validity can be judged).  Raises :class:`ValueError` if both conditions
-    match, which requires min(w1, w2) <= tolerance, or if G or the detuning
-    is not finite (G = 0 is valid).
+    validity can be judged).  Raises :class:`ValueError` unless Omega is a
+    finite, normal float > 0 and n is finite and >= 0; then warns
+    :class:`PerturbativeRegimeExceeded` past tau*Omega = 1/12.  Raises
+    :class:`ValueError` if both conditions match, which requires
+    min(w1, w2) <= tolerance, or if G or the detuning is not finite (G = 0
+    is valid).
     """
+    require_positive(Omega, "Omega")
+    if not (photon_number >= 0.0 and math.isfinite(photon_number)):
+        raise ValueError(f"photon_number must be finite and >= 0, got {photon_number}")
+    warn_if_strongly_anharmonic(tau * Omega, "the rates are first-order", " at the pump")
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    d_hop = abs(2.0 * pump.Omega - abs(omega_1 - omega_2))
-    d_par = abs(2.0 * pump.Omega - (omega_1 + omega_2))
-    g0 = 3.0 * gamma_nml(tau, pump.Omega, omega_1, omega_2)
-    strength = g0 * pump.photon_number
+    d_hop = abs(2.0 * Omega - abs(omega_1 - omega_2))
+    d_par = abs(2.0 * Omega - (omega_1 + omega_2))
+    g0 = 3.0 * gamma_nml(tau, Omega, omega_1, omega_2)
+    strength = g0 * photon_number
     if not math.isfinite(strength):
         raise ValueError(f"interaction rate G out of range: {strength} rad/s is not finite")
     hop = d_hop <= tolerance
@@ -98,11 +83,11 @@ def classify_interaction(
             f"both resonance conditions satisfied within tolerance {tolerance:g} rad/s"
         )
     if hop:
-        kind, detuning = InteractionKind.HOPPING, d_hop
+        kind, detuning = "hopping", d_hop
     elif par:
-        kind, detuning = InteractionKind.PARAMETRIC, d_par
+        kind, detuning = "parametric", d_par
     else:
-        kind, detuning = InteractionKind.OFF_RESONANT, min(d_hop, d_par)
+        kind, detuning = "off_resonant", min(d_hop, d_par)
     if not math.isfinite(detuning):
         raise ValueError(f"resonance detuning out of range: {detuning} rad/s is not finite")
     return InteractionClassification(kind=kind, detuning=detuning, G=strength, g0=g0)

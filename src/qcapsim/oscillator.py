@@ -97,9 +97,7 @@ def fock_diagonalize(spec: OscillatorSpec) -> SpectrumResult:
     :class:`PerturbativeRegimeExceeded` warning is emitted past
     tau*omega = 1/12).
     """
-    warn_if_strongly_anharmonic(
-        spec.tau * spec.omega, "truncated-basis spectrum may not converge", stacklevel=2
-    )
+    warn_if_strongly_anharmonic(spec.tau * spec.omega, "truncated-basis spectrum may not converge")
     evals = _parity_block_eigenvalues(spec, spec.fock_cutoff)
     evals_check = _parity_block_eigenvalues(spec, spec.fock_cutoff + CONVERGENCE_CUTOFF_STEP)
     for k in range(3):

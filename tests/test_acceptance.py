@@ -35,7 +35,6 @@ from oracles import (
 )
 from qcapsim.capacitance import quantum_capacitance_T0
 from qcapsim.capacitor import (
-    CapacitorDesign,
     charge_series,
     geometric_capacitance,
     linear_capacitance_C0,
@@ -56,7 +55,6 @@ from qcapsim.oscillator import fock_diagonalize
 TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e9
 
-DESIGN = CapacitorDesign(dielectric_thickness_t=7e-9, relative_permittivity=4.0)
 AREA = 1e-10  # 100 um^2
 
 # one line per criterion check; echoed in the pytest terminal summary
@@ -71,7 +69,7 @@ def _report(criterion, label, ok):
 
 
 def test_criterion_1_geometric_capacitance():
-    value = f_per_m2_to_ff_per_um2(geometric_capacitance(DESIGN))
+    value = f_per_m2_to_ff_per_um2(geometric_capacitance(7e-9, 4.0))
     ok = abs(value - 5.06) / 5.06 <= 0.005
     assert _report(1, f"geometric capacitance {value:.4f} vs 5.06 fF/um^2 (0.5%)", ok)
 

@@ -12,7 +12,6 @@ from qcapsim.capacitance import (
     series_capacitance,
 )
 from qcapsim.capacitor import (
-    CapacitorDesign,
     charge_series,
     charge_series_cubic_coefficient,
     design_check,
@@ -22,7 +21,7 @@ from qcapsim.capacitor import (
 )
 from qcapsim.constants import E, HBAR, K_B, V_F, f_per_m2_to_ff_per_um2
 
-DESIGN = CapacitorDesign(dielectric_thickness_t=7e-9, relative_permittivity=4.0)
+CG = geometric_capacitance(7e-9, 4.0)  # the published design: t = 7 nm, eps_r = 4
 AREA = 1e-10  # 100 um^2
 
 
@@ -88,7 +87,7 @@ def test_quantum_capacitance_rejects_nan_temperature():
         with pytest.raises(ValueError, match="temperature"):
             linear_capacitance_C0(bad)
         with pytest.raises(ValueError, match="temperature"):
-            capacitance_sweep(DESIGN, [bad], np.array([0.0]))
+            capacitance_sweep(CG, [bad], np.array([0.0]))
 
 
 def test_quantum_capacitance_T0_zero_and_parity():
@@ -109,31 +108,26 @@ def test_quantum_capacitance_T0_is_millikelvin_limit():
 # --- geometric and series ------------------------------------------------------
 
 def test_geometric_capacitance_published_value():
-    got = f_per_m2_to_ff_per_um2(geometric_capacitance(DESIGN))
+    got = f_per_m2_to_ff_per_um2(geometric_capacitance(7e-9, 4.0))
     assert got == pytest.approx(5.06, rel=5e-3, abs=0.0)
     assert got == pytest.approx(5.059535893028571, rel=1e-12, abs=0.0)
 
 
 def test_geometric_capacitance_inverse_thickness_scaling():
-    double_t = CapacitorDesign(dielectric_thickness_t=14e-9)
-    assert geometric_capacitance(double_t) == pytest.approx(
-        geometric_capacitance(CapacitorDesign(dielectric_thickness_t=7e-9)) / 2.0,
-        rel=1e-15, abs=0.0,
+    assert geometric_capacitance(14e-9, 4.0) == pytest.approx(
+        geometric_capacitance(7e-9, 4.0) / 2.0, rel=1e-15, abs=0.0,
     )
 
 
 def test_geometric_capacitance_vacuum_reference():
-    design = CapacitorDesign(
-        dielectric_thickness_t=8.854e-9, relative_permittivity=1.0
-    )
-    assert f_per_m2_to_ff_per_um2(geometric_capacitance(design)) == pytest.approx(
+    assert f_per_m2_to_ff_per_um2(geometric_capacitance(8.854e-9, 1.0)) == pytest.approx(
         1.0, rel=1e-4, abs=0.0
     )
 
 
 def test_nonpositive_thickness_rejected():
     with pytest.raises(ValueError, match="dielectric_thickness_t"):
-        CapacitorDesign(dielectric_thickness_t=0.0)
+        geometric_capacitance(0.0, 4.0)
 
 
 # the ids keep the names these cases have always had; each message names its field
@@ -144,9 +138,10 @@ def test_nonpositive_thickness_rejected():
     ids=["dielectric_thickness_t-NonPositiveThickness", "relative_permittivity-ValueError"],
 )
 def test_non_finite_design_rejected(field, value):
+    # thickness, then permittivity: the two arguments in order
     fields = {"dielectric_thickness_t": 7e-9, "relative_permittivity": 4.0, field: value}
     with pytest.raises(ValueError, match=field):
-        CapacitorDesign(**fields)
+        geometric_capacitance(*fields.values())
 
 
 # the ids keep the names these cases have always had; each message names its quantity
@@ -175,29 +170,27 @@ def test_operating_point_validation(T, V, quantity):
 
 
 def _series(T, V):
-    return series_capacitance(geometric_capacitance(DESIGN), quantum_capacitance(T, V))
+    return series_capacitance(CG, quantum_capacitance(T, V))
 
 
 def test_series_capacitance_below_both_components():
     cs = _series(1.0, 0.01)
-    assert cs < geometric_capacitance(DESIGN)
+    assert cs < CG
     assert cs < quantum_capacitance(1.0, 0.01)
 
 
 def test_series_capacitance_zero_bias_near_quantum_value():
     cs = _series(1.0, 0.0)
     cq = quantum_capacitance(1.0, 0.0)
-    cg = geometric_capacitance(DESIGN)
     assert cs == pytest.approx(cq, rel=0.012, abs=0.0)
-    assert cs == pytest.approx(cq / (1.0 + cq / cg), rel=1e-14, abs=0.0)
+    assert cs == pytest.approx(cq / (1.0 + cq / CG), rel=1e-14, abs=0.0)
 
 
 def test_series_capacitance_approaches_geometric_at_large_bias():
-    cg = geometric_capacitance(DESIGN)
     prev_dev = None
     for v in (0.5, 1.0, 2.0):
         cs = _series(1.0, v)
-        dev = abs(cs - cg) / cg
+        dev = abs(cs - CG) / CG
         if prev_dev is not None:
             assert dev < prev_dev
         prev_dev = dev
@@ -423,22 +416,29 @@ def test_energy_series_quartic_is_twelve_times_the_charge_model(T):
 # --- design rules ----------------------------------------------------------------
 
 def test_design_check_published_geometry_passes():
-    report = design_check(DESIGN, 1.0)
+    report = design_check(7e-9, 4.0, 1.0)
     assert report.thickness_ok and report.dominance_ok
     assert report.dominance_ratio == pytest.approx(0.011133, rel=1e-3, abs=0.0)
     assert report.dominance_ratio == report.C_0_areal / report.C_G_areal
 
 
+def test_design_check_checks_thickness_then_permittivity_then_temperature():
+    # the order in which design-check reports a bad flag
+    for args, named in (((0.0, 0.0, 0.0), "dielectric_thickness_t"),
+                        ((7e-9, 0.0, 0.0), "relative_permittivity"),
+                        ((7e-9, 4.0, 0.0), "temperature")):
+        with pytest.raises(ValueError, match=named):
+            design_check(*args)
+
+
 @pytest.mark.parametrize("t_nm,ok", [(2.0, False), (3.5, True), (69.0, True), (100.0, False)])
 def test_design_check_thickness_window(t_nm, ok):
-    design = CapacitorDesign(dielectric_thickness_t=t_nm * 1e-9)
-    assert design_check(design, 1.0).thickness_ok is ok
+    assert design_check(t_nm * 1e-9, 4.0, 1.0).thickness_ok is ok
 
 
 def test_design_check_dominance_fails_when_too_thick():
     # at large t the geometric capacitance drops toward C_0 and dominance is lost
-    design = CapacitorDesign(dielectric_thickness_t=65e-9)
-    report = design_check(design, 10.0)
+    report = design_check(65e-9, 4.0, 10.0)
     assert not report.dominance_ok
 
 
@@ -446,7 +446,7 @@ def test_design_check_dominance_fails_when_too_thick():
 
 def test_sweep_rows_and_invariants():
     grid = np.linspace(-0.05, 0.05, 41)
-    result = capacitance_sweep(DESIGN, [0.0, 0.25, 1.0, 4.0], grid)
+    result = capacitance_sweep(CG, [0.0, 0.25, 1.0, 4.0], grid)
     assert len(result.T_K) == 4 * 41
     assert np.all(result.Cseries_areal <= result.CQ_areal + 1e-30)
     # V = 0 column grows with temperature
@@ -460,7 +460,7 @@ def test_sweep_rows_and_invariants():
 
 def test_sweep_zero_temperature_branch_matches_explicit_form():
     grid = np.array([-0.02, 0.0, 0.02])
-    result = capacitance_sweep(DESIGN, [0.0], grid)
+    result = capacitance_sweep(CG, [0.0], grid)
     expected = quantum_capacitance_T0(grid)
     assert np.allclose(result.CQ_areal, expected, rtol=1e-14, atol=0)
 
@@ -470,8 +470,7 @@ def test_sweep_matches_pointwise_quantum_capacitance():
     # T-major blocks: every V at the first temperature, then at the next
     volts = np.random.default_rng(1010).uniform(-5e-3, 5e-3, size=5000)
     temperatures = [0.0, 0.25, 1.0, 4.0]
-    result = capacitance_sweep(DESIGN, temperatures, volts)
-    cg = geometric_capacitance(DESIGN)
+    result = capacitance_sweep(CG, temperatures, volts)
     for block, T in enumerate(temperatures):
         cells = slice(block * volts.size, (block + 1) * volts.size)
         assert np.array_equal(result.T_K[cells], np.full(volts.size, T))
@@ -481,26 +480,25 @@ def test_sweep_matches_pointwise_quantum_capacitance():
             for v in volts
         ])
         assert np.array_equal(result.CQ_areal[cells], pointwise)
-        series = np.array([series_capacitance(cg, c) for c in pointwise])
+        series = np.array([series_capacitance(CG, c) for c in pointwise])
         assert np.array_equal(result.Cseries_areal[cells], series)
 
 
 def test_sweep_large_bias_plateau():
     grid = np.array([-2.0, 2.0])
-    result = capacitance_sweep(DESIGN, [1.0], grid)
-    cg = geometric_capacitance(DESIGN)
-    assert np.all(np.abs(result.Cseries_areal - cg) / cg < 0.03)
+    result = capacitance_sweep(CG, [1.0], grid)
+    assert np.all(np.abs(result.Cseries_areal - CG) / CG < 0.03)
 
 
 def test_sweep_monotonic_in_absolute_voltage():
     grid = np.linspace(0.0, 0.05, 30)
-    result = capacitance_sweep(DESIGN, [1.0], grid)
+    result = capacitance_sweep(CG, [1.0], grid)
     assert np.all(np.diff(result.CQ_areal) > 0.0)
 
 
 def test_sweep_header_and_engineering_rows():
     assert SWEEP_CSV_HEADER == ("T_K", "V_volt", "CQ_fF_per_um2", "Cseries_fF_per_um2")
-    result = capacitance_sweep(DESIGN, [1.0], np.array([0.0]))
+    result = capacitance_sweep(CG, [1.0], np.array([0.0]))
     rows = result.columns()
     assert rows.shape == (1, len(SWEEP_CSV_HEADER)) and rows.dtype == np.float64
     assert rows[0][0] == 1.0 and rows[0][1] == 0.0
@@ -509,7 +507,7 @@ def test_sweep_header_and_engineering_rows():
 
 def test_sweep_rejects_negative_temperature():
     with pytest.raises(ValueError, match="temperature"):
-        capacitance_sweep(DESIGN, [-1.0], np.array([0.0]))
+        capacitance_sweep(CG, [-1.0], np.array([0.0]))
 
 
 def test_underflowing_capacitance_scale_rejected():
@@ -519,7 +517,7 @@ def test_underflowing_capacitance_scale_rejected():
     with pytest.raises(ValueError, match="out of range"):
         linear_capacitance_C0(1e-300)
     with pytest.raises(ValueError, match="out of range"):
-        capacitance_sweep(DESIGN, [1e-300], np.array([0.0, 0.01]))
+        capacitance_sweep(CG, [1e-300], np.array([0.0, 0.01]))
 
 
 # --- randomized parity/monotonicity properties -----------------------------------

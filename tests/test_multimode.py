@@ -1,6 +1,6 @@
-import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +9,8 @@ from oracles import fermi_energy, quantum_conductance, quantum_rc_time
 from qcapsim.capacitance import quantum_capacitance_T0
 from qcapsim.cli import main
 from qcapsim.constants import E, HBAR, V_F, ghz_to_rad_per_s
-from qcapsim.multimode import (
-    InteractionKind,
-    PumpSpec,
-    classify_interaction,
-    gamma_nml,
-    single_photon_rate_printed,
-)
+from qcapsim.errors import PerturbativeRegimeExceeded
+from qcapsim.multimode import classify_interaction, gamma_nml, single_photon_rate_printed
 from qcapsim.mode import nonlinear_time_constant, photon_number_limit_derived
 
 TWO_PI = 2.0 * math.pi
@@ -62,41 +57,37 @@ def test_gamma_rejects_nonpositive_frequencies():
 # --- interaction classification ----------------------------------------------------
 
 TAU = nonlinear_time_constant(1e-10, 1.0)
+TOL = TWO_PI * 1e6  # the 1 MHz default of coupling --tolerance-mhz
 
 
 def test_classify_hopping_published_example():
-    pump = PumpSpec(Omega=_ghz(4.0), photon_number=1.0)
-    result = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU, tolerance=TWO_PI * 1e6)
-    assert result.kind is InteractionKind.HOPPING
+    result = classify_interaction(_ghz(4.0), 1.0, _ghz(2.0), _ghz(10.0), TAU, TOL)
+    assert result.kind == "hopping"
     assert result.detuning == pytest.approx(0.0, abs=1e-3)
 
 
 def test_classify_parametric():
-    pump = PumpSpec(Omega=_ghz(6.0), photon_number=1.0)
-    result = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU, tolerance=TWO_PI * 1e6)
-    assert result.kind is InteractionKind.PARAMETRIC
+    result = classify_interaction(_ghz(6.0), 1.0, _ghz(2.0), _ghz(10.0), TAU, TOL)
+    assert result.kind == "parametric"
 
 
 def test_classify_off_resonant():
-    pump = PumpSpec(Omega=_ghz(5.0), photon_number=1.0)
-    result = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU, tolerance=TWO_PI * 1e6)
-    assert result.kind is InteractionKind.OFF_RESONANT
+    result = classify_interaction(_ghz(5.0), 1.0, _ghz(2.0), _ghz(10.0), TAU, TOL)
+    assert result.kind == "off_resonant"
     assert result.detuning == pytest.approx(_ghz(2.0), rel=1e-12, abs=0.0)
 
 
 def test_classify_ambiguous_raises():
     tol = TWO_PI * 1e6
     omega_2 = tol / 4.0
-    pump = PumpSpec(Omega=_ghz(1.0), photon_number=1.0)
     with pytest.raises(ValueError, match="both resonance conditions"):
-        classify_interaction(pump, 2.0 * pump.Omega, omega_2, TAU, tolerance=tol)
+        classify_interaction(_ghz(1.0), 1.0, 2.0 * _ghz(1.0), omega_2, TAU, tolerance=tol)
 
 
 def test_classification_strength_quadratic_in_pump():
     # G = 3 gamma_012 |a|^2 is quadratic in the pump amplitude |a|: linear in n = |a|^2
     def strength(n):
-        pump = PumpSpec(Omega=_ghz(4.0), photon_number=n)
-        return classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU, tolerance=TWO_PI * 1e6).G
+        return classify_interaction(_ghz(4.0), n, _ghz(2.0), _ghz(10.0), TAU, TOL).G
 
     assert strength(4.0) == 4.0 * strength(1.0)
     assert strength(1.0) == pytest.approx(
@@ -112,21 +103,15 @@ def test_classification_mutually_exclusive_for_separated_modes():
     for _ in range(100):
         omega_1 = float(rng.uniform(10 * tol, _ghz(12.0)))
         omega_2 = float(rng.uniform(10 * tol, _ghz(12.0)))
-        pump = PumpSpec(Omega=float(rng.uniform(_ghz(0.5), _ghz(12.0))), photon_number=1.0)
-        result = classify_interaction(pump, omega_1, omega_2, TAU, tolerance=tol)
-        assert result.kind in (
-            InteractionKind.HOPPING,
-            InteractionKind.PARAMETRIC,
-            InteractionKind.OFF_RESONANT,
-        )
+        pump = float(rng.uniform(_ghz(0.5), _ghz(12.0)))
+        result = classify_interaction(pump, 1.0, omega_1, omega_2, TAU, tolerance=tol)
+        assert result.kind in ("hopping", "parametric", "off_resonant")
 
 
 def test_classification_rejects_non_finite_strength():
-    pump = PumpSpec(Omega=_ghz(4.0), photon_number=1e300)
     with pytest.raises(ValueError, match="out of range"):
-        classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU, tolerance=TWO_PI * 1e6)
-    silent = PumpSpec(Omega=_ghz(4.0), photon_number=0.0)
-    silent_result = classify_interaction(silent, _ghz(2.0), _ghz(10.0), TAU, tolerance=TWO_PI * 1e6)
+        classify_interaction(_ghz(4.0), 1e300, _ghz(2.0), _ghz(10.0), TAU, TOL)
+    silent_result = classify_interaction(_ghz(4.0), 0.0, _ghz(2.0), _ghz(10.0), TAU, TOL)
     assert silent_result.G == 0.0
 
 
@@ -142,11 +127,10 @@ def test_classification_json_shape(capsys):
         "T_K", "f_GHz", "f1_GHz", "f2_GHz", "S_um2", "pump_photons", "kind", "detuning_rad_s",
         "G_rad_s", "g0_printed_rad_s", "g0_symbolic_rad_s", "ratio_symbolic_to_printed",
     ]
-    pump = PumpSpec(Omega=ghz_to_rad_per_s(4.0), photon_number=1.0)
     expected = classify_interaction(
-        pump, ghz_to_rad_per_s(2.0), ghz_to_rad_per_s(10.0), TAU, tolerance=TWO_PI * 1e6
+        ghz_to_rad_per_s(4.0), 1.0, ghz_to_rad_per_s(2.0), ghz_to_rad_per_s(10.0), TAU, TOL,
     )
-    assert doc["kind"] == expected.kind.value == "hopping"
+    assert doc["kind"] == expected.kind == "hopping"
     assert doc["detuning_rad_s"] == pytest.approx(expected.detuning, rel=1e-11, abs=0.0)
     assert doc["G_rad_s"] == pytest.approx(expected.G, rel=1e-11, abs=0.0)
 
@@ -183,11 +167,15 @@ def test_symbolic_rate_is_thrice_the_printed_formula():
         f1 = float(rng.uniform(0.5, 12.0))
         f2 = float(rng.uniform(0.5, 12.0))
         S = float(rng.uniform(1.0, 500.0))
-        pump = PumpSpec(Omega=ghz_to_rad_per_s(f), photon_number=1.0)
         tau = nonlinear_time_constant(S * 1e-12, T)
-        g0 = classify_interaction(
-            pump, ghz_to_rad_per_s(f1), ghz_to_rad_per_s(f2), tau, tolerance=TWO_PI * 1e6
-        ).g0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g0 = classify_interaction(
+                ghz_to_rad_per_s(f), 1.0, ghz_to_rad_per_s(f1), ghz_to_rad_per_s(f2), tau, TOL,
+            ).g0
+        # the classification warns for exactly the draws past tau*Omega = 1/12
+        past = tau * ghz_to_rad_per_s(f) > 1.0 / 12.0
+        assert [w.category for w in caught] == [PerturbativeRegimeExceeded] * past
         ratios.append(g0 / single_photon_rate_printed(T, f, f1, f2, S))
     ratios = np.asarray(ratios)
     assert np.all(np.abs(ratios / 3.0 - 1.0) < 5e-3)
@@ -197,9 +185,8 @@ def test_symbolic_rate_is_thrice_the_printed_formula():
 def test_single_photon_rate_json_shape(capsys):
     doc = _coupling_record(capsys)
     printed = single_photon_rate_printed(1.0, 4.0, 2.0, 10.0, 100.0)
-    pump = PumpSpec(Omega=ghz_to_rad_per_s(4.0), photon_number=1.0)
     g0 = classify_interaction(
-        pump, ghz_to_rad_per_s(2.0), ghz_to_rad_per_s(10.0), TAU, tolerance=TWO_PI * 1e6
+        ghz_to_rad_per_s(4.0), 1.0, ghz_to_rad_per_s(2.0), ghz_to_rad_per_s(10.0), TAU, TOL,
     ).g0
     assert doc["g0_printed_rad_s"] == pytest.approx(printed, rel=1e-11, abs=0.0)
     assert doc["g0_symbolic_rad_s"] == pytest.approx(g0, rel=1e-11, abs=0.0)
@@ -304,24 +291,25 @@ def test_single_photon_rate_rejects_a_rate_out_of_range():
 
 
 def test_pump_spec_carries_the_photon_number():
-    fields = [f.name for f in dataclasses.fields(PumpSpec)]
-    assert fields == ["Omega", "photon_number"]
-    # exactly 3 gamma n: n is used as given, never through |a| = sqrt(n)
+    # the pump reaches classify_interaction as Omega and n; G is exactly
+    # 3 gamma n: n is used as given, never through |a| = sqrt(n)
     gamma = gamma_nml(TAU, _ghz(4.0), _ghz(2.0), _ghz(10.0))
     for n in (2.0, 0.1, 1e-3, 7.3e3):
-        pump = PumpSpec(Omega=_ghz(4.0), photon_number=n)
-        result = classify_interaction(pump, _ghz(2.0), _ghz(10.0), TAU, tolerance=TWO_PI * 1e6)
+        result = classify_interaction(_ghz(4.0), n, _ghz(2.0), _ghz(10.0), TAU, TOL)
         assert result.g0 == 3.0 * gamma
         assert result.G == 3.0 * gamma * n
 
 
 def test_pump_spec_validation():
-    with pytest.raises(ValueError):
-        PumpSpec(Omega=0.0, photon_number=1.0)
-    with pytest.raises(ValueError):
-        PumpSpec(Omega=_ghz(1.0), photon_number=-1.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            PumpSpec(Omega=bad, photon_number=1.0)
-        with pytest.raises(ValueError):
-            PumpSpec(Omega=_ghz(1.0), photon_number=bad)
+    # Omega, then n, and both before the strong-anharmonicity warning: a pump
+    # at tau*Omega = 1 that fails a check raises without warning
+    def classify(Omega, n):
+        return classify_interaction(Omega, n, _ghz(2.0), _ghz(10.0), 1.0 / _ghz(4.0), 0.0)
+
+    omega_message = "Omega out of range: must be a finite, normal float > 0, got "
+    for bad in (0.0, -1.0, 5e-324, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{omega_message}{bad}$"):
+            classify(bad, -1.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^photon_number must be finite and >= 0, got {bad}$"):
+            classify(_ghz(4.0), bad)

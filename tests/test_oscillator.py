@@ -25,6 +25,7 @@ from qcapsim.mode import (
     suggested_fock_cutoff,
     warn_if_strongly_anharmonic,
 )
+from qcapsim.multimode import classify_interaction
 from qcapsim.oscillator import _parity_blocks, fock_diagonalize
 
 AREA = 1e-10          # 100 um^2
@@ -320,14 +321,19 @@ def test_strong_anharmonicity_warns():
 
 
 def test_strong_anharmonicity_threshold_is_one_twelfth():
-    # one home for the tau*omega > 1/12 test: fock_diagonalize and the coupling command
+    # one home for the tau*omega > 1/12 test: fock_diagonalize and classify_interaction
     with pytest.warns(PerturbativeRegimeExceeded) as record:
-        warn_if_strongly_anharmonic(0.0834, "the rates are first-order", " at the pump")
+        classify_interaction(OMEGA, 1.0, OMEGA / 2.0, OMEGA * 2.5, 0.0834 / OMEGA, 0.0)
+        with pytest.raises(CutoffNotConverged):
+            fock_diagonalize(_spec(0.0834, cutoff=10))
     assert [str(w.message) for w in record] == [
         "tau*omega = 0.0834 > 1/12 at the pump: perturbative regime exceeded; "
-        "the rates are first-order"
+        "the rates are first-order",
+        "tau*omega = 0.0834 > 1/12: perturbative regime exceeded; "
+        "truncated-basis spectrum may not converge",
     ]
-    assert record[0].filename == __file__  # attributed to the calling line
+    # each attributed to the line that called the formula
+    assert [w.filename for w in record] == [__file__, __file__]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warn_if_strongly_anharmonic(1.0 / 12.0, "silent at the threshold")

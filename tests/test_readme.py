@@ -1,18 +1,27 @@
-"""The ``qcap-sim`` lines of the README's fenced blocks run as it shows them."""
+"""The README's commands run as it shows them: the ``qcap-sim`` lines of its
+fenced blocks, the rows of its exit-code table, and the ``design-check`` JSON."""
 
+import json
+import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 from qcapsim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+
+# a row of the exit-code table: | `command` | exit | `text` | case |
+EXIT_ROW = re.compile(r"^\s*\| `([^`]+)` \| (\d) \| `([^`]+)` \|")
 
 
 def _fenced_commands() -> list[list[list[str]]]:
     """The ``qcap-sim`` lines of each top-level fenced block of the README that has
     any, split as a shell would, without the program name and the comment."""
     blocks, inside = [], False
-    for line in (ROOT / "README.md").read_text().splitlines():
+    for line in README.splitlines():
         if line.startswith("```"):
             inside = not inside
             if inside:
@@ -20,6 +29,16 @@ def _fenced_commands() -> list[list[list[str]]]:
         elif inside and line.startswith("qcap-sim "):
             blocks[-1].append(shlex.split(line, comments=True)[1:])
     return [block for block in blocks if block]
+
+
+def _run(capsys, argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
@@ -34,3 +53,30 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         assert redirect == ">"
         assert main(argv) == 0, argv
         assert capsys.readouterr().out == (ROOT / golden).read_text(), golden
+
+
+# three rows run in the strongly anharmonic regime, where a warning is part of a real run
+@pytest.mark.filterwarnings("ignore::qcapsim.errors.PerturbativeRegimeExceeded")
+def test_exit_code_table_rows_run(tmp_path, monkeypatch, capsys):
+    rows = [match.groups() for match in map(EXIT_ROW.match, README.splitlines()) if match]
+    assert len(rows) == 29  # a row that stops matching the pattern would go unchecked
+    monkeypatch.chdir(tmp_path)
+    wrong = []
+    for command, code, text in rows:
+        got, out, err = _run(capsys, shlex.split(command))
+        holds = text in out if got == 0 else out == "" and text in err
+        if (got, holds) != (int(code), True):
+            wrong.append(f"{command}: exit {got}, stdout {out[-200:]!r}, stderr {err!r}")
+    assert not wrong, "\n".join(wrong)
+
+
+def test_design_check_json_sample_is_the_output(capsys):
+    sample = README.split("`design-check\n  --format json` writes\n\n  ```json\n", 1)[1]
+    sample = sample.split("  ```", 1)[0]
+    code, out, _ = _run(capsys, ["design-check", "--format", "json"])
+    assert code == 0
+    # the same keys in the same order, each value spelled as the output spells it
+    assert list(json.loads(out).items()) == list(json.loads(sample).items())
+    assert re.findall(r": ([^,\n}]+)", sample) == [
+        line.split(": ", 1)[1].rstrip(",") for line in out.splitlines()[1:-1]
+    ]
