@@ -194,7 +194,7 @@ class SweepResult:
 
     ``s13`` is the 1 -> 3 conversion amplitude S[3,1] and ``s31`` the
     3 -> 1 amplitude S[1,3]; ratio_13_31 = |s13|/|s31| and the insertion
-    loss is -10 log10 |s13|^2.
+    loss is -10 log10 |s13|^2, with each |.| the ``np.hypot`` of the parts.
     """
 
     detuning_grid: np.ndarray      # rad/s, (n,)
@@ -235,13 +235,11 @@ def sweep(config: CirculatorConfig, deltas) -> SweepResult:
         i = int(np.argmax(bad))
         raise ValueError(f"detuning {deltas[i]} rad/s at grid point {i} is not finite")
     s_out = scattering_matrix(config, deltas)
-    # complex np.abs rounds differently per SIMD level and np.hypot does not;
-    # the loss keeps np.abs until it gets a SIMD-independent route of its own
     s13 = np.hypot(s_out[:, 2, 0].real, s_out[:, 2, 0].imag)
     s31 = np.hypot(s_out[:, 0, 2].real, s_out[:, 0, 2].imag)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = s13 / s31
-        insertion_loss = -10.0 * np.log10(np.abs(s_out[:, 2, 0]) ** 2)
+        insertion_loss = -10.0 * np.log10(s13**2)
     bad = ~(np.isfinite(ratio) & np.isfinite(insertion_loss))
     if bad.any():
         i = int(np.argmax(bad))

@@ -179,7 +179,7 @@ def _emit(args, text: str) -> None:
     out.write_text(text)
     metadata = {"command": args.command, "tool": "qcap-sim", "version": __version__,
                 "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-    Path(str(out) + ".meta.json").write_text(json.dumps(metadata, indent=2) + "\n")
+    Path(str(out) + ".meta.json").write_text(json_text(metadata))
 
 
 def _emit_columns(args, header, values) -> None:
@@ -217,11 +217,11 @@ def _setting(flag, doc: dict, key: str, default, read=config_number):
 SWEEP_POINTS_MAX = 1_000_000
 
 
-def _sweep_grid(args, doc: dict, lo: float, hi: float, default: int, rows: int = 1):
+def _sweep_grid(args, doc: dict, label: str, lo: float, hi: float, default: int, rows: int = 1):
     """An even grid from ``lo`` to ``hi`` of --points, else the config's whole
     ``n_points``, else ``default`` points: at least 2, and ``rows`` rows at most
-    SWEEP_POINTS_MAX cells, checked before any allocation.  Cells that overflow
-    stay in the grid; each kernel rejects them after its own checks."""
+    SWEEP_POINTS_MAX cells, checked before any allocation.  ValueError names the
+    range as given, ``label``, when an end or the width is not finite."""
     import numpy as np
 
     n_points = _setting(args.points, doc, "n_points", default,
@@ -231,8 +231,9 @@ def _sweep_grid(args, doc: dict, lo: float, hi: float, default: int, rows: int =
     if n_points * rows > SWEEP_POINTS_MAX:
         raise ConfigError(f"n_points = {n_points} makes {n_points * rows} grid cells, more "
                           f"than the sweep maximum of {SWEEP_POINTS_MAX}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linspace(lo, hi, n_points)
+    if not math.isfinite(hi - lo):  # inf or nan when an end or the width overflows
+        raise ValueError(f"{label} out of range: an end or the width overflows")
+    return np.linspace(lo, hi, n_points)
 
 
 FIG2_KEYS = {"thickness_nm", "relative_permittivity", "temperatures_K", "vmax_V", "n_points"}
@@ -251,7 +252,8 @@ def _cmd_sweep_capacitance(args) -> int:
     vmax = _setting(args.vmax, doc, "vmax_V", 0.05)
     if not temperatures:
         raise ConfigError("at least one temperature is required")
-    grid = _sweep_grid(args, doc, -vmax, vmax, 201, len(temperatures))
+    grid = _sweep_grid(args, doc, f"voltage range {-vmax} to {vmax} V", -vmax, vmax, 201,
+                       len(temperatures))
     # the sweep is per unit area: --S is validated but not read
     require_positive(um2_to_m2(args.S), "area_S")
     c_g = geometric_capacitance(nm_to_m(thickness_nm), epsr)
@@ -386,7 +388,8 @@ def _cmd_circulator(args) -> int:
     config = _circulator_config(doc["circulator"])
     delta_min = _setting(args.delta_min, doc, "delta_min_GHz", -4.0)
     delta_max = _setting(args.delta_max, doc, "delta_max_GHz", 4.0)
-    deltas = _sweep_grid(args, doc, ghz_to_rad_per_s(delta_min), ghz_to_rad_per_s(delta_max), 1001)
+    deltas = _sweep_grid(args, doc, f"detuning range {delta_min} to {delta_max} GHz",
+                         ghz_to_rad_per_s(delta_min), ghz_to_rad_per_s(delta_max), 1001)
     result = sweep(config, deltas)
     _emit_columns(args, SWEEP_CSV_HEADER, result.columns())
     return 0

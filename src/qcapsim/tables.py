@@ -127,7 +127,7 @@ def _kernel_tables():
 
 
 def _spell(x, json: bool, out) -> None:
-    """Write each float of ``x`` as ``"%.12g" % x`` (``json_float(x)`` if ``json``) into its
+    """Write each float of ``x`` as ``format_sig(x)`` (``json_float(x)`` if ``json``) into its
     row of the (n, 4) uint64 ``out``: NUL-padded ASCII in text order."""
     import numpy as np
 
@@ -158,7 +158,7 @@ def _spell(x, json: bool, out) -> None:
     out[:, 2] = w1 & keep1 | (w1 << u(8) | w0 >> u(56)) & shift1 | point1
     out[:, 3] = t.expw.take(L, mode="clip")
     fall = fall.nonzero()[0]
-    spell = json_float if json else "%.12g".__mod__
+    spell = json_float if json else format_sig
     text = b"".join(spell(v).encode().ljust(32, b"\0") for v in x[fall].tolist())
     out[fall] = np.frombuffer(text, u).reshape(-1, 4)
 

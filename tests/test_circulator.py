@@ -318,6 +318,19 @@ def test_row_scaled_s_is_the_matmul_s_bit_for_bit(frame, monkeypatch):
         assert np.max(np.abs(s - (np.eye(3) - k @ x))) <= 1e-14
 
 
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_ratio_and_loss_read_one_hypot_modulus(frame):
+    # both curves of a row come from one |S13|: the np.hypot modulus of its parts
+    cases = [_bundled("paper_fig4.json", frame), _bundled("paper_fig5.json", frame),
+             *_random_configs(8, frame)]
+    for config, deltas in cases:
+        result = sweep(config, deltas)
+        m13 = np.hypot(result.s13.real, result.s13.imag)
+        m31 = np.hypot(result.s31.real, result.s31.imag)
+        assert result.insertion_loss_dB.tobytes() == (-10.0 * np.log10(m13**2)).tobytes()
+        assert result.ratio_13_31.tobytes() == (m13 / m31).tobytes()
+
+
 BLAS_PROBE = """
 import hashlib, numpy as np
 from qcapsim.circulator import CirculatorConfig, sweep

@@ -4,11 +4,14 @@ fenced blocks, the rows of its exit-code table, and the ``design-check`` JSON.""
 import json
 import re
 import shlex
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from qcapsim.cli import main
+from qcapsim.errors import PerturbativeRegimeExceeded
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -41,32 +44,44 @@ def _run(capsys, argv):
     return code, out, err
 
 
-def test_readme_commands_run(tmp_path, monkeypatch, capsys):
-    # the "Command line" block exits 0; each golden-regeneration line prints its golden
+def golden_cases() -> list[tuple[str, tuple[str, ...]]]:
+    """(file name, argv) of each ``qcap-sim <argv> > tests/golden/<file name>`` line of
+    the golden-regeneration block: the one list of golden commands, which
+    ``tests/test_cli.py`` runs and compares byte for byte."""
+    return [(Path(golden).name, tuple(argv)) for *argv, _, golden in _fenced_commands()[1]]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # the "Command line" block exits 0; the golden-regeneration block writes every golden
     commands, regenerations = _fenced_commands()
     assert (len(commands), len(regenerations)) == (7, 10)
+    assert {tuple(line[-2:]) for line in regenerations} == {
+        (">", f"tests/golden/{path.name}") for path in (ROOT / "tests" / "golden").iterdir()
+    }
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
-    capsys.readouterr()
-    for *argv, redirect, golden in regenerations:
-        assert redirect == ">"
-        assert main(argv) == 0, argv
-        assert capsys.readouterr().out == (ROOT / golden).read_text(), golden
 
 
-# three rows run in the strongly anharmonic regime, where a warning is part of a real run
-@pytest.mark.filterwarnings("ignore::qcapsim.errors.PerturbativeRegimeExceeded")
+def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    """Print a warning to stderr as Python does outside pytest, in the current format."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 def test_exit_code_table_rows_run(tmp_path, monkeypatch, capsys):
     rows = [match.groups() for match in map(EXIT_ROW.match, README.splitlines()) if match]
-    assert len(rows) == 29  # a row that stops matching the pattern would go unchecked
+    assert len(rows) == 33  # a row that stops matching the pattern would go unchecked
     monkeypatch.chdir(tmp_path)
     wrong = []
-    for command, code, text in rows:
-        got, out, err = _run(capsys, shlex.split(command))
-        holds = text in out if got == 0 else out == "" and text in err
-        if (got, holds) != (int(code), True):
-            wrong.append(f"{command}: exit {got}, stdout {out[-200:]!r}, stderr {err!r}")
+    with warnings.catch_warnings():  # the strongly anharmonic rows warn, as a real run does
+        warnings.simplefilter("always", PerturbativeRegimeExceeded)
+        warnings.showwarning = _show_on_stderr
+        for command, code, text in rows:
+            got, out, err = _run(capsys, shlex.split(command))
+            stream = err if got or text.startswith("warning: ") else out
+            holds = text.replace(r"\n", "\n") in stream and (out != "") == (got == 0)
+            if (got, holds) != (int(code), True):
+                wrong.append(f"{command}: exit {got}, stdout {out[-200:]!r}, stderr {err!r}")
     assert not wrong, "\n".join(wrong)
 
 
