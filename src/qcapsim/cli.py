@@ -32,16 +32,14 @@ from pathlib import Path
 
 from . import __version__
 from .capacitor import (
-    charge_series,
-    charge_series_cubic_coefficient,
+    charge_series_coefficients,
     design_check,
-    energy_series,
+    energy_series_coefficients,
     geometric_capacitance,
     linear_capacitance_C0,
 )
 from .constants import (
     E,
-    K_B,
     TWO_PI,
     f_per_m2_to_ff_per_um2,
     farad_to_femtofarad,
@@ -89,16 +87,16 @@ def fock_diagonalize(spec):
 
 def _locate_config(name_or_path: str) -> Path:
     """The config file on disk, else the bundled config of that name when the
-    argument is a bare file name; else ConfigError."""
+    argument is a bare file name; else ConfigError, also for a directory."""
     p = Path(name_or_path)
+    if p.is_dir():
+        raise ConfigError(f"config '{name_or_path}' is a directory, not a file")
     if p.exists():
         return p
     packaged = Path(__file__).with_name("configs") / p.name
     if p.name == name_or_path and packaged.is_file():
         return packaged
-    raise ConfigError(
-        f"config '{name_or_path}' not found on disk or among bundled configs"
-    )
+    raise ConfigError(f"config '{name_or_path}' not found on disk or among bundled configs")
 
 
 def _config_object(where: str, doc, allowed: set[str], required: set[str]) -> dict:
@@ -399,20 +397,11 @@ VERIFY_HEADER = ("id", "description", "printed", "computed", "rel_dev_vs_printed
 
 
 def _quartic_coefficient_ratio(T: float) -> float:
-    """The quartic coefficient of :func:`energy_series` over the one that
-    inverting the charge series N = c1 V + c3 V^3 implies, e c3 / 4 c1^4.
-
-    c1 is read off :func:`charge_series` at e V = 1e-6 k_B T, where the cubic
-    term is 1e-14 of it; the quartic coefficient comes from U(n) = a n^2 - b n^4
-    at n = N and 2N, with b N^2 ~ 6 a so that the difference cancels no more
-    than a digit.
-    """
-    c3 = charge_series_cubic_coefficient(T)
-    v = 1e-6 * K_B * T / E
-    c1 = charge_series(T, v) / (E * v) - c3 * v**2
-    n = math.sqrt(c1**3 / c3)
-    u1, u2 = energy_series(T, n), energy_series(T, 2.0 * n)
-    b = (4.0 * u1 - u2) / (12.0 * n**4)
+    """The quartic coefficient b of :func:`energy_series_coefficients` over
+    e c3 / 4 c1^4, the one that inverting the charge series N = c1 V + c3 V^3
+    implies."""
+    c1, c3 = charge_series_coefficients(T)
+    _, b = energy_series_coefficients(T)
     return b / (E * c3 / (4.0 * c1**4))
 
 

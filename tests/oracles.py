@@ -3,9 +3,9 @@
 The scalar quantum capacitance (a thin wrapper over the sweep kernel
 ``_cq_areal``, so its tests exercise the kernel), the T = 0 charge and
 energy, the closed-form charge integral that checks the low-voltage charge
-series, the Fermi energy, the quantum RC charging time with the quantum
-conductance, and the all-orders perturbation series of the quartic
-oscillator's lowest levels.  The tests import them from here; the package
+series (it and the scalar capacitance share one (T, V) check), the Fermi energy, the quantum RC
+charging time with the quantum conductance, and the all-orders perturbation
+series of the quartic oscillator's lowest levels.  The tests import them from here; the package
 keeps only what a command reads.
 """
 
@@ -14,11 +14,21 @@ import math
 import numpy as np
 
 from qcapsim.capacitance import _cq_areal
-from qcapsim.capacitor import _cq_prefactor, _require_operating_point
-from qcapsim.constants import E, HBAR, K_B, PI_HBAR_VF_SQ, V_F, require_positive
+from qcapsim.capacitor import _cq_prefactor
+from qcapsim.constants import (
+    E, HBAR, K_B, PI_HBAR_VF_SQ, V_F, require_positive, require_positive_temperature,
+)
 
 
 # --- capacitance, charge and energy ------------------------------------------
+
+def _require_operating_point(T: float, V: float) -> None:
+    """Raise :class:`ValueError` unless T is a finite, normal float > 0 K
+    and V is finite (either sign)."""
+    require_positive_temperature(T)
+    if not math.isfinite(V):
+        raise ValueError(f"voltage must be finite, got {V}")
+
 
 def quantum_capacitance(T: float, V: float) -> float:
     """Differential quantum capacitance per unit area (F/m^2) at finite T.

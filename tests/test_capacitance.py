@@ -12,10 +12,9 @@ from qcapsim.capacitance import (
     series_capacitance,
 )
 from qcapsim.capacitor import (
-    charge_series,
-    charge_series_cubic_coefficient,
+    charge_series_coefficients,
     design_check,
-    energy_series,
+    energy_series_coefficients,
     geometric_capacitance,
     linear_capacitance_C0,
 )
@@ -162,8 +161,8 @@ def test_non_finite_design_rejected(field, value):
     ],
 )
 def test_operating_point_validation(T, V, quantity):
-    # every scalar formula of (T, V) checks both itself
-    for formula in (quantum_capacitance, charge_series, charge_numeric):
+    # each scalar oracle of (T, V) checks both itself
+    for formula in (quantum_capacitance, charge_numeric):
         formula(1.0, -0.05)
         with pytest.raises(ValueError, match=quantity):
             formula(T, V)
@@ -244,14 +243,11 @@ def test_charge_energy_T0_derivative_consistency():
 @pytest.mark.parametrize("T", [0.25, 1.0, 4.0])
 @pytest.mark.parametrize("frac", [0.05, 0.1, 0.2])
 def test_charge_series_matches_quadrature(T, frac):
+    c1, c3 = charge_series_coefficients(T)
     v = frac * K_B * T / E
-    series = charge_series(T, v)
+    series = E * (c1 * v + c3 * v**3)
     oracle = charge_numeric(T, v)
     assert series == pytest.approx(oracle, rel=1e-4, abs=0.0)
-
-
-def test_charge_series_zero():
-    assert charge_series(1.0, 0.0) == 0.0
 
 
 def test_charge_numeric_zero():
@@ -288,9 +284,11 @@ def test_quadrature_derivative_reproduces_capacitance():
 
 def test_cubic_coefficient_by_richardson_extrapolation():
     # strip the linear part from the quadrature oracle and extrapolate the
-    # cubic coefficient; it must land on the implemented expansion term
+    # cubic coefficient; both must land on the implemented expansion terms
     T = 1.0
+    c1, c3 = charge_series_coefficients(T)
     c_lin = quantum_capacitance(T, 0.0) / E  # dN/dV at 0
+    assert c1 == pytest.approx(c_lin, rel=1e-12, abs=0.0)
     v = 0.05 * K_B * T / E
 
     def cubic_estimate(vv):
@@ -298,7 +296,7 @@ def test_cubic_coefficient_by_richardson_extrapolation():
         return (n - c_lin * vv) / vv**3
 
     est = (4.0 * cubic_estimate(v / 2) - cubic_estimate(v)) / 3.0
-    assert est == pytest.approx(charge_series_cubic_coefficient(T), rel=1e-3, abs=0.0)
+    assert est == pytest.approx(c3, rel=1e-3, abs=0.0)
 
 
 # --- closed-form charge vs an independent Gauss-Legendre integral ----------------
@@ -371,25 +369,16 @@ def test_linear_capacitance_linearity_in_temperature():
     )
 
 
-def test_energy_series_zero():
-    assert energy_series(1.0, 0.0) == 0.0
-
-
 def test_energy_series_curvature_is_inverse_linear_capacitance():
-    # d^2U/dN^2 at N = 0 equals pi (hbar v_F)^2 / (k_B T ln 16) = 2 e^2 / C_0;
-    # the central difference with step h also carries the quartic term
-    # U4 = -(pi (hbar v_F)^2 / 2 k_B T)(pi^2/4)(hbar v_F / ln16 k_B T)^4 N^4,
-    # which contributes exactly 2 U4(h) / h^2 (about -4 % at this h)
+    # d^2U/dN^2 at N = 0, 2 a, equals pi (hbar v_F)^2 / (k_B T ln 16) = 2 e^2 / C_0;
+    # b is (pi (hbar v_F)^2 / 2 k_B T)(pi^2/4)(hbar v_F / ln16 k_B T)^4
     T = 1.0
-    h = 1e10  # 1/m^2
-    d2 = (
-        energy_series(T, h) - 2.0 * energy_series(T, 0.0)
-        + energy_series(T, -h)
-    ) / h**2
+    a, b = energy_series_coefficients(T)
     kT, hv, ln16 = K_B * T, HBAR * V_F, math.log(16.0)
     leading = math.pi * hv**2 / (kT * ln16)
     quartic = (math.pi * hv**2 / (2.0 * kT)) * (math.pi**2 / 4.0) * (hv / (ln16 * kT)) ** 4
-    assert d2 == pytest.approx(leading - quartic * 2.0 * h**2, rel=1e-6, abs=0.0)
+    assert 2.0 * a == pytest.approx(leading, rel=1e-12, abs=0.0)
+    assert b == pytest.approx(quartic, rel=1e-12, abs=0.0)
     assert leading == pytest.approx(
         2.0 * E**2 / linear_capacitance_C0(T), rel=1e-6, abs=0.0
     )
@@ -398,19 +387,12 @@ def test_energy_series_curvature_is_inverse_linear_capacitance():
 @pytest.mark.parametrize("T", [0.25, 1.0, 4.0])
 def test_energy_series_quartic_is_twelve_times_the_charge_model(T):
     # Inverting N = c1 V + c3 V^3 and integrating U = int e V dN gives
-    # U = e N^2 / 2 c1 - e c3 N^4 / 4 c1^4; energy_series keeps the quadratic
-    # term and carries 12 times the quartic one (see its docstring).
-    c3 = charge_series_cubic_coefficient(T)
-    v = 1e-6 * K_B * T / E  # c3 v^2 / c1 ~ 1e-14: c1 is exact to rounding
-    c1 = charge_series(T, v) / (E * v) - c3 * v**2
-    # U(n) = a n^2 - b n^4 at n = N and 2N, with N where b N^2 ~ 6 a, so that
-    # neither combination below cancels more than a digit
-    n = math.sqrt(c1**3 / c3)
-    u1, u2 = energy_series(T, n), energy_series(T, 2.0 * n)
-    a = (16.0 * u1 - u2) / (12.0 * n**2)
-    b = (4.0 * u1 - u2) / (12.0 * n**4)
-    assert a == pytest.approx(E / (2.0 * c1), rel=1e-9, abs=0.0)
-    assert b / (E * c3 / (4.0 * c1**4)) == pytest.approx(12.0, rel=1e-9, abs=0.0)
+    # U = e N^2 / 2 c1 - e c3 N^4 / 4 c1^4; U = a N^2 - b N^4 keeps the quadratic
+    # term and carries 12 times the quartic one (see energy_series_coefficients).
+    c1, c3 = charge_series_coefficients(T)
+    a, b = energy_series_coefficients(T)
+    assert a == pytest.approx(E / (2.0 * c1), rel=1e-12, abs=0.0)
+    assert b / (E * c3 / (4.0 * c1**4)) == pytest.approx(12.0, rel=1e-12, abs=0.0)
 
 
 # --- design rules ----------------------------------------------------------------

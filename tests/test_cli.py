@@ -333,6 +333,15 @@ def _call_main(argv):
         return exc.code
 
 
+def rejected_stderr(capsys, *argv):
+    """stderr of an in-process run that must exit 2 with nothing on stdout.  An
+    exception that escapes ``main``, a numpy warning among them, fails the test."""
+    code = _call_main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, ""), err
+    return err
+
+
 def _parse(parser, argv):
     try:
         return vars(parser.parse_args(list(argv)))
@@ -571,6 +580,18 @@ def test_missing_config_path_does_not_fall_back_to_a_bundled_config(
     assert run_cli(capsys, command, "--config", name, "--points", "3")[0] == 0
 
 
+@pytest.mark.parametrize("command, name", [
+    ("circulator", "paper_fig4.json"), ("sweep-capacitance", "paper_fig2.json"),
+])
+def test_directory_config_is_a_config_error(command, name, tmp_path, monkeypatch, capsys):
+    # a directory is never read, and never replaced by the bundled config of its name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).mkdir()
+    for path in (name, str(SRC_DIR), str(SRC_DIR / "qcapsim" / "configs")):
+        err = rejected_stderr(capsys, command, "--config", path, "--points", "3")
+        assert err == f"config error: config '{path}' is a directory, not a file\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -580,17 +601,8 @@ def test_missing_config_path_does_not_fall_back_to_a_bundled_config(
         ("sweep-capacitance", "--T", "1,-inf"),
     ],
 )
-def test_non_finite_option_rejected(argv):
-    result = subprocess.run(
-        [sys.executable, "-m", "qcapsim.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=_src_env(),
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    assert "finite" in result.stderr
+def test_non_finite_option_rejected(argv, capsys):
+    assert "finite" in rejected_stderr(capsys, *argv)
 
 
 @pytest.mark.parametrize(
@@ -669,22 +681,13 @@ def test_a_negative_exponent_after_a_space_is_read_as_an_option(capsys):
     "key,value",
     [("delta_min_GHz", float("nan")), ("kappa", [2.0, float("nan"), 2.0])],
 )
-def test_non_finite_circulator_config_rejected(key, value, tmp_path):
+def test_non_finite_circulator_config_rejected(key, value, tmp_path, capsys):
     doc = {"circulator": {"omega": [2, 4, 6], "kappa": [2, 2, 2], "g": [1, 1, 1],
                           "phi": [0, 0.5, 0]}}
     (doc if key == "delta_min_GHz" else doc["circulator"])[key] = value
     config = tmp_path / "nan.json"
     config.write_text(json.dumps(doc))
-    result = subprocess.run(
-        [sys.executable, "-m", "qcapsim.cli", "circulator", "--config", str(config)],
-        capture_output=True,
-        text=True,
-        env=_src_env(),
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    assert "finite" in result.stderr and "Warning" not in result.stderr
+    assert "finite" in rejected_stderr(capsys, "circulator", "--config", str(config))
 
 
 @pytest.mark.parametrize(
@@ -698,22 +701,13 @@ def test_non_finite_circulator_config_rejected(key, value, tmp_path):
         ("temperatures_K", [1.0, float("nan")]),
     ],
 )
-def test_non_finite_capacitance_config_rejected(key, value, tmp_path):
+def test_non_finite_capacitance_config_rejected(key, value, tmp_path, capsys):
     doc = {"thickness_nm": 7.0, "relative_permittivity": 4.0,
            "temperatures_K": [0.0, 0.25, 1.0, 4.0], "vmax_V": 0.05, "n_points": 201}
     doc[key] = value
     config = tmp_path / "nan.json"
     config.write_text(json.dumps(doc))
-    result = subprocess.run(
-        [sys.executable, "-m", "qcapsim.cli", "sweep-capacitance", "--config", str(config)],
-        capture_output=True,
-        text=True,
-        env=_src_env(),
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    assert "finite" in result.stderr and "Warning" not in result.stderr
+    assert "finite" in rejected_stderr(capsys, "sweep-capacitance", "--config", str(config))
 
 
 @pytest.mark.parametrize(
@@ -732,7 +726,7 @@ def test_non_finite_capacitance_config_rejected(key, value, tmp_path):
         (None, None, ("--T", ",")),
     ],
 )
-def test_capacitance_grid_shape_rejected(key, value, flags, tmp_path):
+def test_capacitance_grid_shape_rejected(key, value, flags, tmp_path, capsys):
     argv = ["sweep-capacitance", *flags]
     if key is not None:
         doc = {"thickness_nm": 7.0, "relative_permittivity": 4.0,
@@ -741,18 +735,10 @@ def test_capacitance_grid_shape_rejected(key, value, flags, tmp_path):
         config = tmp_path / "shape.json"
         config.write_text(json.dumps(doc))
         argv += ["--config", str(config)]
-    result = subprocess.run(
-        [sys.executable, "-m", "qcapsim.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=_src_env(),
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    assert "config error" in result.stderr
+    err = rejected_stderr(capsys, *argv)
+    assert "config error" in err
     if flags[:1] == ("--T",):  # the message quotes the list as given
-        assert repr(flags[1]) in result.stderr
+        assert repr(flags[1]) in err
 
 
 @pytest.mark.parametrize("command", ["circulator", "sweep-capacitance"])
@@ -776,20 +762,12 @@ def test_config_n_points_must_be_whole(command, n_points, rows, tmp_path, capsys
         assert code == 0 and len(parse_csv(out)) == rows
 
 
-def test_qubit_cutoff_above_maximum_rejected():
+def test_qubit_cutoff_above_maximum_rejected(capsys):
     # only the first value past the maximum: a huge cutoff is never run
     from qcapsim.mode import FOCK_CUTOFF_MAX
 
-    result = subprocess.run(
-        [sys.executable, "-m", "qcapsim.cli", "qubit", "--cutoff", str(FOCK_CUTOFF_MAX + 1)],
-        capture_output=True,
-        text=True,
-        env=_src_env(),
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("error:") and str(FOCK_CUTOFF_MAX) in result.stderr
+    err = rejected_stderr(capsys, "qubit", "--cutoff", str(FOCK_CUTOFF_MAX + 1))
+    assert err.startswith("error:") and str(FOCK_CUTOFF_MAX) in err
 
 
 @pytest.mark.parametrize(
@@ -830,7 +808,7 @@ def test_sweep_above_maximum_rejected_before_allocating(argv, monkeypatch, capsy
         (None, ("--points", "5", "--delta-max", "1e200"), "1.5708e+209 rad/s"),
     ],
 )
-def test_circulator_non_finite_figures_rejected(g, flags, first_bad, tmp_path):
+def test_circulator_non_finite_figures_rejected(g, flags, first_bad, tmp_path, capsys):
     argv = ["circulator", "--config", "paper_fig4.json", *flags]
     if g is not None:
         doc = json.loads(resources.files("qcapsim").joinpath("configs", "paper_fig4.json").read_text())
@@ -839,17 +817,8 @@ def test_circulator_non_finite_figures_rejected(g, flags, first_bad, tmp_path):
         config.write_text(json.dumps(doc))
         argv[2] = str(config)
     for fmt in ("csv", "json"):
-        result = subprocess.run(
-            [sys.executable, "-m", "qcapsim.cli", *argv, "--format", fmt],
-            capture_output=True,
-            text=True,
-            env=_src_env(),
-        )
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
-        assert result.stderr.startswith("error:")
-        assert f"not finite at detuning {first_bad}" in result.stderr
+        err = rejected_stderr(capsys, *argv, "--format", fmt)
+        assert err.startswith("error:") and f"not finite at detuning {first_bad}" in err
 
 
 # --- determinism and file output ------------------------------------------------------

@@ -290,7 +290,7 @@ def test_single_photon_rate_rejects_a_rate_out_of_range():
             single_photon_rate_printed(*args)
 
 
-def test_pump_spec_carries_the_photon_number():
+def test_classify_interaction_uses_the_photon_number_as_given():
     # the pump reaches classify_interaction as Omega and n; G is exactly
     # 3 gamma n: n is used as given, never through |a| = sqrt(n)
     gamma = gamma_nml(TAU, _ghz(4.0), _ghz(2.0), _ghz(10.0))
@@ -300,7 +300,7 @@ def test_pump_spec_carries_the_photon_number():
         assert result.G == 3.0 * gamma * n
 
 
-def test_pump_spec_validation():
+def test_classify_interaction_checks_the_pump_before_warning():
     # Omega, then n, and both before the strong-anharmonicity warning: a pump
     # at tau*Omega = 1 that fails a check raises without warning
     def classify(Omega, n):

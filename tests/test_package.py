@@ -19,8 +19,8 @@ PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 # every public name of the modeling layer, grouped by its one home
 EXPORTS = {
     "capacitor": (
-        "DesignReport", "charge_series", "design_check", "energy_series",
-        "geometric_capacitance", "linear_capacitance_C0",
+        "DesignReport", "charge_series_coefficients", "design_check",
+        "energy_series_coefficients", "geometric_capacitance", "linear_capacitance_C0",
     ),
     "capacitance": (
         "CapacitanceSweep", "capacitance_sweep", "quantum_capacitance_T0",

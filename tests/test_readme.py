@@ -70,7 +70,7 @@ def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
 
 def test_exit_code_table_rows_run(tmp_path, monkeypatch, capsys):
     rows = [match.groups() for match in map(EXIT_ROW.match, README.splitlines()) if match]
-    assert len(rows) == 33  # a row that stops matching the pattern would go unchecked
+    assert len(rows) == 34  # a row that stops matching the pattern would go unchecked
     monkeypatch.chdir(tmp_path)
     wrong = []
     with warnings.catch_warnings():  # the strongly anharmonic rows warn, as a real run does
