@@ -96,7 +96,9 @@ def _locate_config(name_or_path: str) -> Path:
     packaged = Path(__file__).with_name("configs") / p.name
     if p.name == name_or_path and packaged.is_file():
         return packaged
-    raise ConfigError(f"config '{name_or_path}' not found on disk or among bundled configs")
+    raise ConfigError(
+        f"config '{name_or_path}' not found on disk or among bundled configs"
+    )
 
 
 def _config_object(where: str, doc, allowed: set[str], required: set[str]) -> dict:
@@ -396,15 +398,6 @@ def _cmd_circulator(args) -> int:
 VERIFY_HEADER = ("id", "description", "printed", "computed", "rel_dev_vs_printed", "status", "note")
 
 
-def _quartic_coefficient_ratio(T: float) -> float:
-    """The quartic coefficient b of :func:`energy_series_coefficients` over
-    e c3 / 4 c1^4, the one that inverting the charge series N = c1 V + c3 V^3
-    implies."""
-    c1, c3 = charge_series_coefficients(T)
-    _, b = energy_series_coefficients(T)
-    return b / (E * c3 / (4.0 * c1**4))
-
-
 def _verify_rows() -> tuple[tuple, ...]:
     """The published numbers that ``verify-paper`` re-derives, one row each:
     ``(id, description, printed, rel_tol, flagged, note, computed)``.
@@ -418,6 +411,7 @@ def _verify_rows() -> tuple[tuple, ...]:
     tau_1k = nonlinear_time_constant(um2_to_m2(100.0), 1.0)  # the 1 K example's tau
     # tau and omega at S = 1 um^2, T = 1 K, f = 1 GHz: the published coefficients
     tau_unit, omega_unit = nonlinear_time_constant(um2_to_m2(1.0), 1.0), ghz_to_rad_per_s(1.0)
+    c1, c3 = charge_series_coefficients(1.0)  # N = c1 V + c3 V^3 at T = 1 K
     return (
         ("cg_areal", "geometric capacitance at eps_r=4, t=7 nm (fF/um^2)",
          5.06, 0.005, None, "", f_per_m2_to_ff_per_um2(geometric_capacitance(7e-9, 4.0))),
@@ -455,7 +449,8 @@ def _verify_rows() -> tuple[tuple, ...]:
          "implied by inverting the charge series N = c1 V + c3 V^3, at T=1 K", 1.0, 1e-9, 12.0,
          "the stored-energy series carries 12 times the quartic term of the inverted charge "
          "series; tau and the published coefficients 42.85 and 0.143 follow the stored-energy "
-         "series, so they carry the factor 12", _quartic_coefficient_ratio(1.0)),
+         "series, so they carry the factor 12",
+         energy_series_coefficients(1.0)[1] / (E * c3 / (4.0 * c1**4))),
     )
 
 

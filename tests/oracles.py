@@ -3,10 +3,11 @@
 The scalar quantum capacitance (a thin wrapper over the sweep kernel
 ``_cq_areal``, so its tests exercise the kernel), the T = 0 charge and
 energy, the closed-form charge integral that checks the low-voltage charge
-series (it and the scalar capacitance share one (T, V) check), the Fermi energy, the quantum RC
-charging time with the quantum conductance, and the all-orders perturbation
-series of the quartic oscillator's lowest levels.  The tests import them from here; the package
-keeps only what a command reads.
+series (it and the scalar capacitance share one (T, V) check), the Fermi
+energy, the quantum RC charging time with the quantum conductance, and the
+all-orders perturbation series of the quartic oscillator's lowest levels.
+The tests import them from here; the package keeps only what a command
+reads.
 """
 
 import math

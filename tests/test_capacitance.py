@@ -161,11 +161,15 @@ def test_non_finite_design_rejected(field, value):
     ],
 )
 def test_operating_point_validation(T, V, quantity):
-    # each scalar oracle of (T, V) checks both itself
+    # each scalar oracle of (T, V) checks both itself; the series coefficients check T
     for formula in (quantum_capacitance, charge_numeric):
         formula(1.0, -0.05)
         with pytest.raises(ValueError, match=quantity):
             formula(T, V)
+    if quantity == "temperature":
+        for coefficients in (charge_series_coefficients, energy_series_coefficients):
+            with pytest.raises(ValueError, match="temperature"):
+                coefficients(T)
 
 
 def _series(T, V):
