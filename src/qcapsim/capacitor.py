@@ -1,12 +1,14 @@
-"""Scalar model of the graphene/dielectric/graphene capacitor; no numpy.
+"""Model of the graphene/dielectric/graphene capacitor.
 
 The dielectric-thickness design rules, the geometric and linear
-capacitances, and the coefficients of the low-voltage charge and energy
-series.  Everything here is a closed-form scalar in ``math``,
-so the CLI's scalar commands run without importing numpy; the quantum
-capacitance itself, which a sweep evaluates on whole voltage grids, is in
-:mod:`qcapsim.capacitance`.  All quantities are SI and per unit area unless
-noted.
+capacitances, the coefficients of the low-voltage charge and energy
+series, the finite-temperature quantum capacitance with its
+zero-temperature limit and its series combination with the geometric
+capacitance, and the (T, V) sweep.  The quantum capacitance takes scalars
+or whole numpy arrays through one path, so a point gives the same bits
+alone or inside a sweep.  Importing this module loads no numpy.  All
+quantities are SI and per unit area unless noted; engineering units
+(fF/um^2) appear only at the emission boundary.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .constants import (
     E, EPSILON_0, HBAR, K_B, PI_HBAR_VF_SQ, V_F, f_per_m2_to_ff_per_um2, require_positive,
     require_positive_temperature,
 )
+
+SWEEP_CSV_HEADER = ("T_K", "V_volt", "CQ_fF_per_um2", "Cseries_fF_per_um2")
 
 # dielectric thickness window: thick enough to block tunneling, thin enough
 # that the quantum capacitance stays an order of magnitude below C_G
@@ -66,6 +70,46 @@ def linear_capacitance_C0(T: float) -> float:
     per unit area (F/m^2); linear in T."""
     require_positive_temperature(T)
     return _cq_prefactor(T) * math.log(16.0)
+
+
+# --- numerically stable ln[2(1 + cosh x)] ----------------------------------
+#
+# 2(1 + cosh x) = (2 cosh(x/2))^2 = e^|x| (1 + e^-|x|)^2, so the logarithm
+# is |x| + 2 log1p(e^-|x|): exact for all x and immune to cosh overflow
+# (the naive form dies near |x| ~ 710).
+
+def ln_2_plus_2cosh(x):
+    """Stable elementwise ln[2(1 + cosh x)]; one numpy path for scalars and
+    arrays, so a point gives the same bits alone or inside a sweep."""
+    import numpy as np
+
+    ax = np.abs(np.asarray(x, dtype=np.float64))
+    return ax + 2.0 * np.log1p(np.exp(-ax))
+
+
+def _cq_areal(T: float, V):
+    """Quantum capacitance per unit area; V may be a scalar or array."""
+    import numpy as np
+
+    scale = _cq_prefactor(T)  # first: it rejects a T whose 2 k_B T underflows
+    x = E * np.asarray(V, dtype=np.float64) / (2.0 * K_B * T)
+    return scale * ln_2_plus_2cosh(x)
+
+
+def quantum_capacitance_T0(voltage: float):
+    """Zero-temperature limit e^3 |V| / pi (hbar v_F)^2 of the quantum
+    capacitance per unit area.  Piecewise linear, vanishing at V = 0."""
+    import numpy as np
+
+    V = np.asarray(voltage, dtype=np.float64)
+    out = E**3 * np.abs(V) / PI_HBAR_VF_SQ
+    return float(out) if out.ndim == 0 else out
+
+
+def series_capacitance(c_g, c_q):
+    """Series combination C_G*C_Q/(C_G + C_Q) per unit area (F/m^2);
+    either capacitance may be a scalar or an array."""
+    return c_g * c_q / (c_g + c_q)
 
 
 # --- low-voltage series expansions ------------------------------------------
@@ -134,4 +178,63 @@ def design_check(thickness_t: float, relative_permittivity: float, T: float) -> 
         dominance_ratio=ratio,
         thickness_ok=thickness_ok,
         dominance_ok=dominance_ok,
+    )
+
+
+# --- sweeps -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CapacitanceSweep:
+    """Grid of (T, V) -> (C_Q, C_series) rows, SI units internally."""
+
+    T_K: np.ndarray          # (n,)
+    V_volt: np.ndarray       # (n,)
+    CQ_areal: np.ndarray     # F/m^2
+    Cseries_areal: np.ndarray  # F/m^2
+
+    def columns(self) -> np.ndarray:
+        """The emitted (n, 4) table in K, V, fF/um^2, fF/um^2."""
+        import numpy as np
+
+        return np.column_stack((self.T_K, self.V_volt, f_per_m2_to_ff_per_um2(self.CQ_areal),
+                                f_per_m2_to_ff_per_um2(self.Cseries_areal)))
+
+
+def _cq_column(T: float, V: np.ndarray) -> np.ndarray:
+    """C_Q over the V grid at one sweep temperature, T = 0 included."""
+    if T == 0.0:
+        return quantum_capacitance_T0(V)
+    require_positive_temperature(T)
+    return _cq_areal(T, V)
+
+
+def capacitance_sweep(c_g: float, T_list, V_grid) -> CapacitanceSweep:
+    """Evaluate C_Q and its series combination with C_G = ``c_g`` (F/m^2)
+    over a (T, V) grid.
+
+    T = 0 entries are allowed and dispatch to the explicit
+    zero-temperature branch; all other temperatures must be positive.
+    Rows run T-major: the whole V grid at the first temperature, then at
+    the next.  :class:`ValueError` names the first cell whose emitted C_Q or
+    series capacitance is not finite: V is not, or C_Q or C_G*C_Q overflows.
+    """
+    import numpy as np
+
+    V = np.asarray(V_grid, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cq = np.concatenate([_cq_column(T, V) for T in T_list])
+        cseries = series_capacitance(c_g, cq)
+        bad = ~(np.isfinite(f_per_m2_to_ff_per_um2(cq))
+                & np.isfinite(f_per_m2_to_ff_per_um2(cseries)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"sweep out of range at T = {T_list[i // V.size]:g} K, V = {V[i % V.size]:.6g} V: "
+            "the voltage, C_Q or the series capacitance in fF/um^2 is not finite"
+        )
+    return CapacitanceSweep(
+        T_K=np.repeat(np.asarray(T_list, dtype=np.float64), V.size),
+        V_volt=np.tile(V, len(T_list)),
+        CQ_areal=cq,
+        Cseries_areal=cseries,
     )

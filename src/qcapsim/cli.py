@@ -32,6 +32,8 @@ from pathlib import Path
 
 from . import __version__
 from .capacitor import (
+    SWEEP_CSV_HEADER,
+    capacitance_sweep,
     charge_series_coefficients,
     design_check,
     energy_series_coefficients,
@@ -54,6 +56,7 @@ from .mode import (
     FOCK_CUTOFF_MAX,
     OscillatorSpec,
     anharmonicity_percent_printed,
+    fock_diagonalize,
     nonlinear_time_constant,
     photon_amplitude,
     photon_number_limit,
@@ -64,23 +67,13 @@ from .mode import (
 from .multimode import classify_interaction, gamma_nml, single_photon_rate_printed
 from .tables import csv_text, json_text, table_csv, table_json
 
-# The numpy kernels, each imported when called: design-check, coupling, qubit --skip-spectrum
-# and verify-paper never load numpy.  A subcommand calls them by these names, so a
-# wrapper set on one (a profiler's span, a test's counter) is the one called.
-
-def capacitance_sweep(c_g, T_list, V_grid):
-    from . import capacitance
-    return capacitance.capacitance_sweep(c_g, T_list, V_grid)
-
+# circulator imports numpy at module level, so it is imported only when its kernel runs.
+# A subcommand calls its kernel (capacitance_sweep, sweep, fock_diagonalize) by its name
+# here, so a wrapper set on one (a profiler's span, a test's counter) is the one called.
 
 def sweep(config, deltas):
     from . import circulator
     return circulator.sweep(config, deltas)
-
-
-def fock_diagonalize(spec):
-    from . import oscillator
-    return oscillator.fock_diagonalize(spec)
 
 
 # --- config loading ----------------------------------------------------------
@@ -115,11 +108,21 @@ def _config_object(where: str, doc, allowed: set[str], required: set[str]) -> di
     return doc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` of a config file: its object, unless a key repeats."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key '{key}' is repeated")
+        doc[key] = value
+    return doc
+
+
 def _load_config(name_or_path: str, allowed: set[str], required: set[str]) -> dict:
     path = _locate_config(name_or_path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    try:  # also bytes that are not UTF-8, an integer of over 4300 digits, deep nesting
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return _config_object(str(path), doc, allowed, required)
 
@@ -240,8 +243,6 @@ FIG2_KEYS = {"thickness_nm", "relative_permittivity", "temperatures_K", "vmax_V"
 
 
 def _cmd_sweep_capacitance(args) -> int:
-    from .capacitance import SWEEP_CSV_HEADER
-
     doc = {} if args.config is None else _load_config(args.config, FIG2_KEYS, FIG2_KEYS)
     thickness_nm = _setting(args.thickness_nm, doc, "thickness_nm", 7.0)
     epsr = _setting(args.epsr, doc, "relative_permittivity", 4.0)

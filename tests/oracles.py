@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from qcapsim.capacitance import _cq_areal
-from qcapsim.capacitor import _cq_prefactor
+from qcapsim.capacitor import _cq_areal, _cq_prefactor
 from qcapsim.constants import (
     E, HBAR, K_B, PI_HBAR_VF_SQ, V_F, require_positive, require_positive_temperature,
 )

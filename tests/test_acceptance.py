@@ -33,11 +33,11 @@ from oracles import (
     quantum_conductance,
     quantum_rc_time,
 )
-from qcapsim.capacitance import quantum_capacitance_T0
 from qcapsim.capacitor import (
     charge_series_coefficients,
     geometric_capacitance,
     linear_capacitance_C0,
+    quantum_capacitance_T0,
 )
 from qcapsim.circulator import (
     CirculatorConfig,
@@ -47,10 +47,11 @@ from qcapsim.circulator import (
     sweep,
 )
 from qcapsim.cli import _verify_rows
-from qcapsim.constants import E, HBAR, K_B, V_F, f_per_m2_to_ff_per_um2
-from qcapsim.mode import OscillatorSpec, anharmonicity_percent_printed, nonlinear_time_constant
+from qcapsim.constants import E, HBAR, K_B, f_per_m2_to_ff_per_um2
+from qcapsim.mode import (
+    OscillatorSpec, anharmonicity_percent_printed, fock_diagonalize, nonlinear_time_constant,
+)
 from qcapsim.multimode import single_photon_rate_printed
-from qcapsim.oscillator import fock_diagonalize
 
 TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e9

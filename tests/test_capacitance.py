@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from oracles import charge_energy_T0, charge_numeric, quantum_capacitance
-from qcapsim.capacitance import (
+from qcapsim.capacitor import (
     SWEEP_CSV_HEADER,
     capacitance_sweep,
-    ln_2_plus_2cosh,
-    quantum_capacitance_T0,
-    series_capacitance,
-)
-from qcapsim.capacitor import (
     charge_series_coefficients,
     design_check,
     energy_series_coefficients,
     geometric_capacitance,
     linear_capacitance_C0,
+    ln_2_plus_2cosh,
+    quantum_capacitance_T0,
+    series_capacitance,
 )
 from qcapsim.constants import E, HBAR, K_B, V_F, f_per_m2_to_ff_per_um2
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -14,18 +15,11 @@ from pathlib import Path
 import pytest
 
 from qcapsim import cli
-from qcapsim.cli import main
 from qcapsim.errors import PerturbativeRegimeExceeded
-from test_readme import golden_cases
+from test_readme import _run, golden_cases
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def parse_csv(text):
@@ -41,7 +35,7 @@ def _src_env():
 # --- verify-paper ----------------------------------------------------------------
 
 def test_verify_paper_passes_with_expected_flags(capsys):
-    code, out, _ = run_cli(capsys, "verify-paper")
+    code, out, _ = _run(capsys, ["verify-paper"])
     assert code == 0
     rows = parse_csv(out)
     statuses = {row["id"]: row["status"] for row in rows}
@@ -54,7 +48,7 @@ def test_verify_paper_passes_with_expected_flags(capsys):
 
 
 def test_verify_paper_json_format(capsys):
-    code, out, _ = run_cli(capsys, "verify-paper", "--format", "json")
+    code, out, _ = _run(capsys, ["verify-paper", "--format", "json"])
     assert code == 0
     records = json.loads(out)
     by_id = {r["id"]: r for r in records}
@@ -72,7 +66,7 @@ def test_verify_paper_out_of_tolerance_row_fails(off, fmt, monkeypatch, capsys):
         return tuple(row[:6] + (row[6] * 1.02,) if row[0] == off else row for row in rows)
 
     monkeypatch.setattr(cli, "_verify_rows", one_row_off)
-    code, out, _ = run_cli(capsys, "verify-paper", "--format", fmt)
+    code, out, _ = _run(capsys, ["verify-paper", "--format", fmt])
     records = parse_csv(out) if fmt == "csv" else json.loads(out)
     statuses = {r["id"]: r["status"] for r in records}
     assert code == 1
@@ -82,10 +76,8 @@ def test_verify_paper_out_of_tolerance_row_fails(off, fmt, monkeypatch, capsys):
 
 def test_verify_paper_takes_no_config(capsys):
     # the table is in code: argparse refuses a table file
-    with pytest.raises(SystemExit) as exit_info:
-        main(["verify-paper", "--config", "table.json"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    code, _, err = _run(capsys, ["verify-paper", "--config", "table.json"])
+    assert code == 2 and "unrecognized arguments: --config" in err
 
 
 @pytest.mark.parametrize("row", cli._verify_rows(), ids=lambda row: row[0])
@@ -105,9 +97,8 @@ def test_verify_rows_are_well_formed(row):
 # --- tables and records -----------------------------------------------------------
 
 def test_sweep_capacitance_table(capsys):
-    code, out, _ = run_cli(
-        capsys, "sweep-capacitance", "--T", "0.25,1,4", "--vmax", "0.05", "--points", "11"
-    )
+    code, out, _ = _run(
+        capsys, ["sweep-capacitance", "--T", "0.25,1,4", "--vmax", "0.05", "--points", "11"])
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 33
@@ -117,7 +108,7 @@ def test_sweep_capacitance_table(capsys):
 
 
 def test_sweep_capacitance_bundled_config(capsys):
-    code, out, _ = run_cli(capsys, "sweep-capacitance", "--config", "paper_fig2.json")
+    code, out, _ = _run(capsys, ["sweep-capacitance", "--config", "paper_fig2.json"])
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 4 * 201
@@ -143,16 +134,16 @@ def test_flag_overrides_config(command, config, flag, value, key, file_value, tm
     doc[key] = file_value
     edited = tmp_path / config
     edited.write_text(json.dumps(doc))
-    code, from_file, _ = run_cli(capsys, command, "--config", str(edited))
+    code, from_file, _ = _run(capsys, [command, "--config", str(edited)])
     assert code == 0
-    code, from_flag, _ = run_cli(capsys, command, "--config", config, flag, value)
+    code, from_flag, _ = _run(capsys, [command, "--config", config, flag, value])
     assert code == 0
     assert from_flag == from_file
-    assert from_flag != run_cli(capsys, command, "--config", config)[1]
+    assert from_flag != _run(capsys, [command, "--config", config])[1]
 
 
 def test_design_check_record(capsys):
-    code, out, _ = run_cli(capsys, "design-check", "--format", "json")
+    code, out, _ = _run(capsys, ["design-check", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
     assert doc["thickness_ok"] and doc["dominance_ok"]
@@ -160,7 +151,7 @@ def test_design_check_record(capsys):
 
 
 def test_qubit_record_with_spectrum(capsys):
-    code, out, _ = run_cli(capsys, "qubit", "--format", "json")
+    code, out, _ = _run(capsys, ["qubit", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
     assert doc["tau_s"] == pytest.approx(2.27335108806e-13, rel=1e-9, abs=0.0)
@@ -170,13 +161,13 @@ def test_qubit_record_with_spectrum(capsys):
 
 
 def test_qubit_nonconvergent_regime_exits_one(capsys):
-    code, _, err = run_cli(capsys, "qubit", "--T", "0.5")
+    code, _, err = _run(capsys, ["qubit", "--T", "0.5"])
     assert code == 1
     assert "CutoffNotConverged" in err
 
 
 def test_qubit_skip_spectrum_always_succeeds(capsys):
-    code, out, _ = run_cli(capsys, "qubit", "--T", "0.5", "--skip-spectrum", "--format", "json")
+    code, out, _ = _run(capsys, ["qubit", "--T", "0.5", "--skip-spectrum", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
     assert "spectrum" not in doc
@@ -184,7 +175,7 @@ def test_qubit_skip_spectrum_always_succeeds(capsys):
 
 
 def test_coupling_record(capsys):
-    code, out, _ = run_cli(capsys, "coupling", "--format", "json")
+    code, out, _ = _run(capsys, ["coupling", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
     assert doc["kind"] == "hopping"
@@ -196,9 +187,8 @@ def test_coupling_warns_past_the_perturbative_regime(capsys):
     # the abstract's point: 1 um^2 at 1 K puts tau*omega at the 4 GHz pump at 0.571 > 1/12;
     # the warning goes to stderr, the record and the exit code stay as they were
     with pytest.warns(PerturbativeRegimeExceeded, match=r"tau\*omega = 0\.571 > 1/12"):
-        code, out, _ = run_cli(
-            capsys, "coupling", "--T", "1", "--f", "4", "--f1", "2", "--f2", "10", "--S", "1"
-        )
+        code, out, _ = _run(
+            capsys, ["coupling", "--T", "1", "--f", "4", "--f1", "2", "--f2", "10", "--S", "1"])
     assert code == 0
     assert out.splitlines()[1] == (
         "1,4,2,10,1,1,hopping,0,48163993860.1,16072776104.6,48163993860.1,2.99661947299"
@@ -211,7 +201,7 @@ def test_each_call_shows_its_own_warning(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         for _ in range(3):
-            assert run_cli(capsys, "coupling", "--S", "1")[0] == 0
+            assert _run(capsys, ["coupling", "--S", "1"])[0] == 0
     assert [w.category for w in caught] == [PerturbativeRegimeExceeded] * 3
 
 
@@ -227,18 +217,18 @@ def test_a_warning_prints_as_one_line_without_a_path():
 def test_main_restores_the_warning_format(capsys):
     before = warnings.formatwarning
     with pytest.warns(PerturbativeRegimeExceeded):
-        assert run_cli(capsys, "coupling", "--S", "1")[0] == 0
+        assert _run(capsys, ["coupling", "--S", "1"])[0] == 0
     assert warnings.formatwarning is before
 
 
 def test_coupling_rejects_a_negative_pump_photon_number(capsys):
-    code, out, err = run_cli(capsys, "coupling", "--pump-photons", "-1")
+    code, out, err = _run(capsys, ["coupling", "--pump-photons", "-1"])
     assert (code, out) == (2, "")
     assert "photon" in err
 
 
 def test_circulator_bundled_config(capsys):
-    code, out, _ = run_cli(capsys, "circulator", "--config", "paper_fig4.json")
+    code, out, _ = _run(capsys, ["circulator", "--config", "paper_fig4.json"])
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 1001
@@ -257,9 +247,9 @@ def test_circulator_bundled_config(capsys):
     ],
 )
 def test_json_records_are_the_csv_rows(argv, capsys):
-    code, csv_out, _ = run_cli(capsys, *argv)
+    code, csv_out, _ = _run(capsys, argv)
     assert code == 0
-    code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    code, json_out, _ = _run(capsys, [*argv, "--format", "json"])
     assert code == 0
     rows = parse_csv(csv_out)
     records = json.loads(json_out)
@@ -304,7 +294,7 @@ def test_subcommands_call_the_module_attributes(argv, called, monkeypatch, capsy
 
     for name in SPAN_NAMES:
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
-    code, _, _ = run_cli(capsys, *argv)
+    code, _, _ = _run(capsys, argv)
     assert code == 0
     assert calls == {name: int(name in called) for name in SPAN_NAMES}
 
@@ -325,19 +315,10 @@ REUSE_SEQUENCE = (
 )
 
 
-def _call_main(argv):
-    """``main(argv)``'s exit code, also when argparse exits instead."""
-    try:
-        return main(list(argv))
-    except SystemExit as exc:
-        return exc.code
-
-
 def rejected_stderr(capsys, *argv):
     """stderr of an in-process run that must exit 2 with nothing on stdout.  An
     exception that escapes ``main``, a numpy warning among them, fails the test."""
-    code = _call_main(argv)
-    out, err = capsys.readouterr()
+    code, out, err = _run(capsys, argv)
     assert (code, out) == (2, ""), err
     return err
 
@@ -367,9 +348,7 @@ def fresh_process_runs():
 def test_reused_parser_leaks_no_state(order, fresh_process_runs, capsys):
     sequence = REUSE_SEQUENCE if order == "forward" else REUSE_SEQUENCE[::-1]
     for argv in sequence:
-        code = _call_main(argv)
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == fresh_process_runs[argv], argv
+        assert _run(capsys, argv) == fresh_process_runs[argv], argv
     for argv in sequence:
         assert _parse(cli._parser(), argv) == _parse(cli.build_parser(), argv), argv
 
@@ -415,7 +394,7 @@ def _qubit_subparser(parser):
 
 
 def test_reused_parser_help_matches_a_fresh_one(capsys):
-    assert run_cli(capsys, "design-check")[0] == 0
+    assert _run(capsys, ["design-check"])[0] == 0
     reused, fresh = cli._parser(), cli.build_parser()
     assert reused.format_help() == fresh.format_help()
     assert _qubit_subparser(reused).format_help() == _qubit_subparser(fresh).format_help()
@@ -426,7 +405,7 @@ def test_reused_parser_help_matches_a_fresh_one(capsys):
 def test_unknown_config_key_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"circulator": {"omega": [1, 1, 1]}, "bogus": 1}))
-    code, _, err = run_cli(capsys, "circulator", "--config", str(bad))
+    code, _, err = _run(capsys, ["circulator", "--config", str(bad)])
     assert code == 2
     assert "bogus" in err and str(bad) in err
 
@@ -446,7 +425,7 @@ def test_unknown_nested_key_rejected(tmp_path, capsys):
             }
         )
     )
-    code, out, err = run_cli(capsys, "circulator", "--config", str(bad))
+    code, out, err = _run(capsys, ["circulator", "--config", str(bad)])
     assert (code, out) == (2, "")
     assert "extra" in err
 
@@ -476,7 +455,7 @@ def _fig4_with(edit, tmp_path):
          "unknown-frame"],
 )
 def test_circulator_config_rejected(edit, named, tmp_path, capsys):
-    code, out, err = run_cli(capsys, "circulator", "--config", _fig4_with(edit, tmp_path))
+    code, out, err = _run(capsys, ["circulator", "--config", _fig4_with(edit, tmp_path)])
     assert (code, out) == (2, "")
     assert err.startswith("config error:") and named in err
 
@@ -494,7 +473,7 @@ def test_circulator_config_units(frame, tmp_path, capsys):
                              "detuning": [0.1, 0.0, -0.2]}
         doc["n_points"] = 21
 
-    code, out, _ = run_cli(capsys, "circulator", "--config", _fig4_with(edit, tmp_path))
+    code, out, _ = _run(capsys, ["circulator", "--config", _fig4_with(edit, tmp_path)])
     assert code == 0
     ghz = 2.0 * math.pi * 1e9
     # the frame picks the Langevin diagonal: the mode frequencies or the detunings
@@ -521,7 +500,7 @@ def test_lab_frame_omega_is_the_rotating_frame_detuning(fmt, tmp_path, capsys):
     for circulator in (lab, rotating):
         config = tmp_path / f"{circulator['frame']}.json"
         config.write_text(json.dumps({"circulator": circulator, "n_points": 41}))
-        code, out, _ = run_cli(capsys, "circulator", "--config", str(config), "--format", fmt)
+        code, out, _ = _run(capsys, ["circulator", "--config", str(config), "--format", fmt])
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) > 2
@@ -546,21 +525,32 @@ def test_circulator_config_checks_omega_and_detuning_in_both_frames(
     def edit(doc):
         doc["circulator"].update({"detuning": [0.0, 0.0, 0.0], "frame": frame, key: values})
 
-    code, out, err = run_cli(capsys, "circulator", "--config", _fig4_with(edit, tmp_path))
+    code, out, err = _run(capsys, ["circulator", "--config", _fig4_with(edit, tmp_path)])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
-def test_malformed_json_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("command, content, named", [
+    ("circulator", b"{not json", "Expecting property name"),
+    ("circulator", b"[" * 100_000, "maximum recursion depth"),
+    ("circulator", b'{"circulator": "\xe9"}', "can't decode byte 0xe9"),
+    ("circulator", b'{"n_points": ' + b"1" * 5001 + b"}", "(4300 digits)"),
+    ("sweep-capacitance", b'{"thickness_nm": 7, "thickness_nm": 8}',
+     "key 'thickness_nm' is repeated"),
+    ("circulator", b'{"circulator": {"g": [1, 1, 1], "g": [0, 0, 0]}}', "key 'g' is repeated"),
+], ids=["not-json", "deep-nesting", "not-utf-8", "long-integer", "repeated-key",
+        "repeated-nested-key"])
+def test_malformed_json_rejected(command, content, named, tmp_path, capsys):
+    # what Python's JSON reader refuses, or would read as the last of two values
     bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(capsys, "circulator", "--config", str(bad))
-    assert code == 2
-    assert "config error" in err
+    bad.write_bytes(content)
+    code, out, err = _run(capsys, [command, "--config", str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {bad}: ") and named in err
 
 
 def test_missing_config_rejected(capsys):
-    code, _, err = run_cli(capsys, "circulator", "--config", "does_not_exist.json")
+    code, _, err = _run(capsys, ["circulator", "--config", "does_not_exist.json"])
     assert code == 2
     assert "not found" in err
 
@@ -574,10 +564,10 @@ def test_missing_config_path_does_not_fall_back_to_a_bundled_config(
     # only a bare file name resolves among the bundled configs
     monkeypatch.chdir(tmp_path)
     for path in (f"no_such_dir/{name}", str(tmp_path / "nowhere" / name)):
-        code, out, err = run_cli(capsys, command, "--config", path, "--points", "3")
+        code, out, err = _run(capsys, [command, "--config", path, "--points", "3"])
         assert (code, out) == (2, ""), path
         assert f"config '{path}' not found on disk or among bundled configs" in err
-    assert run_cli(capsys, command, "--config", name, "--points", "3")[0] == 0
+    assert _run(capsys, [command, "--config", name, "--points", "3"])[0] == 0
 
 
 @pytest.mark.parametrize("command, name", [
@@ -617,7 +607,7 @@ def test_non_finite_option_rejected(argv, capsys):
 def test_sweep_reports_the_first_bad_temperature(temperatures, message, capsys):
     """1e-300 K passes the temperature check but its C_Q scale underflows;
     the sweep stops at whichever bad temperature comes first in the list."""
-    code, out, err = run_cli(capsys, "sweep-capacitance", f"--T={temperatures}")
+    code, out, err = _run(capsys, ["sweep-capacitance", f"--T={temperatures}"])
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -660,7 +650,7 @@ RANGE_OVERFLOWS = "out of range: an end or the width overflows"
 def test_overflow_and_underflow_exit_two_with_a_message(argv, message, capsys):
     """Each run exited 1 with a traceback, or 0 with nan or inf in its data;
     under the suite's warnings-as-errors, no numpy RuntimeWarning escapes."""
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = _run(capsys, argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -668,12 +658,10 @@ def test_a_negative_exponent_after_a_space_is_read_as_an_option(capsys):
     # Python 3.11's argparse reads an argument as a negative number only in the form
     # -4 or -2.5, so the README writes --delta-min=-1.5e298 with "="
     argv = ["circulator", "--config", "paper_fig4.json", "--points", "3"]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--delta-min", "-1e0"])
-    assert exc.value.code == 2
-    assert "error: argument --delta-min: expected one argument" in capsys.readouterr().err
-    code, out, err = run_cli(capsys, "circulator", "--config", "paper_fig4.json",
-                             "--delta-min=-1.5e298", "--delta-max=1.5e298")
+    code, _, err = _run(capsys, [*argv, "--delta-min", "-1e0"])
+    assert code == 2 and "error: argument --delta-min: expected one argument" in err
+    code, out, err = _run(capsys, ["circulator", "--config", "paper_fig4.json",
+                                   "--delta-min=-1.5e298", "--delta-max=1.5e298"])
     assert (code, out, err) == (2, "", f"error: detuning range -1.5e+298 to 1.5e+298 GHz {RANGE_OVERFLOWS}\n")
 
 
@@ -754,7 +742,7 @@ def test_config_n_points_must_be_whole(command, n_points, rows, tmp_path, capsys
     doc["n_points"] = n_points
     config = tmp_path / "n_points.json"
     config.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, command, "--config", str(config))
+    code, out, err = _run(capsys, [command, "--config", str(config)])
     if rows is None:
         assert (code, out) == (2, "")
         assert f"config key 'n_points' must be a whole number, got {n_points}" in err
@@ -781,7 +769,7 @@ def test_qubit_cutoff_above_maximum_rejected(capsys):
 def test_sweep_above_maximum_rejected_before_allocating(argv, monkeypatch, capsys):
     # only the first size past the maximum, and never the maximum itself: a huge sweep
     # takes seconds and gigabytes.  The kernels' modules load outside the traced window.
-    from qcapsim import capacitance, circulator  # noqa: F401
+    from qcapsim import circulator  # noqa: F401
 
     def kernel(*args, **kwargs):
         pytest.fail("a sweep past SWEEP_POINTS_MAX reached its kernel")
@@ -790,7 +778,7 @@ def test_sweep_above_maximum_rejected_before_allocating(argv, monkeypatch, capsy
     monkeypatch.setattr(cli, "sweep", kernel)
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = _run(capsys, argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -825,10 +813,8 @@ def test_circulator_non_finite_figures_rejected(g, flags, first_bad, tmp_path, c
 
 def test_output_file_and_sidecar(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    code, _, _ = run_cli(
-        capsys, "circulator", "--config", "paper_fig4.json", "--points", "21",
-        "--out", str(out),
-    )
+    code, _, _ = _run(
+        capsys, ["circulator", "--config", "paper_fig4.json", "--points", "21", "--out", str(out)])
     assert code == 0
     assert out.exists()
     sidecar = tmp_path / "sweep.csv.meta.json"
@@ -843,9 +829,8 @@ def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     paths = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        code, _, _ = run_cli(
-            capsys, "sweep-capacitance", "--T", "1,4", "--points", "31", "--out", str(out)
-        )
+        code, _, _ = _run(
+            capsys, ["sweep-capacitance", "--T", "1,4", "--points", "31", "--out", str(out)])
         assert code == 0
         paths.append(out.read_bytes())
     assert paths[0] == paths[1]
@@ -860,7 +845,7 @@ SWEEP_GOLDENS = {"fig4_circulator.csv", "fig5_circulator.csv", "fig2_capacitance
 @pytest.mark.parametrize("golden,argv", GOLDEN_CASES)
 def test_golden_files_byte_identical(golden, argv, capsys):
     expected = (GOLDEN_DIR / golden).read_text()
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = _run(capsys, argv)
     assert code == 0
     assert out == expected
 
@@ -868,7 +853,7 @@ def test_golden_files_byte_identical(golden, argv, capsys):
 @pytest.mark.parametrize("golden,argv", [c for c in GOLDEN_CASES if c[0] in SWEEP_GOLDENS])
 def test_golden_files_numeric(golden, argv, capsys):
     expected_rows = parse_csv((GOLDEN_DIR / golden).read_text())
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = _run(capsys, argv)
     assert code == 0
     got_rows = parse_csv(out)
     assert len(got_rows) == len(expected_rows)
@@ -882,7 +867,7 @@ def test_golden_files_numeric(golden, argv, capsys):
 
 # --- installed entry point ----------------------------------------------------------------
 
-def test_console_script_smoke(tmp_path):
+def test_console_script_smoke():
     result = subprocess.run(
         [sys.executable, "-m", "qcapsim.cli", "verify-paper", "--format", "json"],
         capture_output=True,
@@ -890,6 +875,12 @@ def test_console_script_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)[0]["status"] == "PASS"
+    if sys.version_info >= (3, 11):  # tomllib is new in 3.11
+        import tomllib
+
+        pyproject = tomllib.loads((SRC_DIR.parent / "pyproject.toml").read_text())
+        module, attr = pyproject["project"]["scripts"]["qcap-sim"].split(":")
+        assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 SCALAR_INVOCATIONS = (
@@ -898,8 +889,7 @@ SCALAR_INVOCATIONS = (
     ("qubit", "--T", "1", "--skip-spectrum"),
     ("verify-paper",),
 )
-ARRAY_MODULES = ("numpy", "qcapsim.capacitance", "qcapsim.circulator", "qcapsim.linalg",
-                 "qcapsim.oscillator")
+ARRAY_MODULES = ("numpy", "qcapsim.circulator", "qcapsim.linalg")
 
 
 def _run_in_fresh_process(invocations):
@@ -933,4 +923,4 @@ def test_scalar_commands_do_not_load_numpy():
     # the positive control: the same probe sees the array modules load
     codes, loaded = _run_in_fresh_process([["qubit", "--T", "1"]])
     assert codes == [0]
-    assert loaded == ["numpy", "qcapsim.linalg", "qcapsim.oscillator"]
+    assert loaded == ["numpy", "qcapsim.linalg"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import fermi_energy, quantum_conductance, quantum_rc_time
-from qcapsim.capacitance import quantum_capacitance_T0
+from qcapsim.capacitor import quantum_capacitance_T0
 from qcapsim.cli import main
 from qcapsim.constants import E, HBAR, V_F, ghz_to_rad_per_s
 from qcapsim.errors import PerturbativeRegimeExceeded

@@ -15,7 +15,9 @@ from qcapsim.errors import CutoffNotConverged, PerturbativeRegimeExceeded
 from qcapsim.mode import (
     FOCK_CUTOFF_MAX,
     OscillatorSpec,
+    _parity_blocks,
     anharmonicity_percent_printed,
+    fock_diagonalize,
     hamiltonian_coefficients,
     nonlinear_time_constant,
     photon_amplitude,
@@ -26,7 +28,6 @@ from qcapsim.mode import (
     warn_if_strongly_anharmonic,
 )
 from qcapsim.multimode import classify_interaction
-from qcapsim.oscillator import _parity_blocks, fock_diagonalize
 
 AREA = 1e-10          # 100 um^2
 OMEGA = 2.0 * math.pi * 4e9

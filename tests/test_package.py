@@ -19,12 +19,9 @@ PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 # every public name of the modeling layer, grouped by its one home
 EXPORTS = {
     "capacitor": (
-        "DesignReport", "charge_series_coefficients", "design_check",
-        "energy_series_coefficients", "geometric_capacitance", "linear_capacitance_C0",
-    ),
-    "capacitance": (
-        "CapacitanceSweep", "capacitance_sweep", "quantum_capacitance_T0",
-        "series_capacitance",
+        "CapacitanceSweep", "DesignReport", "capacitance_sweep", "charge_series_coefficients",
+        "design_check", "energy_series_coefficients", "geometric_capacitance",
+        "linear_capacitance_C0", "quantum_capacitance_T0", "series_capacitance",
     ),
     "circulator": (
         "CirculatorConfig", "SweepResult", "coupling_matrix", "langevin_matrix",
@@ -39,11 +36,10 @@ EXPORTS = {
         "single_photon_rate_printed",
     ),
     "mode": (
-        "OscillatorSpec", "anharmonicity_percent_printed", "hamiltonian_coefficients",
-        "nonlinear_time_constant", "photon_amplitude", "photon_number_limit",
-        "photon_number_limit_derived", "resonant_inductance",
+        "OscillatorSpec", "SpectrumResult", "anharmonicity_percent_printed", "fock_diagonalize",
+        "hamiltonian_coefficients", "nonlinear_time_constant", "photon_amplitude",
+        "photon_number_limit", "photon_number_limit_derived", "resonant_inductance",
     ),
-    "oscillator": ("SpectrumResult", "fock_diagonalize"),
 }
 CASES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
