@@ -233,7 +233,7 @@ def capacitance_sweep(c_g: float, T_list, V_grid) -> CapacitanceSweep:
             "the voltage, C_Q or the series capacitance in fF/um^2 is not finite"
         )
     return CapacitanceSweep(
-        T_K=np.repeat(np.asarray(T_list, dtype=np.float64), V.size),
+        T_K=np.repeat(np.asarray(T_list, dtype=np.float64) + 0.0, V.size),  # -0 K reads 0
         V_volt=np.tile(V, len(T_list)),
         CQ_areal=cq,
         Cseries_areal=cseries,

@@ -56,15 +56,17 @@ from .mode import (
     FOCK_CUTOFF_MAX,
     OscillatorSpec,
     anharmonicity_percent_printed,
+    classify_interaction,
     fock_diagonalize,
+    gamma_nml,
     nonlinear_time_constant,
     photon_amplitude,
     photon_number_limit,
     photon_number_limit_derived,
     resonant_inductance,
+    single_photon_rate_printed,
     suggested_fock_cutoff,
 )
-from .multimode import classify_interaction, gamma_nml, single_photon_rate_printed
 from .tables import csv_text, json_text, table_csv, table_json
 
 # circulator imports numpy at module level, so it is imported only when its kernel runs.
@@ -251,6 +253,7 @@ def _cmd_sweep_capacitance(args) -> int:
         doc, "temperatures_K", [0.0, 0.25, 1.0, 4.0], _config_numbers,
     )
     vmax = _setting(args.vmax, doc, "vmax_V", 0.05)
+    require_positive(vmax, "vmax (V)")
     if not temperatures:
         raise ConfigError("at least one temperature is required")
     grid = _sweep_grid(args, doc, f"voltage range {-vmax} to {vmax} V", -vmax, vmax, 201,

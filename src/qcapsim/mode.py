@@ -1,4 +1,5 @@
-"""The quantized capacitor-inductor mode and its Fock-basis oracle.
+"""The quantized capacitor-inductor mode, its Fock-basis oracle, and the
+couplings that the same quartic term gives several modes on one capacitor.
 
 The sinusoidally driven capacitor, shunted by a resonant inductor, is a
 quartic anharmonic oscillator:
@@ -8,12 +9,15 @@ quartic anharmonic oscillator:
 with tau the nonlinear time constant set by the capacitor area and the
 temperature.  This module provides the mode specification, tau, the photon
 amplitude, the tank inductance, the Hamiltonian coefficients, the Fock
-cutoff rule, the printed anharmonicity formula and the photon-number
-validity limit of the quartic truncation.  The Fock-basis oracle builds H
+cutoff rule, the printed anharmonicity and single-photon rate formulas and
+the photon-number validity limit of the quartic truncation.  The Fock-basis oracle builds H
 in a truncated Fock basis from the closed-form bands of its quartic term
 and diagonalizes it exactly, one parity block at a time, with a
-cutoff-stability check on the lowest levels.  Importing this module loads
-no numpy.
+cutoff-stability check on the lowest levels.  Modes on one capacitor mix
+with gamma_nml = tau * w_n * sqrt(w_m w_l); under the rotating-wave
+approximation a pump at Omega keeps hopping when 2*Omega = |w1 - w2| and
+pair creation when 2*Omega = w1 + w2, at G = 3*gamma_012*n for n pump
+photons.  Importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import CutoffNotConverged, PerturbativeRegimeExceeded
 # printed engineering coefficients (T in K, f in GHz, S in um^2)
 ANHARMONICITY_COEFF_PRINTED = 42.85   # percent: A = 42.85 * f / (S T^3)
 PHOTON_LIMIT_COEFF_PRINTED = 41.7     # n_max = 41.7 * T / f
+SINGLE_PHOTON_RATE_COEFF_PRINTED = 0.143  # g0 = 2 pi x 0.143 f sqrt(f1 f2)/(S T^3) GHz
 
 # above tau*omega = 1/12 the quartic term competes with the level spacing
 # and perturbative estimates stop being meaningful
@@ -72,6 +77,16 @@ class SpectrumResult:
     omega_10: float           # rad/s
     omega_21: float           # rad/s
     anharmonicity_A: float    # dimensionless fraction |1 - w21/w10|
+
+
+@dataclass(frozen=True)
+class InteractionClassification:
+    """Which pump-selected interaction survives the RWA, and how strong."""
+
+    kind: str        # "hopping", "parametric" or "off_resonant"
+    detuning: float  # rad/s, residual mismatch of the matched (or nearest) condition
+    G: float         # rad/s, pump-enhanced interaction rate g0 * n
+    g0: float        # rad/s, single-photon rate 3 * gamma_012
 
 
 def warn_if_strongly_anharmonic(tau_omega: float, consequence: str, where: str = "") -> None:
@@ -282,6 +297,22 @@ def anharmonicity_percent_printed(T: float, f: float, S: float) -> float:
     return ANHARMONICITY_COEFF_PRINTED * f / _printed_denominator(S, T)
 
 
+def single_photon_rate_printed(T: float, f: float, f1: float, f2: float, S: float) -> float:
+    """Single-photon rate 2 pi x 0.143 f sqrt(f1 f2)/(S T^3) GHz as published,
+    in rad/s (T in K; pump f and modes f1, f2 in GHz; S in um^2).
+
+    0.143 reproduces gamma_012, while the same text defines g0 = 3*gamma_012
+    (:attr:`InteractionClassification.g0`), three times this rate.  Raises
+    :class:`ValueError` unless the rate is a finite, normal float > 0.
+    """
+    for name, value in (("T", T), ("f", f), ("f1", f1), ("f2", f2), ("S", S)):
+        require_positive(value, name)
+    den = _printed_denominator(S, T)
+    printed = 2.0 * math.pi * SINGLE_PHOTON_RATE_COEFF_PRINTED * f * math.sqrt(f1 * f2) / den * 1e9
+    require_positive(printed, "printed single-photon rate (rad/s)")
+    return printed
+
+
 def photon_number_limit(T: float, f: float) -> float:
     """Photon-number ceiling 41.7 * T / f of the quartic truncation
     (published coefficient; T in K, f in GHz).
@@ -303,3 +334,60 @@ def photon_number_limit_derived(T: float, f: float) -> float:
     n_max = 2.0 * K_B * T / hf
     require_positive(n_max, "derived photon-number limit")
     return n_max
+
+
+# --- pump-selected multimode couplings ----------------------------------------
+
+def gamma_nml(tau: float, omega_n: float, omega_m: float, omega_l: float) -> float:
+    """Three-mode coupling coefficient tau * w_n * sqrt(w_m w_l) (rad/s).
+
+    Symmetric under exchange of m and l.
+    """
+    for omega in (omega_n, omega_m, omega_l):
+        require_positive(omega, "mode frequency")
+    return tau * omega_n * math.sqrt(omega_m * omega_l)
+
+
+def classify_interaction(Omega: float, photon_number: float, omega_1: float, omega_2: float,
+                         tau: float, tolerance: float) -> InteractionClassification:
+    """Classify the two-mode interaction that a pump at Omega (rad/s)
+    carrying n = |a|^2 = ``photon_number`` photons selects.
+
+    Hopping when |2*Omega - |w1 - w2|| <= tolerance (the frequency
+    difference selects photon exchange regardless of which mode is
+    higher), parametric when |2*Omega - (w1 + w2)| <= tolerance,
+    otherwise off-resonant (reported with the smaller residual so RWA
+    validity can be judged).  Raises :class:`ValueError` unless Omega is a
+    finite, normal float > 0 and n and the tolerance (rad/s) are finite and
+    >= 0; then warns :class:`PerturbativeRegimeExceeded` past
+    tau*Omega = 1/12.  Raises :class:`ValueError` if both conditions match,
+    which requires min(w1, w2) <= tolerance, or if G or the detuning is not
+    finite (G = 0 is valid).
+    """
+    require_positive(Omega, "Omega")
+    if not (photon_number >= 0.0 and math.isfinite(photon_number)):
+        raise ValueError(f"photon_number must be finite and >= 0, got {photon_number}")
+    if not (tolerance >= 0.0 and math.isfinite(tolerance)):  # also rejects NaN
+        raise ValueError(f"tolerance must be finite and >= 0 rad/s, got {tolerance}")
+    warn_if_strongly_anharmonic(tau * Omega, "the rates are first-order", " at the pump")
+    d_hop = abs(2.0 * Omega - abs(omega_1 - omega_2))
+    d_par = abs(2.0 * Omega - (omega_1 + omega_2))
+    g0 = 3.0 * gamma_nml(tau, Omega, omega_1, omega_2)
+    strength = g0 * photon_number
+    if not math.isfinite(strength):
+        raise ValueError(f"interaction rate G out of range: {strength} rad/s is not finite")
+    hop = d_hop <= tolerance
+    par = d_par <= tolerance
+    if hop and par:
+        raise ValueError(
+            f"both resonance conditions satisfied within tolerance {tolerance:g} rad/s"
+        )
+    if hop:
+        kind, detuning = "hopping", d_hop
+    elif par:
+        kind, detuning = "parametric", d_par
+    else:
+        kind, detuning = "off_resonant", min(d_hop, d_par)
+    if not math.isfinite(detuning):
+        raise ValueError(f"resonance detuning out of range: {detuning} rad/s is not finite")
+    return InteractionClassification(kind=kind, detuning=detuning, G=strength, g0=g0)

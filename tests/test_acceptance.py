@@ -50,8 +50,8 @@ from qcapsim.cli import _verify_rows
 from qcapsim.constants import E, HBAR, K_B, f_per_m2_to_ff_per_um2
 from qcapsim.mode import (
     OscillatorSpec, anharmonicity_percent_printed, fock_diagonalize, nonlinear_time_constant,
+    single_photon_rate_printed,
 )
-from qcapsim.multimode import single_photon_rate_printed
 
 TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e9

@@ -1,12 +1,10 @@
 import dataclasses
 import json
 import math
-import os
 import platform
 import subprocess
 import sys
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ from qcapsim.circulator import (
     sweep,
 )
 from qcapsim.errors import SingularSystem
+from test_readme import _src_env
 
 TWO_PI = 2.0 * math.pi
 GHZ = TWO_PI * 1e9
@@ -360,8 +359,7 @@ def test_sweep_bytes_do_not_depend_on_the_blas_kernel():
     # move a bit of S or of the 1->3/3->1 ratio (the loss still moves: it takes complex
     # np.abs and np.log10).  The third child holds numpy to its X86_V2 baseline; this
     # numpy accepts exactly these four names, and the older names raise an ImportWarning
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     env.pop("OPENBLAS_CORETYPE", None)
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     digests = []

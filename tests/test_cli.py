@@ -4,7 +4,6 @@ import importlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +15,7 @@ import pytest
 
 from qcapsim import cli
 from qcapsim.errors import PerturbativeRegimeExceeded
-from test_readme import _run, golden_cases
+from test_readme import _run, _src_env, golden_cases
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -24,12 +23,6 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
-
-
-def _src_env():
-    """Environment for a fresh interpreter that imports qcapsim from src/."""
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=str(SRC_DIR) + (os.pathsep + path if path else ""))
 
 
 # --- verify-paper ----------------------------------------------------------------
@@ -611,6 +604,32 @@ def test_sweep_reports_the_first_bad_temperature(temperatures, message, capsys):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_minus_zero_kelvin_prints_as_zero(fmt, tmp_path, capsys):
+    # the T = 0 branch accepts -0.0; the T_K column must not print it as -0
+    config = tmp_path / "minus_zero.json"
+    config.write_text(json.dumps({"thickness_nm": 7.0, "relative_permittivity": 4.0,
+                                  "temperatures_K": [-0.0], "vmax_V": 0.05, "n_points": 2}))
+    runs = [_run(capsys, ["sweep-capacitance", *flags, "--points", "2", "--format", fmt])
+            for flags in (["--T=0"], ["--T=-0"], ["--config", str(config)])]
+    assert runs[0][0] == 0 and runs[1] == runs[0] == runs[2]
+
+
+@pytest.mark.parametrize("flags,vmax_V,got", [(["--vmax=0"], None, 0.0),
+                                               (["--vmax=-0.05"], None, -0.05), ([], 0, 0.0)])
+def test_sweep_capacitance_rejects_a_voltage_bound_not_above_zero(flags, vmax_V, got, tmp_path,
+                                                                  capsys):
+    # the grid runs from -vmax to vmax: 0 would repeat V = 0, a negative bound reverse it
+    if vmax_V is not None:
+        config = tmp_path / "vmax.json"
+        config.write_text(json.dumps({"thickness_nm": 7.0, "relative_permittivity": 4.0,
+                                      "temperatures_K": [1.0], "vmax_V": vmax_V, "n_points": 2}))
+        flags = ["--config", str(config)]
+    code, out, err = _run(capsys, ["sweep-capacitance", "--points", "2", *flags])
+    assert (code, out, err) == (2, "", f"error: vmax (V) out of range: must be a finite, "
+                                       f"normal float > 0, got {got}\n")
+
+
 NOT_NORMAL = "out of range: must be a finite, normal float > 0, got"
 SWEEP_NOT_FINITE = "the voltage, C_Q or the series capacitance in fF/um^2 is not finite"
 RANGE_OVERFLOWS = "out of range: an end or the width overflows"
@@ -872,6 +891,7 @@ def test_console_script_smoke():
         [sys.executable, "-m", "qcapsim.cli", "verify-paper", "--format", "json"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)[0]["status"] == "PASS"

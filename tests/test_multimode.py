@@ -10,8 +10,10 @@ from qcapsim.capacitor import quantum_capacitance_T0
 from qcapsim.cli import main
 from qcapsim.constants import E, HBAR, V_F, ghz_to_rad_per_s
 from qcapsim.errors import PerturbativeRegimeExceeded
-from qcapsim.multimode import classify_interaction, gamma_nml, single_photon_rate_printed
-from qcapsim.mode import nonlinear_time_constant, photon_number_limit_derived
+from qcapsim.mode import (
+    classify_interaction, gamma_nml, nonlinear_time_constant, photon_number_limit_derived,
+    single_photon_rate_printed,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -301,10 +303,10 @@ def test_classify_interaction_uses_the_photon_number_as_given():
 
 
 def test_classify_interaction_checks_the_pump_before_warning():
-    # Omega, then n, and both before the strong-anharmonicity warning: a pump
-    # at tau*Omega = 1 that fails a check raises without warning
-    def classify(Omega, n):
-        return classify_interaction(Omega, n, _ghz(2.0), _ghz(10.0), 1.0 / _ghz(4.0), 0.0)
+    # Omega, then n, then the tolerance, all before the strong-anharmonicity
+    # warning: a pump at tau*Omega = 1 that fails a check raises without warning
+    def classify(Omega, n, tolerance=0.0):
+        return classify_interaction(Omega, n, _ghz(2.0), _ghz(10.0), 1.0 / _ghz(4.0), tolerance)
 
     omega_message = "Omega out of range: must be a finite, normal float > 0, got "
     for bad in (0.0, -1.0, 5e-324, math.nan, math.inf, -math.inf):
@@ -313,3 +315,6 @@ def test_classify_interaction_checks_the_pump_before_warning():
     for bad in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"^photon_number must be finite and >= 0, got {bad}$"):
             classify(_ghz(4.0), bad)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^tolerance must be finite and >= 0 rad/s, got {bad}$"):
+            classify(_ghz(4.0), 1.0, bad)

@@ -17,6 +17,7 @@ from qcapsim.mode import (
     OscillatorSpec,
     _parity_blocks,
     anharmonicity_percent_printed,
+    classify_interaction,
     fock_diagonalize,
     hamiltonian_coefficients,
     nonlinear_time_constant,
@@ -27,7 +28,6 @@ from qcapsim.mode import (
     suggested_fock_cutoff,
     warn_if_strongly_anharmonic,
 )
-from qcapsim.multimode import classify_interaction
 
 AREA = 1e-10          # 100 um^2
 OMEGA = 2.0 * math.pi * 4e9

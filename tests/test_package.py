@@ -4,7 +4,6 @@ from there: ``import qcapsim`` exports nothing but ``__version__``."""
 import ast
 import importlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qcapsim
+from test_readme import _src_env
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,14 +31,12 @@ EXPORTS = {
         "E", "EPSILON_0", "H", "HBAR", "K_B", "PI_HBAR_VF_SQ", "SPEED_OF_LIGHT", "V_F",
     ),
     "errors": ("ConfigError", "CutoffNotConverged", "PerturbativeRegimeExceeded", "SingularSystem"),
-    "multimode": (
-        "InteractionClassification", "classify_interaction", "gamma_nml",
-        "single_photon_rate_printed",
-    ),
     "mode": (
-        "OscillatorSpec", "SpectrumResult", "anharmonicity_percent_printed", "fock_diagonalize",
+        "InteractionClassification", "OscillatorSpec", "SpectrumResult",
+        "anharmonicity_percent_printed", "classify_interaction", "fock_diagonalize", "gamma_nml",
         "hamiltonian_coefficients", "nonlinear_time_constant", "photon_amplitude",
         "photon_number_limit", "photon_number_limit_derived", "resonant_inductance",
+        "single_photon_rate_printed",
     ),
 }
 CASES = [(module, name) for module, names in EXPORTS.items() for name in names]
@@ -106,6 +104,24 @@ def test_every_class_member_is_read_in_src():
     assert [member for member in members if member.split(".")[1] not in reads] == []
 
 
+def test_no_src_module_reads_a_private_name_of_another():
+    # a helper two modules share is public in its home, or both callers live there
+    reads = []
+    for path in sorted((SRC_DIR / "qcapsim").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = set()  # names bound to a sibling module by ``from . import name``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "qcapsim"):
+                source = "." * node.level + (node.module or "")
+                modules.update(a.asname or a.name for a in node.names if node.module is None)
+                reads += [f"{path.name}: from {source} import {a.name}" for a in node.names
+                          if a.name.startswith("_") and not a.name.endswith("__")]
+        reads += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id in modules]
+    assert reads == []
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         qcapsim.no_such_name
@@ -113,10 +129,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_import_loads_no_submodule_and_exports_no_name():
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR) + (os.pathsep + path if path else ""))
     result = subprocess.run(
-        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env
+        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=_src_env()
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[], True]

@@ -2,6 +2,7 @@
 fenced blocks, the rows of its exit-code table, and the ``design-check`` JSON."""
 
 import json
+import os
 import re
 import shlex
 import sys
@@ -44,6 +45,12 @@ def _run(capsys, argv):
     return code, out, err
 
 
+def _src_env() -> dict:
+    """Environment for a fresh interpreter that imports qcapsim from src/."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+
+
 def golden_cases() -> list[tuple[str, tuple[str, ...]]]:
     """(file name, argv) of each ``qcap-sim <argv> > tests/golden/<file name>`` line of
     the golden-regeneration block: the one list of golden commands, which
@@ -70,7 +77,7 @@ def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
 
 def test_exit_code_table_rows_run(tmp_path, monkeypatch, capsys):
     rows = [match.groups() for match in map(EXIT_ROW.match, README.splitlines()) if match]
-    assert len(rows) == 34  # a row that stops matching the pattern would go unchecked
+    assert len(rows) == 36  # a row that stops matching the pattern would go unchecked
     monkeypatch.chdir(tmp_path)
     wrong = []
     with warnings.catch_warnings():  # the strongly anharmonic rows warn, as a real run does

@@ -1,11 +1,9 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +19,7 @@ from qcapsim.tables import (
     table_csv,
     table_json,
 )
+from test_readme import _src_env
 
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300,
            1e-300, -1e-300, 1.0, -1.0, 1e16, 123456789012345.0, 1.0 / 3.0]
@@ -387,8 +386,7 @@ def test_bundled_sweeps_match_the_percent_pass(command, config, fmt, monkeypatch
 def test_importing_tables_loads_no_numpy_and_builds_no_table():
     probe = ("import sys, qcapsim.tables as t\n"
              "print('numpy' in sys.modules, t._kernel_tables.cache_info().currsize)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=_src_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "0"]
