@@ -14,7 +14,7 @@ quantities are SI and per unit area unless noted; engineering units
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import (
     E, EPSILON_0, HBAR, K_B, PI_HBAR_VF_SQ, V_F, f_per_m2_to_ff_per_um2, require_positive,
@@ -30,8 +30,7 @@ THICKNESS_MAX = 70e-9
 DOMINANCE_MAX_RATIO = 0.1
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(NamedTuple):
     """Outcome of the dielectric-thickness design rules."""
 
     C_G_areal: float        # F/m^2
@@ -183,8 +182,7 @@ def design_check(thickness_t: float, relative_permittivity: float, T: float) -> 
 
 # --- sweeps -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CapacitanceSweep:
+class CapacitanceSweep(NamedTuple):
     """Grid of (T, V) -> (C_Q, C_series) rows, SI units internally."""
 
     T_K: np.ndarray          # (n,)

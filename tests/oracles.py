@@ -5,12 +5,14 @@ The scalar quantum capacitance (a thin wrapper over the sweep kernel
 energy, the closed-form charge integral that checks the low-voltage charge
 series (it and the scalar capacitance share one (T, V) check), the Fermi
 energy, the quantum RC charging time with the quantum conductance, and the
-all-orders perturbation series of the quartic oscillator's lowest levels.
+all-orders perturbation series of the quartic oscillator's lowest levels, in
+floats and, to low order, in exact rationals.
 The tests import them from here; the package keeps only what a command
 reads.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -159,6 +161,36 @@ def quartic_series(orders: int = 60) -> np.ndarray:
             v = 0.25 * _ladder(_ladder(_ladder(_ladder(psi[k - 1]))))  # x^4
             c[m, k] = v[m]
             psi[k] = (v - c[m, 1:k + 1] @ psi[k - 1::-1]) / gap
+    return c
+
+
+def _raise_lower(v: dict) -> dict:
+    """a + a^dag on {n: coefficient of e_n}, e_n = (a^dag)^n |0>: a^dag e_n = e_{n+1},
+    a e_n = n e_{n-1}."""
+    out = {}
+    for n, c in v.items():
+        out[n + 1] = out.get(n + 1, 0) + c
+        if n:
+            out[n - 1] = out.get(n - 1, 0) + n * c
+    return out
+
+
+def quartic_series_exact(orders: int) -> list[list[Fraction]]:
+    """The c[n, k] of :func:`quartic_series` as exact rationals.  In the unnormalized,
+    orthogonal basis e_n the recursion has rational entries: E_k is the e_m coefficient
+    of x^4 psi_{k-1}, with x^4 = (a + a^dag)^4 / 4.  Order 20 takes about 0.1 s."""
+    c = []
+    for m in range(3):
+        psi, energies = [{m: Fraction(1)}], [Fraction(2 * m + 1, 2)]
+        for k in range(1, orders + 1):
+            v = {n: x / 4 for n, x in _raise_lower(_raise_lower(_raise_lower(_raise_lower(
+                psi[k - 1])))).items()}
+            energies.append(v.get(m, Fraction(0)))
+            for j in range(1, k + 1):
+                for n, x in psi[k - j].items():
+                    v[n] = v.get(n, 0) - energies[j] * x
+            psi.append({n: x / (m - n) for n, x in v.items() if x and n != m})
+        c.append(energies)
     return c
 
 

@@ -144,19 +144,25 @@ def test_design_check_record(capsys):
 
 
 def test_qubit_record_with_spectrum(capsys):
-    code, out, _ = _run(capsys, ["qubit", "--format", "json"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["tau_s"] == pytest.approx(2.27335108806e-13, rel=1e-9, abs=0.0)
-    assert doc["anharmonicity_percent_printed"] == pytest.approx(1.714, rel=1e-6, abs=0.0)
-    assert doc["n_max_printed"] == pytest.approx(10.425, rel=1e-9, abs=0.0)
-    assert len(doc["spectrum"]["eigenvalues_J"]) == doc["fock_cutoff"]
+    # the series gives the three levels it vouches for, the Fock oracle every level
+    for flags, cutoff, levels in (([], 25, 3), (["--cutoff", "30"], 30, 30)):
+        code, out, _ = _run(capsys, ["qubit", "--format", "json", *flags])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["tau_s"] == pytest.approx(2.27335108806e-13, rel=1e-9, abs=0.0)
+        assert doc["anharmonicity_percent_printed"] == pytest.approx(1.714, rel=1e-6, abs=0.0)
+        assert doc["n_max_printed"] == pytest.approx(10.425, rel=1e-9, abs=0.0)
+        assert doc["fock_cutoff"] == cutoff
+        assert len(doc["spectrum"]["eigenvalues_J"]) == levels
 
 
 def test_qubit_nonconvergent_regime_exits_one(capsys):
-    code, _, err = _run(capsys, ["qubit", "--T", "0.5"])
-    assert code == 1
-    assert "CutoffNotConverged" in err
+    # tau*omega = 0.046, and 0.0096 at 0.84 K: past the reach of the series and of the Fock oracle
+    for argv in (["qubit", "--T", "0.5"], ["qubit", "--T", "0.5", "--cutoff", "20"],
+                 ["qubit", "--T", "0.84"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert "CutoffNotConverged" in err
 
 
 def test_qubit_skip_spectrum_always_succeeds(capsys):
@@ -212,6 +218,27 @@ def test_main_restores_the_warning_format(capsys):
     with pytest.warns(PerturbativeRegimeExceeded):
         assert _run(capsys, ["coupling", "--S", "1"])[0] == 0
     assert warnings.formatwarning is before
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,fields", [
+    (("coupling", "--pump-photons=-0"), ("pump_photons", "G_rad_s")),
+    (("circulator", "--config", "paper_fig4.json", "--delta-min=-1", "--delta-max=-0",
+      "--points", "2"), ("delta_rad_s",)),
+], ids=["coupling-pump-photons", "circulator-delta-max"])
+def test_minus_zero_input_prints_as_zero(argv, fields, fmt, capsys):
+    # the fields that take the -0 input (on the last row) read 0, as they do for an input of 0
+    code, out, _ = _run(capsys, [*argv, "--format", fmt])
+    assert code == 0
+    assert out == _run(capsys, [arg.replace("=-0", "=0") for arg in argv] + ["--format", fmt])[1]
+    if fmt == "csv":
+        last = parse_csv(out)[-1]
+        assert [last[field] for field in fields] == ["0"] * len(fields)
+    else:
+        doc = json.loads(out)
+        last = doc[-1] if isinstance(doc, list) else doc
+        assert [math.copysign(1.0, last[field]) for field in fields] == [1.0] * len(fields)
+        assert [last[field] for field in fields] == [0.0] * len(fields)
 
 
 def test_coupling_rejects_a_negative_pump_photon_number(capsys):
@@ -270,14 +297,16 @@ SPAN_NAMES = ("capacitance_sweep", "sweep", "fock_diagonalize", "csv_text", "jso
         (("circulator", "--config", "paper_fig4.json", "--points", "3"), ("sweep", "table_csv")),
         (("circulator", "--config", "paper_fig4.json", "--points", "3", "--format", "json"),
          ("sweep", "table_json")),
-        (("qubit", "--T", "4"), ("fock_diagonalize", "csv_text")),
-        (("qubit", "--T", "4", "--format", "json"), ("fock_diagonalize", "json_text")),
+        (("qubit", "--T", "4", "--cutoff", "80"), ("fock_diagonalize", "csv_text")),
+        (("qubit", "--T", "4", "--cutoff", "80", "--format", "json"),
+         ("fock_diagonalize", "json_text")),
         (("verify-paper",), ("csv_text",)),
         (("verify-paper", "--format", "json"), ("json_text",)),
+        (("qubit", "--T", "4"), ("series_spectrum", "csv_text")),
     ],
 )
 def test_subcommands_call_the_module_attributes(argv, called, monkeypatch, capsys):
-    calls = dict.fromkeys(SPAN_NAMES, 0)
+    calls = dict.fromkeys((*SPAN_NAMES, "series_spectrum"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -285,11 +314,11 @@ def test_subcommands_call_the_module_attributes(argv, called, monkeypatch, capsy
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in SPAN_NAMES:
+    for name in calls:
         monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     code, _, _ = _run(capsys, argv)
     assert code == 0
-    assert calls == {name: int(name in called) for name in SPAN_NAMES}
+    assert calls == {name: int(name in called) for name in calls}
 
 
 # --- parser reuse ---------------------------------------------------------------------
@@ -844,6 +873,27 @@ def test_output_file_and_sidecar(tmp_path, capsys):
     assert "created" not in out.read_text()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flags,path", [((), "series"), (("--cutoff", "25"), "fock"),
+                                        (("--skip-spectrum",), None)])
+def test_qubit_sidecar_names_the_code_path(flags, path, fmt, tmp_path, capsys):
+    # the sidecar says which path gave the spectrum and, for the series, how close its
+    # error bound came to the limit; the data file holds the stdout bytes and no more
+    argv = ["qubit", "--T", "1", *flags, "--format", fmt]
+    code, stdout, _ = _run(capsys, argv)
+    assert code == 0
+    out = tmp_path / f"qubit.{fmt}"
+    assert _run(capsys, [*argv, "--out", str(out)]) == (0, "", "")
+    assert out.read_text() == stdout
+    meta = json.loads((tmp_path / f"qubit.{fmt}.meta.json").read_text())
+    run = {key: meta.pop(key) for key in list(meta)[4:]}
+    assert list(meta) == ["command", "tool", "version", "created_utc"]
+    if path == "series":
+        assert run.pop("series_error_limit") == 1e-9
+        assert 0.0 < run.pop("series_error_bound") < 1e-16  # tau*omega = 0.0057
+    assert run == ({} if path is None else {"code_path": path})
+
+
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     paths = []
     for name in ("a.csv", "b.csv"):
@@ -907,9 +957,11 @@ SCALAR_INVOCATIONS = (
     ("design-check",),
     ("coupling",),
     ("qubit", "--T", "1", "--skip-spectrum"),
+    ("qubit", "--T", "1"),
     ("verify-paper",),
 )
-ARRAY_MODULES = ("numpy", "qcapsim.circulator", "qcapsim.linalg")
+# the array modules, and dataclasses, whose import loads inspect
+ARRAY_MODULES = ("numpy", "qcapsim.circulator", "qcapsim.linalg", "dataclasses")
 
 
 def _run_in_fresh_process(invocations):
@@ -933,14 +985,14 @@ def _run_in_fresh_process(invocations):
 
 
 def test_scalar_commands_do_not_load_numpy():
-    # numpy is about 50 ms of each cold invocation; these four commands are
-    # closed-form scalars and must not pay it
+    # numpy is about 50 ms of each cold invocation, dataclasses about 10; these
+    # commands are closed-form scalars or the perturbation series and pay neither
     invocations = [[*argv, "--format", fmt] for argv in SCALAR_INVOCATIONS
                    for fmt in ("csv", "json")]
     codes, loaded = _run_in_fresh_process(invocations)
     assert codes == [0] * len(invocations)
     assert loaded == []
     # the positive control: the same probe sees the array modules load
-    codes, loaded = _run_in_fresh_process([["qubit", "--T", "1"]])
+    codes, loaded = _run_in_fresh_process([["qubit", "--T", "1", "--cutoff", "25"]])
     assert codes == [0]
     assert loaded == ["numpy", "qcapsim.linalg"]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import sys
@@ -7,14 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import quartic_levels, quartic_series
+from oracles import quartic_levels, quartic_series, quartic_series_exact
 from qcapsim.capacitor import linear_capacitance_C0
 from qcapsim.cli import main
 from qcapsim.constants import H, HBAR, K_B, V_F
 from qcapsim.errors import CutoffNotConverged, PerturbativeRegimeExceeded
 from qcapsim.mode import (
+    CONVERGENCE_CUTOFF_STEP,
     FOCK_CUTOFF_MAX,
+    QUARTIC_SERIES,
     OscillatorSpec,
+    _parity_block_eigenvalues,
     _parity_blocks,
     anharmonicity_percent_printed,
     classify_interaction,
@@ -25,6 +27,7 @@ from qcapsim.mode import (
     photon_number_limit,
     photon_number_limit_derived,
     resonant_inductance,
+    series_spectrum,
     suggested_fock_cutoff,
     warn_if_strongly_anharmonic,
 )
@@ -289,6 +292,81 @@ def test_fock_levels_match_the_all_orders_series(tau_omega, a_rel):
     assert result.anharmonicity_A == pytest.approx(anharmonicity, rel=a_rel, abs=0.0)
 
 
+# --- the all-orders series: the default spectrum of `qubit` ---------------------------
+
+def test_series_table_is_the_oracle_recursion():
+    # every entry within 1e-14 of the float recursion; the low orders are the exact rationals
+    # rounded once, Bender and Wu's 1/2, 3/4, -21/8, 333/16, -30885/128 among them
+    oracle = quartic_series(80)
+    assert [len(row) for row in QUARTIC_SERIES] == [81, 81, 81]
+    for n, row in enumerate(QUARTIC_SERIES):
+        assert list(row) == pytest.approx(oracle[n].tolist(), rel=1e-14, abs=0.0)
+    exact = quartic_series_exact(20)
+    assert [list(row[:21]) for row in QUARTIC_SERIES] == [[float(c) for c in e] for e in exact]
+    assert QUARTIC_SERIES[0][:5] == (0.5, 0.75, -2.625, 20.8125, -30885 / 128)
+
+
+@pytest.mark.parametrize("tau_omega", np.geomspace(1e-7, 5e-3, 9).tolist())
+def test_series_spectrum_matches_the_oracle_series(tau_omega):
+    spectrum, bound = series_spectrum(_spec(tau_omega))
+    levels, anharmonicity = quartic_levels(tau_omega)
+    got = [e / (HBAR * OMEGA) for e in spectrum.eigenvalues]
+    assert got == pytest.approx(levels, rel=1e-12, abs=0.0)
+    assert spectrum.omega_10 / OMEGA == pytest.approx(levels[1] - levels[0], rel=1e-12, abs=0.0)
+    assert spectrum.anharmonicity_A == pytest.approx(anharmonicity, rel=1e-12, abs=0.0)
+    assert 0.0 < bound <= 1e-15
+
+
+def test_series_spectrum_answers_wherever_the_default_fock_oracle_did():
+    """Every tau*omega up to 0.008 at which the Fock oracle converges at its
+    suggested cutoff, the default of `qubit` before the series: the series
+    answers too, and its levels agree to 1e-9 relative.  A meets the
+    benchmark's tolerance (1e-9 relative plus 1e-9 absolute, in percent)
+    wherever the Fock oracle's own drift in A, between the cutoff and
+    cutoff + 20, is within it, and that tolerance plus the drift elsewhere:
+    the drift reaches 1.4e-8 relative near 0.0079, where the series is the
+    converged value."""
+    grid = np.geomspace(1e-9, 2e-5, 40).tolist() + [2e-5 * k for k in range(2, 401)]
+    answered, within_tolerance = [], 0
+    for tau_omega in grid:
+        spec = _spec(tau_omega, cutoff=suggested_fock_cutoff(tau_omega))
+        try:
+            fock = fock_diagonalize(spec)
+        except CutoffNotConverged:
+            continue
+        series, bound = series_spectrum(spec)
+        assert bound <= 1e-9
+        assert series.eigenvalues == pytest.approx(fock.eigenvalues[:3].tolist(), rel=1e-9, abs=0.0)
+        check = _parity_block_eigenvalues(spec, spec.fock_cutoff + CONVERGENCE_CUTOFF_STEP)
+        drift = abs(abs(1.0 - (check[2] - check[1]) / (check[1] - check[0])) - fock.anharmonicity_A)
+        percent = 100.0 * fock.anharmonicity_A
+        tolerance = 1e-9 * percent + 1e-9
+        assert abs(100.0 * series.anharmonicity_A - percent) <= tolerance + 100.0 * drift
+        if 100.0 * drift <= tolerance:
+            assert abs(100.0 * series.anharmonicity_A - percent) <= tolerance
+            within_tolerance += 1
+        answered.append(tau_omega)
+    assert len(answered) > 400 and max(answered) == pytest.approx(0.00792, rel=1e-9, abs=0.0)
+    assert within_tolerance > 0.9 * len(answered)
+
+
+def test_series_spectrum_raises_past_its_reach():
+    # tau*omega = 0.0095 is just past the last point (0.00944) that meets 1e-9
+    series_spectrum(_spec(0.0094))
+    with pytest.raises(CutoffNotConverged, match=r"bounds A only to 1\.154e-09 relative, above 1e-09"):
+        series_spectrum(_spec(0.0095))
+    with pytest.warns(PerturbativeRegimeExceeded, match="the perturbation series may not converge"):
+        with pytest.raises(CutoffNotConverged):
+            series_spectrum(_spec(0.1))
+
+
+def test_series_spectrum_is_exact_in_the_harmonic_limit():
+    spectrum, bound = series_spectrum(_spec(0.0))
+    assert [e / (HBAR * OMEGA) for e in spectrum.eigenvalues] == [0.5, 1.5, 2.5]
+    assert (spectrum.omega_10, spectrum.omega_21, spectrum.anharmonicity_A, bound) == (
+        OMEGA, OMEGA, 0.0, 0.0)
+
+
 def test_anharmonicity_matches_first_order_when_tiny():
     rng = np.random.default_rng(40)
     for tau_omega in 10 ** rng.uniform(-6, math.log10(5e-5), size=6):
@@ -363,32 +441,34 @@ def test_suggested_fock_cutoff():
 
 
 def test_spectrum_json_shape(capsys):
-    # no golden pins the spectrum record: `qubit` writes its keys, pinned in order here
-    assert main(["qubit", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert list(doc) == [
-        "T_K", "f_GHz", "S_um2", "fock_cutoff", "tau_s", "tau_omega", "chi_per_m2_sqrt_s",
-        "psi_per_m2", "tank_inductance_H", "anharmonicity_percent_printed",
-        "anharmonicity_percent_symbolic", "n_max_printed", "n_max_derived",
-        "anharmonicity_percent_fock", "spectrum",
-    ]
-    spectrum = doc["spectrum"]
-    assert list(spectrum) == ["eigenvalues_J", "omega10_rad_s", "omega21_rad_s"]
-    levels = spectrum["eigenvalues_J"]
-    assert len(levels) == doc["fock_cutoff"]
-    assert spectrum["omega10_rad_s"] == pytest.approx(
-        (levels[1] - levels[0]) / HBAR, rel=1e-9, abs=0.0)
-    assert spectrum["omega21_rad_s"] == pytest.approx(
-        (levels[2] - levels[1]) / HBAR, rel=1e-9, abs=0.0)
-    assert doc["anharmonicity_percent_fock"] == pytest.approx(
-        100.0 * abs(1.0 - spectrum["omega21_rad_s"] / spectrum["omega10_rad_s"]), rel=1e-9, abs=0.0)
+    # both paths write the same keys, pinned in order here: the series (golden
+    # qubit_T1.json) its three levels, the Fock oracle (not pinned) every level
+    for flags, n_levels in (([], 3), (["--cutoff", "30"], 30)):
+        assert main(["qubit", "--format", "json", *flags]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == [
+            "T_K", "f_GHz", "S_um2", "fock_cutoff", "tau_s", "tau_omega", "chi_per_m2_sqrt_s",
+            "psi_per_m2", "tank_inductance_H", "anharmonicity_percent_printed",
+            "anharmonicity_percent_symbolic", "n_max_printed", "n_max_derived",
+            "anharmonicity_percent_fock", "spectrum",
+        ]
+        spectrum = doc["spectrum"]
+        assert list(spectrum) == ["eigenvalues_J", "omega10_rad_s", "omega21_rad_s"]
+        levels = spectrum["eigenvalues_J"]
+        assert len(levels) == n_levels
+        assert spectrum["omega10_rad_s"] == pytest.approx(
+            (levels[1] - levels[0]) / HBAR, rel=1e-9, abs=0.0)
+        assert spectrum["omega21_rad_s"] == pytest.approx(
+            (levels[2] - levels[1]) / HBAR, rel=1e-9, abs=0.0)
+        assert doc["anharmonicity_percent_fock"] == pytest.approx(
+            100.0 * abs(1.0 - spectrum["omega21_rad_s"] / spectrum["omega10_rad_s"]),
+            rel=1e-9, abs=0.0)
 
 
 def test_spec_carries_only_what_the_fock_oracle_reads():
-    fields = dataclasses.fields(OscillatorSpec)
-    assert [f.name for f in fields] == ["omega", "tau", "fock_cutoff"]
+    assert OscillatorSpec._fields == ("omega", "tau", "fock_cutoff")
     # no default cutoff: suggested_fock_cutoff is the one cutoff rule
-    assert all(f.default is dataclasses.MISSING for f in fields)
+    assert OscillatorSpec._field_defaults == {}
 
 
 def test_spec_validation():

@@ -36,7 +36,7 @@ EXPORTS = {
         "anharmonicity_percent_printed", "classify_interaction", "fock_diagonalize", "gamma_nml",
         "hamiltonian_coefficients", "nonlinear_time_constant", "photon_amplitude",
         "photon_number_limit", "photon_number_limit_derived", "resonant_inductance",
-        "single_photon_rate_printed",
+        "series_spectrum", "single_photon_rate_printed",
     ),
 }
 CASES = [(module, name) for module, names in EXPORTS.items() for name in names]
@@ -164,7 +164,7 @@ def test_benchmark_span_hooks_read_the_kernel_results(monkeypatch, capsys):
     try:
         for argv in (["sweep-capacitance", "--T", "0,1", "--points", "3"],
                      ["circulator", "--config", "paper_fig4.json", "--points", "3"],
-                     ["qubit", "--T", "4"]):
+                     ["qubit", "--T", "4", "--cutoff", "80"]):
             assert cli.main(argv) == 0, argv
     finally:
         tracer.uninstall()

@@ -61,7 +61,7 @@ def golden_cases() -> list[tuple[str, tuple[str, ...]]]:
 def test_readme_commands_run(tmp_path, monkeypatch):
     # the "Command line" block exits 0; the golden-regeneration block writes every golden
     commands, regenerations = _fenced_commands()
-    assert (len(commands), len(regenerations)) == (7, 10)
+    assert (len(commands), len(regenerations)) == (7, 12)
     assert {tuple(line[-2:]) for line in regenerations} == {
         (">", f"tests/golden/{path.name}") for path in (ROOT / "tests" / "golden").iterdir()
     }
